@@ -35,10 +35,12 @@ from .criteria import (
     Witness,
     compactness_criterion,
     comparison_transfer,
+    continuity_and_compactness,
     continuity_criterion,
     monotone_majorant_test,
     ratio_limsup_test,
     rw_membership,
+    rw_memberships,
     s1_estimate,
     sw1_membership,
     t0_estimate,
@@ -97,9 +99,11 @@ __all__ = [
     "custom_weight", "load_weight_table", "parse_weight",
     # criteria
     "Bracket", "CriterionReport", "Verdict", "Witness",
-    "compactness_criterion", "comparison_transfer", "continuity_criterion",
+    "compactness_criterion", "comparison_transfer",
+    "continuity_and_compactness", "continuity_criterion",
     "monotone_majorant_test", "ratio_limsup_test", "rw_membership",
-    "s1_estimate", "sw1_membership", "t0_estimate", "uw_quantity",
+    "rw_memberships", "s1_estimate", "sw1_membership", "t0_estimate",
+    "uw_quantity",
     # sections
     "FiniteSection", "SectionError", "apply_power", "cesaro_section",
     "distance_to_limit_set", "dual_apply", "dual_eigenvector", "eigenvector",

@@ -24,8 +24,7 @@ import numpy as np
 from .weights import WeightError, catalog_families, parse_weight
 from .criteria import (
     DEFAULT_HORIZON,
-    compactness_criterion,
-    continuity_criterion,
+    continuity_and_compactness,
     ratio_limsup_test,
     s1_estimate,
     t0_estimate,
@@ -157,8 +156,7 @@ def cmd_analyze(config: RunConfig) -> int:
     """All criterion verdicts for one weight, with cross-consistency checks."""
     w = parse_weight(config.weight)
     horizon = config.horizon
-    cont = continuity_criterion(w, horizon=horizon)
-    comp = compactness_criterion(w, horizon=horizon)
+    cont, comp = continuity_and_compactness(w, horizon=horizon)
     ratio = ratio_limsup_test(w, horizon=horizon)
     uw = uw_quantity(w, horizon=horizon)
     t0 = t0_estimate(w)

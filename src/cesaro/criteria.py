@@ -52,10 +52,12 @@ __all__ = [
     "evaluate_sup_profile",
     "continuity_criterion",
     "compactness_criterion",
+    "continuity_and_compactness",
     "ratio_limsup_test",
     "monotone_majorant_test",
     "uw_quantity",
     "rw_membership",
+    "rw_memberships",
     "t0_estimate",
     "sw1_membership",
     "s1_estimate",
@@ -303,32 +305,101 @@ def scan_indices(horizon: int) -> np.ndarray:
     return np.array(sorted(idx), dtype=np.int64)
 
 
+def _segment_log_sums(lt: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """log of sum(exp(lt[a:b])) for each segment [starts[i], starts[i+1]).
+
+    Each segment is shifted by its own maximum before exponentiating, so no
+    dynamic range can overflow or underflow it.  ``lt`` is left untouched;
+    the work happens in one scratch array.
+    """
+    if starts.size == lt.size:  # one term per segment: nothing to reduce
+        return lt
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shift = np.maximum.reduceat(lt, starts)
+        shift[~np.isfinite(shift)] = 0.0
+        buf = np.repeat(shift, np.diff(starts, append=lt.size))
+        np.subtract(lt, buf, out=buf)
+        np.exp(buf, out=buf)
+        return np.log(np.add.reduceat(buf, starts)) + shift
+
+
+def _stream_suffix_sums(chunk_terms, horizon: int, targets: np.ndarray,
+                        rows: int) -> np.ndarray:
+    """Suffix log-sums at ascending targets for ``rows`` term sequences.
+
+    ``chunk_terms(ns)`` yields the log-terms of each sequence on the index
+    chunk ``ns`` in turn.  Chunks stream down from the horizon; inside a
+    chunk only the segments between consecutive targets are reduced, and a
+    short log-domain suffix over the segment sums, plus the carry from the
+    chunks above, gives each target.  Returns an array (rows, targets).
+    """
+    out = np.full((rows, targets.size), NEG_INF, dtype=float)
+    if horizon < 1 or targets.size == 0:
+        return out
+    carry = np.full(rows, NEG_INF, dtype=float)
+    tmin = max(1, int(targets[0]))
+    hi = horizon
+    while hi >= tmin:
+        lo = max(tmin, hi - _CHUNK + 1)
+        i0, i1 = np.searchsorted(targets, (lo, hi + 1))
+        # segments start at the chunk's first index and at each distinct
+        # target; pos maps every target to its segment
+        rel = targets[i0:i1] - lo
+        fresh = np.diff(rel, prepend=0) != 0
+        starts = np.concatenate(([0], rel[fresh]))
+        pos = np.cumsum(fresh)
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        for r, lt in enumerate(chunk_terms(ns)):
+            seg = np.logaddexp.accumulate(_segment_log_sums(lt, starts)[::-1])
+            seg = seg[::-1]
+            out[r, i0:i1] = np.logaddexp(seg[pos], carry[r])
+            carry[r] = np.logaddexp(seg[0], carry[r])
+        hi = lo - 1
+    return out
+
+
 def suffix_log_sums(log_term: Callable[[np.ndarray], np.ndarray], horizon: int,
                     targets: np.ndarray) -> np.ndarray:
     """log of sum_{n=m}^{horizon} exp(log_term(n)) for each target m.
 
-    Targets must be ascending positive integers; targets beyond the horizon
-    get -inf (empty suffix).  The accumulation runs entirely in the log
-    domain, so dynamic ranges far beyond float64 cannot corrupt the result.
+    Targets are positive integers; targets beyond the horizon get -inf
+    (empty suffix).  The sums stay in the log domain with a max shift per
+    segment between targets, so dynamic ranges far beyond float64 cannot
+    corrupt the result, and rounding does not build up index by index.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    out = np.full(targets.shape, NEG_INF, dtype=float)
-    if horizon < 1 or targets.size == 0:
-        return out
-    tmin = int(targets[0])
-    carry = NEG_INF
-    hi = horizon
-    while hi >= 1 and hi >= tmin:
-        lo = max(1, tmin, hi - _CHUNK + 1)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        lt = np.asarray(log_term(ns), dtype=float)
-        acc = np.logaddexp.accumulate(lt[::-1])[::-1]
-        sel = (targets >= lo) & (targets <= hi)
-        if np.any(sel):
-            out[sel] = np.logaddexp(acc[targets[sel] - lo], carry)
-        carry = float(np.logaddexp(acc[0], carry))
-        hi = lo - 1
+    order = np.argsort(targets, kind="stable")
+
+    def chunk_terms(ns):
+        yield np.asarray(log_term(ns), dtype=float)
+
+    out = np.empty(targets.shape, dtype=float)
+    out[order] = _stream_suffix_sums(chunk_terms, horizon, targets[order], 1)[0]
     return out
+
+
+def _moment_log_sums(w: WeightSpec, betas, horizon: int):
+    """log of sum_{n<=horizon} n^(beta-1) w(n), and of its top half
+    (n > horizon // 2), for every beta at once.
+
+    One streamed pass: log w(n) and log n are evaluated once per chunk and
+    shared by all exponents.
+    """
+    betas = np.asarray(betas, dtype=float)
+
+    def chunk_terms(ns):
+        lw = np.asarray(w.log_eval(ns), dtype=float)
+        ln = np.log(ns.astype(float))
+        buf = np.empty_like(ln)
+        for beta in betas:
+            np.multiply(ln, beta - 1.0, out=buf)
+            buf += lw
+            yield buf
+
+    sums = _stream_suffix_sums(chunk_terms, horizon,
+                               np.array([1, horizon // 2 + 1], dtype=np.int64),
+                               betas.size)
+    return sums[:, 0], sums[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +437,8 @@ class _ScanData:
     closed_log: Optional[np.ndarray]
     tail_log: Optional[float]
     log_term: Callable[[np.ndarray], np.ndarray]
+    #: suffix sums at the envelope bridge starts, from the same single pass
+    bridge_suffix_log: np.ndarray
 
 
 def _inner_log_term(inner: WeightSpec, beta: float):
@@ -380,11 +453,25 @@ def _inner_log_term(inner: WeightSpec, beta: float):
     return log_term
 
 
+def _bridge_indices(profile: SupProfile, horizon: int) -> np.ndarray:
+    """Indices below the envelope start that are certified one by one; none
+    when the envelope cannot be used at this horizon."""
+    env = profile.envelope
+    if (env is None or env.valid_from > horizon
+            or env.valid_from - 1 > _BRIDGE_CAP):
+        return np.arange(0, dtype=np.int64)
+    return np.arange(1, env.valid_from, dtype=np.int64)
+
+
 def _scan_sup_quantity(profile: SupProfile, horizon: int) -> _ScanData:
     scan = scan_indices(horizon)
     starts = scan + profile.start_offset
     log_term = _inner_log_term(profile.inner, profile.beta)
-    suffix_log = suffix_log_sums(log_term, horizon, starts)
+    bridge_starts = _bridge_indices(profile, horizon) + profile.start_offset
+    targets = np.union1d(starts, bridge_starts)
+    joint = suffix_log_sums(log_term, horizon, targets)
+    suffix_log = joint[np.searchsorted(targets, starts)]
+    bridge_suffix_log = joint[np.searchsorted(targets, bridge_starts)]
     den_log = np.asarray(profile.log_denominator(scan), dtype=float)
     partial_log = suffix_log - den_log
     partial_log = np.where(np.isnan(partial_log), NEG_INF, partial_log)
@@ -396,7 +483,7 @@ def _scan_sup_quantity(profile: SupProfile, horizon: int) -> _ScanData:
         closed_log = None
         tail_log = None
     return _ScanData(scan, starts, suffix_log, den_log, partial_log,
-                     closed_log, tail_log, log_term)
+                     closed_log, tail_log, log_term, bridge_suffix_log)
 
 
 def _witness_from_lower(lower: LowerEnvelope, kind: str) -> Witness:
@@ -511,11 +598,9 @@ def _certified_sup_log(profile: SupProfile, data: _ScanData, horizon: int,
             notes.append("no certified tail closure; indices below the "
                          "envelope start cannot be certified")
             return None
-        bridge = np.arange(1, env.valid_from, dtype=np.int64)
-        bsuffix = suffix_log_sums(data.log_term, horizon,
-                                  bridge + profile.start_offset)
-        bden = np.asarray(profile.log_denominator(bridge), dtype=float)
-        bclosed = np.logaddexp(bsuffix, data.tail_log) - bden
+        bden = np.asarray(profile.log_denominator(
+            _bridge_indices(profile, horizon)), dtype=float)
+        bclosed = np.logaddexp(data.bridge_suffix_log, data.tail_log) - bden
         bclosed = np.where(np.isnan(bclosed), NEG_INF, bclosed)
         pieces.append(float(np.max(bclosed)))
     if data.closed_log is not None:
@@ -586,7 +671,12 @@ def evaluate_sup_profile(profile: SupProfile, horizon: int,
     """Scan, certify, and package one sup-type criterion."""
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    data = _scan_sup_quantity(profile, horizon)
+    return _sup_report(profile, _scan_sup_quantity(profile, horizon), horizon,
+                       params)
+
+
+def _sup_report(profile: SupProfile, data: _ScanData, horizon: int,
+                params: Optional[dict]) -> CriterionReport:
     verdict, used_log, _ = _sup_verdict(profile, data, horizon)
     samples = _thin_samples(data.scan, used_log)
     p = dict(params or {})
@@ -622,20 +712,21 @@ def _continuity_profile(v: WeightSpec, w: WeightSpec) -> SupProfile:
     )
 
 
-def continuity_criterion(v: WeightSpec, w: Optional[WeightSpec] = None,
-                         horizon: int = DEFAULT_HORIZON) -> CriterionReport:
-    """Certify sup over n of (1/v(n)) * sum_{m>=n} w(m)/m.
-
-    Holds means the averaging operator maps the w-weighted summable space
-    boundedly into the v-weighted one, and the certified bound equals its
-    operator norm bound.  With one argument, v = w.
-    """
+def _continuity_scan(v: WeightSpec, w: Optional[WeightSpec],
+                     horizon: int) -> tuple[SupProfile, _ScanData]:
+    """The continuity quantity of (v, w) and its one scan; the continuity
+    and compactness reports both read it."""
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    w = v if w is None else w
-    profile = _continuity_profile(v, w)
-    report = evaluate_sup_profile(profile, horizon,
-                                  {"v": v.id, "w": w.id, "horizon": int(horizon)})
+    profile = _continuity_profile(v, v if w is None else w)
+    return profile, _scan_sup_quantity(profile, horizon)
+
+
+def _continuity_report(v: WeightSpec, profile: SupProfile, data: _ScanData,
+                       horizon: int) -> CriterionReport:
+    report = _sup_report(profile, data, horizon,
+                         {"v": v.id, "w": profile.inner.id,
+                          "horizon": int(horizon)})
     if report.verdict.is_holds:
         verdict = Verdict(
             report.verdict.kind, report.verdict.certified_bound,
@@ -650,19 +741,9 @@ def continuity_criterion(v: WeightSpec, w: Optional[WeightSpec] = None,
     return report
 
 
-def compactness_criterion(v: WeightSpec, w: Optional[WeightSpec] = None,
-                          horizon: int = DEFAULT_HORIZON) -> CriterionReport:
-    """Certify that (1/v(n)) * sum_{m>=n} w(m)/m tends to zero.
-
-    Holds requires a certified vanishing envelope; Fails requires either a
-    certified positive lower bound along a subsequence or outright divergence.
-    """
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
-    w = v if w is None else w
-    profile = _continuity_profile(v, w)
-    data = _scan_sup_quantity(profile, horizon)
-    params = {"v": v.id, "w": w.id, "horizon": int(horizon)}
+def _compactness_report(v: WeightSpec, profile: SupProfile, data: _ScanData,
+                        horizon: int) -> CriterionReport:
+    params = {"v": v.id, "w": profile.inner.id, "horizon": int(horizon)}
     notes: list = []
     used_log = data.partial_log
 
@@ -723,6 +804,43 @@ def compactness_criterion(v: WeightSpec, w: Optional[WeightSpec] = None,
     samples = _thin_samples(data.scan, used_log)
     return CriterionReport("compactness", params, verdict, samples,
                            int(horizon))
+
+
+def continuity_criterion(v: WeightSpec, w: Optional[WeightSpec] = None,
+                         horizon: int = DEFAULT_HORIZON) -> CriterionReport:
+    """Certify sup over n of (1/v(n)) * sum_{m>=n} w(m)/m.
+
+    Holds means the averaging operator maps the w-weighted summable space
+    boundedly into the v-weighted one, and the certified bound equals its
+    operator norm bound.  With one argument, v = w.
+    """
+    profile, data = _continuity_scan(v, w, horizon)
+    return _continuity_report(v, profile, data, horizon)
+
+
+def compactness_criterion(v: WeightSpec, w: Optional[WeightSpec] = None,
+                          horizon: int = DEFAULT_HORIZON) -> CriterionReport:
+    """Certify that (1/v(n)) * sum_{m>=n} w(m)/m tends to zero.
+
+    Holds requires a certified vanishing envelope; Fails requires either a
+    certified positive lower bound along a subsequence or outright divergence.
+    """
+    profile, data = _continuity_scan(v, w, horizon)
+    return _compactness_report(v, profile, data, horizon)
+
+
+def continuity_and_compactness(
+        v: WeightSpec, w: Optional[WeightSpec] = None,
+        horizon: int = DEFAULT_HORIZON) -> tuple[CriterionReport,
+                                                 CriterionReport]:
+    """The continuity and compactness reports of (v, w) from one scan.
+
+    Both criteria read the same quantity, so callers that need both should
+    use this instead of scanning it twice.
+    """
+    profile, data = _continuity_scan(v, w, horizon)
+    return (_continuity_report(v, profile, data, horizon),
+            _compactness_report(v, profile, data, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -869,12 +987,26 @@ def rw_membership(w: WeightSpec, t: float,
     with the certified sup of the weight); Fails uses the certified
     divergence metadata (minorants and family rules).
     """
+    return rw_memberships(w, (t,), horizon)[0]
+
+
+def rw_memberships(w: WeightSpec, ts,
+                   horizon: int = DEFAULT_HORIZON) -> list:
+    """``rw_membership`` for every exponent in ``ts``, from one streamed
+    pass over the weight."""
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
+    ts = [float(t) for t in ts]
+    totals, tops = _moment_log_sums(w, [t + 1.0 for t in ts], horizon)
+    return [_rw_verdict(w, t, horizon, float(total), float(top))
+            for t, total, top in zip(ts, totals, tops)]
+
+
+def _rw_verdict(w: WeightSpec, t: float, horizon: int, partial_log: float,
+                top_log: float) -> Verdict:
+    """The membership verdict from the log partial sum through the horizon
+    and the log sum of its top half (n > horizon // 2)."""
     beta = t + 1.0
-    log_term = _inner_log_term(w, beta)
-    partial_log = float(suffix_log_sums(log_term, horizon,
-                                        np.array([1], dtype=np.int64))[0])
     emp = _exp_clamped_scalar(partial_log)
     notes: list = []
 
@@ -904,11 +1036,10 @@ def rw_membership(w: WeightSpec, t: float,
         return Verdict.holds(bound, emp, horizon, notes)
 
     # heuristic growth route
-    mid_targets = np.array([1, horizon // 2 + 1], dtype=np.int64)
-    logs = suffix_log_sums(log_term, horizon, mid_targets)
+    log_term = _inner_log_term(w, beta)
     first_lt = float(np.asarray(log_term(np.array([1], dtype=np.int64)))[0])
-    ratio = float(logs[0]) - first_lt if first_lt > NEG_INF else 0.0
-    share_ok = float(logs[1]) >= math.log(TOP_SHARE_MIN) + float(logs[0])
+    ratio = partial_log - first_lt if first_lt > NEG_INF else 0.0
+    share_ok = top_log >= math.log(TOP_SHARE_MIN) + partial_log
     if ratio >= _LOG_DIVERGENCE and share_ok:
         wit = Witness(1, emp, "partial-sum-growth",
                       f"partial sum exceeds {DIVERGENCE_FACTOR:.0e} times "
@@ -1188,10 +1319,8 @@ def comparison_transfer(v: WeightSpec, w: WeightSpec,
     notes: list = []
     transfers: list = []
 
-    w_cont = continuity_criterion(w, horizon=horizon)
-    w_comp = compactness_criterion(w, horizon=horizon)
-    v_cont = continuity_criterion(v, horizon=horizon)
-    v_comp = compactness_criterion(v, horizon=horizon)
+    w_cont, w_comp = continuity_and_compactness(w, horizon=horizon)
+    v_cont, v_comp = continuity_and_compactness(v, horizon=horizon)
 
     evidence_note = ("ratio monotonicity is finite-horizon evidence, not a "
                      "certificate")

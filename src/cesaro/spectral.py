@@ -26,9 +26,8 @@ from .criteria import (
     Verdict,
     Witness,
     evaluate_sup_profile,
-    compactness_criterion,
-    continuity_criterion,
-    rw_membership,
+    continuity_and_compactness,
+    rw_memberships,
     s1_estimate,
 )
 from .sections import SIGMA_PROXIMITY_EPS, distance_to_limit_set
@@ -162,8 +161,9 @@ def point_spectrum(w: WeightSpec, m_max: int = 20,
     """
     if m_max < 1:
         raise SpectralError("m_max must be >= 1")
-    return [(1.0 / m, rw_membership(w, float(m - 1), horizon=horizon))
-            for m in range(1, m_max + 1)]
+    verdicts = rw_memberships(w, [float(m - 1) for m in range(1, m_max + 1)],
+                              horizon=horizon)
+    return [(1.0 / m, verdict) for m, verdict in enumerate(verdicts, start=1)]
 
 
 def build_context(w: WeightSpec, *, horizon: int = DEFAULT_HORIZON,
@@ -173,10 +173,11 @@ def build_context(w: WeightSpec, *, horizon: int = DEFAULT_HORIZON,
     pts = tuple((m, verdict)
                 for m, (_, verdict) in enumerate(point_spectrum(
                     w, m_max, horizon), start=1))
+    continuity, compactness = continuity_and_compactness(w, horizon=horizon)
     return SpectralContext(
         weight=w,
-        continuity=continuity_criterion(w, horizon=horizon),
-        compactness=compactness_criterion(w, horizon=horizon),
+        continuity=continuity,
+        compactness=compactness,
         s1=s1_estimate(w),
         points=pts,
         m_max=m_max,

@@ -497,7 +497,10 @@ def _geom(r: float, beta: float) -> WeightSpec:
         rp = (1.0 + r) / 2.0
         nfrom = max(1, math.ceil(bg / math.log(rp / r)))
         rb = (nfrom, rp)
-        dec = max(1, math.ceil(1.0 / (r ** (-1.0 / bg) - 1.0))) if r ** (-1.0 / bg) > 1 else 1
+        # w(n+1) <= w(n) iff n >= 1 / (r^(-1/beta) - 1); r^(-1/beta) = e^x
+        # overflows for small beta, and for x > 1 the bound is below 1 anyway
+        x = -log_r / bg
+        dec = math.ceil(1.0 / math.expm1(x)) if 0.0 < x <= 1.0 else 1
 
     # sup of w: unimodal; check the stationary point and n=1
     candidates = {1}

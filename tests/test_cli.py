@@ -24,7 +24,7 @@ from cesaro.cli import (
     main,
 )
 from cesaro.criteria import Bracket
-from cesaro.weights import WeightError
+from cesaro.weights import WeightError, parse_weight
 
 FAST = ["--horizon", "100000"]
 
@@ -231,6 +231,18 @@ def test_iterate_rational_mode(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     norms = {line.split(",")[1] for line in lines[1:]}
     assert len(norms) == 1
+
+
+@pytest.mark.parametrize("beta", ["0.0001", "0.001"])
+def test_geom_small_positive_beta(capsys, beta):
+    # r^(-1/beta) overflows a float here; the weight must still build
+    spec = f"geom:r=0.44,beta={beta}"
+    assert parse_weight(spec).decreasing_from == 1
+    code = main(["analyze", "-w", spec, "--m-max", "3", "--horizon", "1000"])
+    assert code == EXIT_OK
+    assert main(["iterate", "-w", spec, "--N", "50", "--M", "3",
+                 "--probe", "e1"]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_iterate_budget_env(capsys, monkeypatch):

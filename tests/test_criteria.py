@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from cesaro.weights import catalog_weight, custom_weight
+from cesaro import criteria
+from cesaro.cli import main
+from cesaro.spectral import build_context, point_spectrum
+from cesaro.weights import WeightSpec, catalog_weight, custom_weight
 from cesaro.criteria import (
     comparison_transfer,
     compactness_criterion,
+    continuity_and_compactness,
     continuity_criterion,
     monotone_majorant_test,
     ratio_limsup_test,
     rw_membership,
+    rw_memberships,
     s1_estimate,
     suffix_log_sums,
     sw1_membership,
@@ -411,3 +416,104 @@ def test_witness_reproducibility(loggamma1, block413a2):
     if idx <= 10 ** 5:
         assert empirical_continuity(block413a2, idx) >= \
             v2.witness.value * (1.0 - 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the streamed scan kernel
+
+
+def _fsum_log(log_terms):
+    top = float(np.max(log_terms))
+    return top + math.log(math.fsum(np.exp(log_terms - top).tolist()))
+
+
+def test_suffix_log_sums_oracle_block313(block313):
+    # a running log-domain accumulation drifts by ~1e-7 over this range
+    horizon = 10 ** 6
+    targets = np.array([1, 2, 1000, 65536, 806529, 999999], dtype=np.int64)
+    got = suffix_log_sums(block313.log_eval, horizon, targets)
+    lt = np.asarray(block313.log_eval(
+        np.arange(1, horizon + 1, dtype=np.int64)), dtype=float)
+    for t, g in zip(targets, got):
+        assert abs(g - _fsum_log(lt[t - 1:])) <= 1e-8, int(t)
+
+
+def test_suffix_log_sums_targets_any_order(poly2):
+    def log_term(ns):
+        return poly2.log_eval(ns) - np.log(ns.astype(float))
+
+    ordered = suffix_log_sums(log_term, 5000, np.array([3, 3, 40, 4000, 6000]))
+    shuffled = suffix_log_sums(log_term, 5000, np.array([4000, 3, 6000, 40, 3]))
+    assert list(shuffled) == [ordered[3], ordered[0], ordered[4], ordered[2],
+                              ordered[1]]
+    assert ordered[4] == -math.inf
+
+
+def test_rw_memberships_match_one_at_a_time(spike, poly2):
+    horizon = 10 ** 5
+    for w in (spike, poly2):
+        ts = [-3.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+        batch = rw_memberships(w, ts, horizon)
+        assert batch == [rw_membership(w, t, horizon) for t in ts]
+        ns = np.arange(1, horizon + 1, dtype=np.int64)
+        for t, v in zip(ts, batch):
+            lt = w.log_eval(ns) + t * np.log(ns.astype(float))
+            assert math.log(v.empirical_sup) == pytest.approx(
+                _fsum_log(lt), abs=1e-12)
+
+
+def test_continuity_and_compactness_match_separate(poly2, block313, geom05):
+    for w in (poly2, block313, geom05):
+        cont, comp = continuity_and_compactness(w, horizon=10 ** 5)
+        assert cont == continuity_criterion(w, horizon=10 ** 5)
+        assert comp == compactness_criterion(w, horizon=10 ** 5)
+
+
+@pytest.fixture
+def log_eval_terms(monkeypatch):
+    """Counts the weight terms evaluated through WeightSpec.log_eval."""
+    counted = [0]
+    original = WeightSpec.log_eval
+
+    def log_eval(self, n):
+        counted[0] += n.size if isinstance(n, np.ndarray) else 1
+        return original(self, n)
+
+    monkeypatch.setattr(WeightSpec, "log_eval", log_eval)
+    return counted
+
+
+@pytest.fixture
+def continuity_scans(monkeypatch):
+    """Counts the scans of the continuity quantity."""
+    counted = [0]
+    original = criteria._scan_sup_quantity
+
+    def scan(profile, horizon):
+        counted[0] += profile.name == "continuity"
+        return original(profile, horizon)
+
+    monkeypatch.setattr(criteria, "_scan_sup_quantity", scan)
+    return counted
+
+
+@pytest.mark.parametrize("spec", [("poly", {"alpha": 2.0}), ("spike", {}),
+                                  ("block413", {"alpha": 2.0}),
+                                  ("factorial", {"a": 2.0})])
+def test_point_spectrum_one_pass_over_the_weight(log_eval_terms, spec):
+    horizon = 10 ** 5
+    point_spectrum(catalog_weight(*spec), m_max=20, horizon=horizon)
+    assert log_eval_terms[0] <= 1.1 * horizon
+
+
+def test_callers_scan_continuity_once(continuity_scans, capsys, poly2):
+    horizon = 10 ** 4
+    assert main(["analyze", "-w", "poly:alpha=2", "--m-max", "3",
+                 "--horizon", str(horizon)]) == 0
+    capsys.readouterr()
+    assert continuity_scans[0] == 1
+    build_context(poly2, horizon=horizon, m_max=3)
+    assert continuity_scans[0] == 2
+    comparison_transfer(catalog_weight("poly", {"alpha": 3.0}), poly2,
+                        horizon=horizon)
+    assert continuity_scans[0] == 4

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -83,6 +84,8 @@ class RunConfig:
     def __post_init__(self):
         if self.horizon < 1 or self.N < 1 or self.M < 1 or self.m_max < 1:
             raise WeightError("horizons must be positive")
+        if not (math.isfinite(self.eps) and self.eps >= 0.0):
+            raise WeightError("eps must be finite and non-negative")
         if self.mode not in ("rational", "float"):
             raise WeightError(f"unknown arithmetic mode {self.mode!r}")
         if self.grid is not None:

@@ -1121,15 +1121,16 @@ _S_LADDER = (-8.0, -4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0,
 
 
 def _bisect_boundary(member: Callable[[float], Verdict], ladder, member_side,
-                     tol: float) -> tuple[Optional[float], Optional[float],
-                                          dict, list]:
+                     tol: float, cache: Optional[dict] = None
+                     ) -> tuple[Optional[float], Optional[float], dict, list]:
     """Shared ladder walk + bisection for one-sided exponent sets.
 
     Returns (inside, outside, verdict_cache, notes); inside is the certified
     member endpoint, outside the certified non-member endpoint, either may be
-    None when the ladder never found one.
+    None when the ladder never found one.  ``cache`` may arrive prefilled
+    with verdicts (the ladder's, say); ``member`` runs only for the rest.
     """
-    cache: dict = {}
+    cache = {} if cache is None else cache
 
     def probe(x: float) -> Verdict:
         if x not in cache:
@@ -1194,7 +1195,9 @@ def t0_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
 
     The set is downward closed, so the bracket's low endpoint is a certified
     member and the high endpoint a certified non-member.  Certified rapidly
-    decreasing weights short-circuit to the infinite flag.
+    decreasing weights short-circuit to the infinite flag.  The whole ladder
+    is probed in one pass over the weight; only the bisection midpoints are
+    probed one at a time.
     """
     def member(t: float) -> Verdict:
         return rw_membership(w, t, horizon=horizon)
@@ -1206,7 +1209,9 @@ def t0_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
                 "certified rapid decay: every exponent is summable",
                 f"verified membership at the probe ceiling {ceiling}",))
     ladder = tuple(x for x in _T_LADDER if x <= ceiling)
-    inside, outside, cache, notes = _bisect_boundary(member, ladder, "lo", tol)
+    ladder_verdicts = dict(zip(ladder, rw_memberships(w, ladder, horizon)))
+    inside, outside, cache, notes = _bisect_boundary(member, ladder, "lo", tol,
+                                                     ladder_verdicts)
     if inside is not None and outside is None:
         return Bracket("infinite", lo=inside, member_side="lo",
                        lo_verdict=cache.get(inside), notes=tuple(

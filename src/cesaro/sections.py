@@ -38,6 +38,7 @@ __all__ = [
     "RATIONAL_DIMENSION_CAP",
     "SIGMA_PROXIMITY_EPS",
     "distance_to_limit_set",
+    "nearest_limit_point",
     "identity_section",
     "cesaro_section",
     "apply_power",
@@ -431,41 +432,39 @@ def operator_norm_l1w(section: FiniteSection, w: WeightSpec,
 # the resolvent section
 
 
+def nearest_limit_point(re, im) -> tuple:
+    """Distance from re + i*im to {0} union {1/m : m >= 1}, and the nearest m.
+
+    Works elementwise on arrays (or scalars) and returns (distance, m) with
+    m the positive integer minimizing |z - 1/m|, ties going to the smaller
+    m.  Only m = 1, 2 and the four integers around 1/re can be nearest, so
+    those six candidates are all that is tried.
+    """
+    re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
+                                 np.asarray(im, dtype=float))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = 1.0 / re
+    near = (re > 1e-18) & (t < 1e18)
+    base = np.floor(np.where(near, t, 1.0)).astype(np.int64)
+    m_best = np.ones_like(base)
+    d_best = np.hypot(re - 1.0, im)
+    # tried in ascending order of first appearance, so the strict < keeps
+    # the smaller m on ties; off the near set the four integers around 1/re
+    # fall back to m = 1, already tried
+    for k in (None, -1, 0, 1, 2):
+        m = (np.full_like(base, 2) if k is None
+             else np.where(near, np.maximum(1, base + k), 1))
+        d = np.hypot(re - 1.0 / m, im)
+        closer = d < d_best
+        m_best = np.where(closer, m, m_best)
+        d_best = np.where(closer, d, d_best)
+    return np.minimum(np.hypot(re, im), d_best), m_best
+
+
 def distance_to_limit_set(lam: complex) -> float:
     """Distance from lam to {0} union {1/m : m a positive integer}."""
     z = complex(lam)
-    best = abs(z)
-    re = z.real
-    candidates = {1, 2}
-    if re > 1e-18:
-        t = 1.0 / re
-        if t < 1e18:
-            base = int(t)
-            candidates.update({max(1, base - 1), max(1, base),
-                               base + 1, base + 2})
-    for m in candidates:
-        best = min(best, abs(z - 1.0 / m))
-    return best
-
-
-def _nearest_excluded_point(lam: complex) -> str:
-    z = complex(lam)
-    best_val = abs(z)
-    best_desc = "0"
-    re = z.real
-    candidates = {1, 2}
-    if re > 1e-18:
-        t = 1.0 / re
-        if t < 1e18:
-            base = int(t)
-            candidates.update({max(1, base - 1), max(1, base),
-                               base + 1, base + 2})
-    for m in sorted(candidates):
-        d = abs(z - 1.0 / m)
-        if d < best_val:
-            best_val = d
-            best_desc = f"1/{m}"
-    return best_desc
+    return float(nearest_limit_point(z.real, z.imag)[0])
 
 
 def resolvent_section(lam, N: int, mode: str = "float",
@@ -486,9 +485,10 @@ def resolvent_section(lam, N: int, mode: str = "float",
                            f"N = {DENSE_DIMENSION_CAP}")
     lam_c = lam.to_complex() if isinstance(lam, QC) else complex(lam)
     if distance_to_limit_set(lam_c) <= eps:
+        dist, m = nearest_limit_point(lam_c.real, lam_c.imag)
+        nearest = "0" if abs(lam_c) <= dist else f"1/{m}"
         raise SectionError(
-            f"lam = {lam_c} is within {eps} of the excluded point "
-            f"{_nearest_excluded_point(lam_c)}")
+            f"lam = {lam_c} is within {eps} of the excluded point {nearest}")
     if mode == "rational":
         _check_rational_dim(N, mode)
         lq = QC.from_number(lam if isinstance(lam, (QC, Fraction)) else lam_c)

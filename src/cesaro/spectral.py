@@ -7,10 +7,15 @@ compactness shortcut (compact operators have no spectrum off the candidate
 set), and finally the resolvent sup-criterion itself.  Every label is
 backed by evidence from the criteria layer; when certificates disagree the
 classification degrades to Unknown instead of picking a side.
+
+The cascade runs over arrays of points: each rule is a mask, and since the
+resolvent criterion depends only on alpha = Re(1/lam), it is decided once
+per distinct alpha.  A single point is a one-element array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -30,7 +35,11 @@ from .criteria import (
     rw_memberships,
     s1_estimate,
 )
-from .sections import SIGMA_PROXIMITY_EPS, distance_to_limit_set
+from .sections import (
+    SIGMA_PROXIMITY_EPS,
+    distance_to_limit_set,
+    nearest_limit_point,
+)
 
 __all__ = [
     "LABEL_POINT",
@@ -66,6 +75,13 @@ RULE_NONE = "unclassified"
 
 MAX_GRID_POINTS = 10 ** 6
 _FAST_BRIDGE_CAP = 1 << 16
+#: largest 2-D block (rows x terms) one batched bridge or witness evaluates
+_BATCH_ELEMENTS = 1 << 16
+#: points per block of the cascade's rule masks
+_NODE_BLOCK = 4096
+#: the cascade's rules, as codes of its mask stage
+_SIGMA0, _CONFLICT, _DISK, _COMPACT, _RESOLVENT = range(5)
+_WITNESS_TOP = 4096
 _CLIP = 700.0
 
 
@@ -82,26 +98,23 @@ def reciprocal_real_part(lam: complex) -> float:
     return z.real / d
 
 
-def _nearest_candidate_m(lam: complex) -> int:
-    """Positive integer m minimizing |lam - 1/m|."""
-    z = complex(lam)
-    candidates = {1, 2}
-    if z.real > 1e-18:
-        t = 1.0 / z.real
-        if t < 1e18:
-            base = int(t)
-            candidates.update({max(1, base - 1), max(1, base),
-                               base + 1, base + 2})
-    return min(sorted(candidates), key=lambda m: abs(z - 1.0 / m))
+def _check_context_args(m_max: int, eps: float) -> None:
+    if m_max < 1:
+        raise SpectralError("m_max must be >= 1")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise SpectralError(f"eps must be finite and non-negative, got {eps!r}")
 
 
 # ---------------------------------------------------------------------------
 # classification containers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralClassification:
-    """Label for one complex point, with the evidence that produced it."""
+    """Label for one complex point, with the evidence that produced it.
+
+    Slotted: a grid scan keeps one of these per node.
+    """
 
     lam: complex
     alpha: Optional[float]
@@ -129,16 +142,29 @@ class SpectralClassification:
 
 @dataclass(frozen=True)
 class SpectralContext:
-    """Shared read-only reports consumed by the classification cascade."""
+    """Shared read-only reports consumed by the classification cascade.
+
+    The eigenvalue verdicts (``points``) cost a moment pass over the weight
+    and only candidate-set points read them, so they are computed on first
+    use and kept.
+    """
 
     weight: WeightSpec
     continuity: CriterionReport
     compactness: CriterionReport
     s1: Bracket
-    points: tuple  # ((m, Verdict), ...) for m = 1..m_max
     m_max: int
     horizon: int
     eps: float = SIGMA_PROXIMITY_EPS
+
+    def __post_init__(self):
+        _check_context_args(self.m_max, self.eps)
+
+    @functools.cached_property
+    def points(self) -> tuple:
+        """((m, Verdict), ...) for m = 1..m_max."""
+        return tuple((m, verdict) for m, (_, verdict) in enumerate(
+            point_spectrum(self.weight, self.m_max, self.horizon), start=1))
 
     @property
     def s1_member(self) -> Optional[float]:
@@ -169,17 +195,20 @@ def point_spectrum(w: WeightSpec, m_max: int = 20,
 def build_context(w: WeightSpec, *, horizon: int = DEFAULT_HORIZON,
                   m_max: int = 20,
                   eps: float = SIGMA_PROXIMITY_EPS) -> SpectralContext:
-    """Compute the shared reports once so grid scans stay cheap per node."""
-    pts = tuple((m, verdict)
-                for m, (_, verdict) in enumerate(point_spectrum(
-                    w, m_max, horizon), start=1))
+    """Compute the shared reports once so grid scans stay cheap per node.
+
+    Continuity, compactness and the boundary bracket are computed here;
+    the eigenvalue verdicts for 1/m, m <= m_max, are scanned on first use
+    (only points within ``eps`` of the candidate set read them).  A bad
+    ``m_max`` or ``eps`` raises SpectralError before any scan.
+    """
+    _check_context_args(m_max, eps)
     continuity, compactness = continuity_and_compactness(w, horizon=horizon)
     return SpectralContext(
         weight=w,
         continuity=continuity,
         compactness=compactness,
         s1=s1_estimate(w),
-        points=pts,
         m_max=m_max,
         horizon=horizon,
         eps=eps,
@@ -228,64 +257,107 @@ def resolvent_condition(w: WeightSpec, lam: complex,
     return evaluate_sup_profile(profile, horizon, params)
 
 
-def _fast_divergence_witness(w: WeightSpec, alpha: float) -> Witness:
-    ns = np.arange(2, 4097, dtype=np.int64)
-    lt = (np.asarray(w.log_eval(ns), dtype=float)
-          + (alpha - 1.0) * np.log(ns.astype(float)))
-    top = float(np.max(lt))
-    log_sum = top + math.log(float(np.sum(np.exp(lt - top))))
-    log_q = log_sum - float(w.log_eval(1))
-    return Witness(index=1, value=math.exp(min(log_q, _CLIP)),
-                   kind="partial-sum-growth",
-                   detail="partial sum of the divergent inner series "
-                          "through n = 4096, measured against the first row")
+def _witness_log_ratios(w: WeightSpec, alphas: Sequence[float]) -> list:
+    """log of the inner partial sum over n = 2..4096, measured against the
+    first row, for each alpha; log w and log n are evaluated once and the
+    exponents run as row blocks."""
+    if not alphas:
+        return []
+    ns = np.arange(2, _WITNESS_TOP + 1, dtype=np.int64)
+    lw = np.asarray(w.log_eval(ns), dtype=float)
+    ln = np.log(ns.astype(float))
+    log_first = float(w.log_eval(1))
+    out: list = []
+    step = max(1, _BATCH_ELEMENTS // ns.size)
+    for i in range(0, len(alphas), step):
+        a = np.asarray(alphas[i:i + step], dtype=float)[:, np.newaxis]
+        lt = lw + (a - 1.0) * ln
+        top = np.max(lt, axis=1)
+        sums = np.sum(np.exp(lt - top[:, np.newaxis]), axis=1)
+        out.extend(t + math.log(s) - log_first
+                   for t, s in zip(top.tolist(), sums.tolist()))
+    return out
 
 
-def _fast_resolvent(w: WeightSpec, alpha: float) -> Optional[Verdict]:
-    """Envelope-only verdict for grid scans; None means scan the hard way.
+def _bridge_log_sups(w: WeightSpec, v0: int, alphas: Sequence[float],
+                     tails: Sequence[float]) -> list:
+    """For each (alpha, tail): the log sup over rows m < v0 of the exact
+    partial over n in [m+1, v0] plus the certified tail beyond, divided by
+    m^alpha w(m).  One evaluation of log w and log n serves every row; the
+    rows run as blocks of at most _BATCH_ELEMENTS terms."""
+    ns = np.arange(1, v0 + 1, dtype=np.int64)
+    lw = np.asarray(w.log_eval(ns), dtype=float)
+    ln = np.log(ns.astype(float))
+    out: list = []
+    step = max(1, _BATCH_ELEMENTS // v0)
+    for i in range(0, len(alphas), step):
+        a = np.asarray(alphas[i:i + step], dtype=float)[:, np.newaxis]
+        tail = np.asarray(tails[i:i + step], dtype=float)[:, np.newaxis]
+        lt = lw[1:] + (a - 1.0) * ln[1:]
+        rev = np.logaddexp.accumulate(lt[:, ::-1], axis=1)[:, ::-1]
+        den = a * ln[:-1] + lw[:-1]
+        closed = np.logaddexp(rev, tail) - den
+        out.extend(np.max(closed, axis=1).tolist())
+    return out
 
-    Holds comes from the weight's certified envelope plus exact closures of
-    the finitely many rows below the envelope's validity; Fails comes from
-    a certified divergence flag.  Nothing here depends on a scan horizon,
-    so a grid node costs microseconds.
-    """
-    if w.diverges_beta(alpha):
-        witness = _fast_divergence_witness(w, alpha)
-        return Verdict.fails(
-            witness, witness.value, 4096,
-            notes=("certified divergence of the inner series",))
-    env = w.res_env(alpha, 1)
-    if env is None:
-        return None
-    pieces = [env.log_sup]
-    v0 = int(env.valid_from)
-    if v0 > 1:
-        if v0 > _FAST_BRIDGE_CAP:
-            return None
-        tail = w.log_tail(v0 + 1, alpha)
-        if tail is None or tail == float("inf"):
-            return None
-        ns = np.arange(2, v0 + 1, dtype=np.int64)
-        lt = (np.asarray(w.log_eval(ns), dtype=float)
-              + (alpha - 1.0) * np.log(ns.astype(float)))
-        rev = np.logaddexp.accumulate(lt[::-1])[::-1]
-        ms = np.arange(1, v0, dtype=np.int64)
-        den = (alpha * np.log(ms.astype(float))
-               + np.asarray(w.log_eval(ms), dtype=float))
-        # exact partial over n in [m+1, v0], then the certified tail beyond
-        closed = np.logaddexp(rev[ms - 1], tail) - den
-        pieces.append(float(np.max(closed)))
-    cert_log = max(pieces)
+
+def _envelope_holds(cert_log: float) -> Verdict:
     return Verdict.holds(
         math.exp(min(cert_log, _CLIP)), 0.0, 0,
         notes=("envelope-certified without a numeric scan",))
+
+
+def _fast_resolvent(w: WeightSpec, alphas: Sequence[float]) -> list:
+    """Envelope-only verdicts for grid scans: one verdict per distinct
+    alpha, in the order of ``alphas``; None means scan the hard way.
+
+    Holds comes from the weight's certified envelope plus exact closures of
+    the finitely many rows below the envelope's validity; Fails comes from
+    a certified divergence flag.  The metadata hooks (``diverges_beta``,
+    ``res_env``, ``log_tail``) run once per exponent; the closures run as
+    one batched bridge per distinct envelope start and the divergence
+    witnesses as one batch, so nothing here depends on a scan horizon.
+    """
+    out: list = [None] * len(alphas)
+    diverging: list = []
+    bridges: dict = {}  # envelope start -> [(slot, log_sup, tail), ...]
+    for i, alpha in enumerate(alphas):
+        if w.diverges_beta(alpha):
+            diverging.append(i)
+            continue
+        env = w.res_env(alpha, 1)
+        if env is None:
+            continue
+        v0 = int(env.valid_from)
+        if v0 <= 1:
+            out[i] = _envelope_holds(env.log_sup)
+        elif v0 <= _FAST_BRIDGE_CAP:
+            tail = w.log_tail(v0 + 1, alpha)
+            if tail is not None and tail != float("inf"):
+                bridges.setdefault(v0, []).append((i, env.log_sup, tail))
+    log_qs = _witness_log_ratios(w, [alphas[i] for i in diverging])
+    for i, log_q in zip(diverging, log_qs):
+        witness = Witness(
+            index=1, value=math.exp(min(log_q, _CLIP)),
+            kind="partial-sum-growth",
+            detail="partial sum of the divergent inner series through "
+                   f"n = {_WITNESS_TOP}, measured against the first row")
+        out[i] = Verdict.fails(
+            witness, witness.value, _WITNESS_TOP,
+            notes=("certified divergence of the inner series",))
+    for v0, rows in bridges.items():
+        slots, log_sups, tails = zip(*rows)
+        closed = _bridge_log_sups(w, v0, [alphas[i] for i in slots], tails)
+        for i, log_sup, c in zip(slots, log_sups, closed):
+            out[i] = _envelope_holds(max(log_sup, c))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the classification cascade
 
 
-def _sigma0_classification(w: WeightSpec, z: complex, alpha: Optional[float],
+def _sigma0_classification(z: complex, alpha: Optional[float], m: int,
                            ctx: SpectralContext) -> SpectralClassification:
     if abs(z) <= ctx.eps:
         return SpectralClassification(
@@ -293,7 +365,6 @@ def _sigma0_classification(w: WeightSpec, z: complex, alpha: Optional[float],
             (("sigma0-membership",
               "0 is an accumulation point of the candidate set and always "
               "belongs to the spectrum"),))
-    m = _nearest_candidate_m(z)
     verdict = ctx.point_verdict(m)
     if verdict is not None and verdict.is_holds:
         return SpectralClassification(
@@ -308,6 +379,110 @@ def _sigma0_classification(w: WeightSpec, z: complex, alpha: Optional[float],
         z, alpha, LABEL_SPECTRUM, RULE_SIGMA0, 0.0, tuple(evidence))
 
 
+def _resolvent_outcome(verdict: Optional[Verdict]) -> tuple:
+    """(label, rule_id, sup_value, evidence) from a resolvent verdict."""
+    if verdict is not None and verdict.is_holds:
+        return (LABEL_RESOLVENT, RULE_RESOLVENT, verdict.certified_bound,
+                ((RULE_RESOLVENT, verdict),))
+    if verdict is not None and verdict.is_fails:
+        sup_val = verdict.witness.value if verdict.witness else None
+        return (LABEL_SPECTRUM, RULE_RESOLVENT, sup_val,
+                ((RULE_RESOLVENT, verdict),))
+    evidence = ((RULE_RESOLVENT, verdict),) if verdict is not None else ()
+    return (LABEL_UNKNOWN, RULE_NONE, None, evidence)
+
+
+def _classify_nodes(w: WeightSpec, re: np.ndarray, im: np.ndarray,
+                    ctx: SpectralContext, fast: bool,
+                    horizon: Optional[int]) -> list:
+    """The certificate cascade over the points re + i*im, in input order.
+
+    Rules, in order: candidate-set membership (with point-spectrum
+    upgrade), the certified spectral disk, the compactness shortcut (a
+    point claimed by both is a conflict), the resolvent criterion, Unknown.
+    The first four are masks, applied to blocks of _NODE_BLOCK points so
+    the array temporaries stay small.  The resolvent criterion depends on
+    alpha = Re(1/lam) alone, so it runs once per distinct alpha over all
+    points it receives: from envelope certificates in fast mode, as one
+    full ``resolvent_condition`` otherwise.
+    """
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise SpectralError("points to classify must be finite")
+    s_mem = ctx.s1_member
+    compact = ctx.compactness.verdict
+    fixed = {
+        _CONFLICT: (
+            LABEL_UNKNOWN, RULE_CONFLICT, None,
+            ((RULE_DISK, ctx.s1), (RULE_COMPACT, compact),
+             (RULE_CONFLICT,
+              "a compact operator admits no spectrum off the candidate "
+              "set, yet the disk certificate claims this point; the "
+              "context reports are inconsistent"))),
+        _COMPACT: (LABEL_RESOLVENT, RULE_COMPACT, compact.certified_bound,
+                   ((RULE_COMPACT, compact),)),
+    }
+    disk_ev = ((RULE_DISK, ctx.s1),)
+    rows: list = [None] * re.size
+    pending, pending_alpha = [], []  # the rows left to the resolvent rule
+    for lo in range(0, re.size, _NODE_BLOCK):
+        r = re[lo:lo + _NODE_BLOCK]
+        i = im[lo:lo + _NODE_BLOCK]
+        nonzero = (r != 0.0) | (i != 0.0)
+        d2 = r * r + i * i
+        if np.any(nonzero & (d2 == 0.0)):
+            raise SpectralError(
+                "the exponent Re(1/lam) is undefined at lam = 0")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.where(nonzero, r / d2, np.nan)
+        dist, nearest_m = nearest_limit_point(r, i)
+        live = dist > ctx.eps
+        disk_hit = (alpha >= s_mem if s_mem is not None
+                    else np.zeros_like(live))
+        # np.select takes the first condition that holds: the rule order
+        rule = np.select(
+            [~live, disk_hit & compact.is_holds, disk_hit, compact.is_holds],
+            [_SIGMA0, _CONFLICT, _DISK, _COMPACT], _RESOLVENT)
+        left = np.flatnonzero(rule == _RESOLVENT)
+        pending.append(lo + left)
+        pending_alpha.append(alpha[left])
+        nodes = zip(r.tolist(), i.tolist(), alpha.tolist(), nonzero.tolist(),
+                    rule.tolist())
+        for k, (x, y, a, nz, code) in enumerate(nodes, start=lo):
+            if code == _RESOLVENT:
+                continue
+            lam, a = complex(x, y), (a if nz else None)
+            if code == _SIGMA0:
+                rows[k] = _sigma0_classification(
+                    lam, a, int(nearest_m[k - lo]), ctx)
+            elif code == _DISK:
+                rows[k] = SpectralClassification(
+                    lam, a, LABEL_SPECTRUM, RULE_DISK, a, disk_ev)
+            else:
+                rows[k] = SpectralClassification(lam, a, *fixed[code])
+    idx = np.concatenate(pending)
+    if idx.size == 0:
+        return rows
+    alpha = np.concatenate(pending_alpha)
+    distinct, first, group = np.unique(alpha, return_index=True,
+                                       return_inverse=True)
+    if fast:
+        verdicts = _fast_resolvent(w, distinct.tolist())
+    else:
+        verdicts = [resolvent_condition(w, complex(re[k], im[k]),
+                                        horizon or ctx.horizon,
+                                        eps=ctx.eps).verdict
+                    for k in idx[first].tolist()]
+    outcomes = [_resolvent_outcome(v) for v in verdicts]
+    for lo in range(0, idx.size, _NODE_BLOCK):
+        k = idx[lo:lo + _NODE_BLOCK]
+        for row, x, y, a, g in zip(k.tolist(), re[k].tolist(),
+                                   im[k].tolist(),
+                                   alpha[lo:lo + _NODE_BLOCK].tolist(),
+                                   group[lo:lo + _NODE_BLOCK].tolist()):
+            rows[row] = SpectralClassification(complex(x, y), a, *outcomes[g])
+    return rows
+
+
 def classify_point(w: WeightSpec, lam: complex,
                    context: Optional[SpectralContext] = None,
                    *, fast: bool = False,
@@ -317,53 +492,13 @@ def classify_point(w: WeightSpec, lam: complex,
     Rules, in order: candidate-set membership (with point-spectrum
     upgrade), the certified spectral disk, the compactness shortcut, the
     resolvent criterion, Unknown.  In fast mode the last rule uses only
-    envelope certificates, which is what grid scans rely on.
+    envelope certificates, which is what grid scans rely on.  This is the
+    one-point case of the cascade ``region_scan`` runs.
     """
     ctx = context if context is not None else build_context(w)
     z = complex(lam)
-    alpha = reciprocal_real_part(z) if abs(z) > 0.0 else None
-    if distance_to_limit_set(z) <= ctx.eps:
-        return _sigma0_classification(w, z, alpha, ctx)
-
-    s_mem = ctx.s1_member
-    disk_hit = s_mem is not None and alpha is not None and alpha >= s_mem
-    compact_holds = ctx.compactness.verdict.is_holds
-    if disk_hit and compact_holds:
-        return SpectralClassification(
-            z, alpha, LABEL_UNKNOWN, RULE_CONFLICT, None,
-            ((RULE_DISK, ctx.s1), (RULE_COMPACT, ctx.compactness.verdict),
-             (RULE_CONFLICT,
-              "a compact operator admits no spectrum off the candidate "
-              "set, yet the disk certificate claims this point; the "
-              "context reports are inconsistent")))
-    if disk_hit:
-        return SpectralClassification(
-            z, alpha, LABEL_SPECTRUM, RULE_DISK, alpha,
-            ((RULE_DISK, ctx.s1),))
-    if compact_holds:
-        return SpectralClassification(
-            z, alpha, LABEL_RESOLVENT, RULE_COMPACT,
-            ctx.compactness.verdict.certified_bound,
-            ((RULE_COMPACT, ctx.compactness.verdict),))
-
-    if fast:
-        verdict = _fast_resolvent(w, alpha)
-    else:
-        report = resolvent_condition(w, z, horizon or ctx.horizon,
-                                     eps=ctx.eps)
-        verdict = report.verdict
-    if verdict is not None and verdict.is_holds:
-        return SpectralClassification(
-            z, alpha, LABEL_RESOLVENT, RULE_RESOLVENT,
-            verdict.certified_bound, ((RULE_RESOLVENT, verdict),))
-    if verdict is not None and verdict.is_fails:
-        sup_val = verdict.witness.value if verdict.witness else None
-        return SpectralClassification(
-            z, alpha, LABEL_SPECTRUM, RULE_RESOLVENT, sup_val,
-            ((RULE_RESOLVENT, verdict),))
-    evidence = ((RULE_RESOLVENT, verdict),) if verdict is not None else ()
-    return SpectralClassification(
-        z, alpha, LABEL_UNKNOWN, RULE_NONE, None, evidence)
+    return _classify_nodes(w, np.array([z.real]), np.array([z.imag]), ctx,
+                           fast, horizon)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +516,15 @@ class GridSpec:
     nx: int
     ny: int
 
-    def nodes(self) -> list:
+    def node_arrays(self) -> tuple:
+        """Real and imaginary parts of the nodes, row-major over im then re."""
         res = np.linspace(self.re0, self.re1, self.nx)
         ims = np.linspace(self.im0, self.im1, self.ny)
-        return [complex(r, i) for i in ims for r in res]
+        return np.tile(res, self.ny), np.repeat(ims, self.nx)
+
+    def nodes(self) -> list:
+        re, im = self.node_arrays()
+        return [complex(r, i) for r, i in zip(re.tolist(), im.tolist())]
 
 
 def region_scan(w: WeightSpec, grid: GridSpec,
@@ -392,8 +532,11 @@ def region_scan(w: WeightSpec, grid: GridSpec,
                 *, fast: bool = True) -> list:
     """Classify every node of the grid, row-major over im then re.
 
-    The output order is a pure function of the grid, never of evaluation
-    order.  Empty grids give empty output.
+    The whole grid goes through the cascade as arrays: one verdict per
+    distinct alpha = Re(1/lam), and the eigenvalue points scanned on first
+    use (only nodes within eps of the candidate set need them).  The output
+    order is a pure function of the grid, never of evaluation order.
+    Empty grids give empty output.
     """
     if grid.nx < 0 or grid.ny < 0:
         raise SpectralError("grid resolution must be non-negative")
@@ -403,7 +546,8 @@ def region_scan(w: WeightSpec, grid: GridSpec,
     if grid.nx == 0 or grid.ny == 0:
         return []
     ctx = context if context is not None else build_context(w)
-    return [classify_point(w, z, ctx, fast=fast) for z in grid.nodes()]
+    re, im = grid.node_arrays()
+    return _classify_nodes(w, re, im, ctx, fast, None)
 
 
 def scan_to_csv(classifications: Sequence[SpectralClassification]) -> str:

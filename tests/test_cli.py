@@ -276,6 +276,21 @@ def test_run_config_validation():
                   grid=(0.0, 1.0, 2.0))
 
 
+@pytest.mark.parametrize("eps", ["-1", "nan"])
+def test_spectrum_rejects_bad_eps(capsys, eps):
+    code = main(["spectrum", "-w", "poly:alpha=2", "--grid=0,0,0,0,1,1",
+                 f"--eps={eps}", *FAST])
+    assert code == EXIT_PARSE
+    assert "eps must be finite and non-negative" in capsys.readouterr().err
+
+
+def test_spectrum_rejects_non_finite_grid(capsys):
+    code = main(["spectrum", "-w", "poly:alpha=2", "--grid=nan,1,0,0,2,1",
+                 *FAST])
+    assert code == EXIT_PARSE
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_parse_grid_accepts_default_shape():
     assert _parse_grid("-0.2,1.2,-0.7,0.7,200,200") == DEFAULT_GRID
     with pytest.raises(ValueError):

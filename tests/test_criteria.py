@@ -506,6 +506,37 @@ def test_point_spectrum_one_pass_over_the_weight(log_eval_terms, spec):
     assert log_eval_terms[0] <= 1.1 * horizon
 
 
+def test_t0_estimate_probes_the_ladder_in_one_pass(monkeypatch,
+                                                  log_eval_terms, poly2):
+    horizon = criteria.ESTIMATE_HORIZON
+    single = criteria.rw_membership
+    terms_at_first_midpoint = []
+
+    def midpoint(w, t, horizon=criteria.DEFAULT_HORIZON):
+        assert t not in criteria._T_LADDER
+        if not terms_at_first_midpoint:
+            terms_at_first_midpoint.append(log_eval_terms[0])
+        return single(w, t, horizon)
+
+    monkeypatch.setattr(criteria, "rw_membership", midpoint)
+    t0_estimate(poly2)
+    assert terms_at_first_midpoint
+    assert terms_at_first_midpoint[0] <= 1.1 * horizon
+
+
+@pytest.mark.parametrize("spec", [("poly", {"alpha": 2.0}),
+                                  ("loggamma", {"gamma": 2.0}), ("spike", {}),
+                                  ("block413", {"alpha": 2.0}),
+                                  ("superfact", {})])
+def test_t0_estimate_matches_probing_one_at_a_time(monkeypatch, spec):
+    w = catalog_weight(*spec)
+    batched = t0_estimate(w)
+    many = criteria.rw_memberships
+    monkeypatch.setattr(criteria, "rw_memberships", lambda w, ts, horizon: [
+        many(w, (t,), horizon)[0] for t in ts])
+    assert t0_estimate(w) == batched
+
+
 def test_callers_scan_continuity_once(continuity_scans, capsys, poly2):
     horizon = 10 ** 4
     assert main(["analyze", "-w", "poly:alpha=2", "--m-max", "3",

@@ -32,6 +32,7 @@ from cesaro.sections import (
     eigenvector,
     identity_section,
     kernel_power_entry,
+    nearest_limit_point,
     operator_norm_l1w,
     resolvent_section,
     shifted_inverse_section,
@@ -365,6 +366,32 @@ def test_distance_to_limit_set_values():
         pytest.approx(0.4013864859597432, rel=1e-12)
     assert distance_to_limit_set(0.5j) == pytest.approx(0.5)
     assert distance_to_limit_set(-2.0) == pytest.approx(2.0)
+
+
+def test_nearest_limit_point_matches_brute_force():
+    rng = np.random.default_rng(7)
+    ks = np.arange(1.0, 60.0)
+    # random points, the points 1/m themselves, and the real midpoints
+    # between neighbours, where the nearer m is decided by rounding alone
+    re = np.concatenate([rng.uniform(-0.5, 1.5, 400), 1.0 / ks,
+                         0.5 * (1.0 / ks + 1.0 / (ks + 1.0))])
+    im = np.concatenate([rng.uniform(-0.3, 0.3, 400), np.zeros(2 * ks.size)])
+    dist, m = nearest_limit_point(re, im)
+    ms = np.arange(1, 20001)
+    for k in range(re.size):
+        d = np.hypot(re[k] - 1.0 / ms, im[k])
+        j = int(np.argmin(d))  # the first minimum: ties go to the smaller m
+        if re[k] > 0:
+            assert m[k] == ms[j]
+        assert dist[k] == min(np.hypot(re[k], im[k]), d[j])
+        assert distance_to_limit_set(complex(re[k], im[k])) == dist[k]
+
+
+def test_resolvent_section_names_the_excluded_point():
+    for lam, name in ((0.5 + 1e-12, "1/2"), (1e-12j, "0"),
+                      (1.0 / 3 + 1e-11j, "1/3")):
+        with pytest.raises(SectionError, match=f"excluded point {name}$"):
+            resolvent_section(lam, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,14 @@ snapping) are exercised on small grids.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
 
+from cesaro import sections, spectral
 from cesaro.criteria import compactness_criterion, s1_estimate
+from cesaro.weights import WeightSpec, parse_weight
 from cesaro.spectral import (
     LABEL_POINT,
     LABEL_RESOLVENT,
@@ -24,6 +27,7 @@ from cesaro.spectral import (
     RULE_COMPACT,
     RULE_CONFLICT,
     RULE_DISK,
+    RULE_NONE,
     RULE_POINT,
     RULE_RESOLVENT,
     RULE_SIGMA0,
@@ -323,3 +327,122 @@ def test_labels_are_exhaustive_and_evidence_backed(poly2, ctx_poly2):
             assert len(row.evidence) > 0
         if row.label == LABEL_POINT:
             assert min(abs(row.lam - 1.0 / m) for m in range(1, 40)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the array cascade: pinned bytes and work counts
+
+#: a small grid holding 0, 1/4, 1/2, 1 and an im = 0 row
+PINNED_GRID = GridSpec(0.0, 1.0, -0.5, 0.5, 41, 21)
+#: sha256 of scan_to_csv(region_scan(...)) with build_context(w,
+#: horizon=10**4), recorded with the per-node cascade the array cascade
+#: replaced; the block313 grid near 0 has envelope starts up to 2^15 + 1,
+#: so its batched bridges run in several row blocks
+PINNED_SCANS = [
+    ("poly:alpha=2", PINNED_GRID,
+     "a7b5991ba82e651ec3f7b170a60e0d908e46328c7ddcb73a6fb4157341b58d32"),
+    ("spike", PINNED_GRID,
+     "00b43e66701d43fb3fad92543306aff9d1724864862ce64b0358a7d73ea055c3"),
+    ("loggamma:gamma=2", PINNED_GRID,
+     "c5d6978710d51e6d54b11ead5cb38db03c86be4d3a548376aedf21f40273def8"),
+    ("block413:alpha=2", PINNED_GRID,
+     "f6d09cb2ce1bad16aa2e3f47dd994700e9791fb9be09fb84163e936e2a9ec81d"),
+    ("block313", PINNED_GRID,
+     "ecb6b19cbd3231d8d73be1be472116ea2451a239efe18e1f582b09f716f8c85c"),
+    ("block313", GridSpec(5e-5, 3e-4, -2e-4, 2e-4, 11, 9),
+     "87417c20c9dac821af826178cf93137e5ad866dc4585130733b7db5d714bd492"),
+    ("geom:r=0.5,beta=0.3", PINNED_GRID,
+     "2eeee52ada32896205f4a46dbf6e43ed22c6b8ff18d8b9e2483d378e96a7d948"),
+]
+
+DEFAULT_GRID = GridSpec(-0.2, 1.2, -0.7, 0.7, 200, 200)
+
+
+@pytest.mark.parametrize("spec,grid,digest", PINNED_SCANS)
+def test_region_scan_pinned_bytes(spec, grid, digest):
+    w = parse_weight(spec)
+    ctx = build_context(w, horizon=10 ** 4)
+    rows = region_scan(w, grid, ctx)
+    assert hashlib.sha256(scan_to_csv(rows).encode()).hexdigest() == digest
+    # the one-point call runs the same cascade
+    assert rows == [classify_point(w, z, ctx, fast=True)
+                    for z in grid.nodes()]
+
+
+def test_full_resolvent_rule_once_per_distinct_alpha(monkeypatch, poly2,
+                                                      ctx_poly2):
+    calls = []
+    original = spectral.resolvent_condition
+
+    def counted(w, lam, *args, **kwargs):
+        calls.append(lam)
+        return original(w, lam, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "resolvent_condition", counted)
+    grid = GridSpec(0.3, 0.9, -0.3, 0.3, 4, 5)
+    rows = region_scan(poly2, grid, ctx_poly2, fast=False)
+    alphas = {r.alpha for r in rows if r.rule_id in (RULE_RESOLVENT,
+                                                     RULE_NONE)}
+    assert alphas and len(calls) == len(alphas)
+    calls.clear()
+    assert rows == [classify_point(poly2, z, ctx_poly2) for z in grid.nodes()]
+
+
+@pytest.mark.parametrize("kwargs", [{"eps": -1.0}, {"eps": float("nan")},
+                                    {"eps": float("inf")}, {"m_max": 0}])
+def test_build_context_rejects_bad_arguments(poly2, ctx_poly2, kwargs):
+    with pytest.raises(SpectralError):
+        build_context(poly2, horizon=10 ** 4, **kwargs)
+    with pytest.raises(SpectralError):
+        dataclasses.replace(ctx_poly2, **kwargs)
+
+
+@pytest.fixture
+def spectral_work(monkeypatch):
+    """Counts log_eval calls, point_spectrum calls and scalar
+    distance_to_limit_set calls, wherever the cascade binds them."""
+    counts = {"log_eval": 0, "point_spectrum": 0, "distance": 0}
+    log_eval = WeightSpec.log_eval
+    point_spectrum_fn = spectral.point_spectrum
+    distance = sections.distance_to_limit_set
+
+    def counted_log_eval(self, n):
+        counts["log_eval"] += 1
+        return log_eval(self, n)
+
+    def counted_point_spectrum(*args, **kwargs):
+        counts["point_spectrum"] += 1
+        return point_spectrum_fn(*args, **kwargs)
+
+    def counted_distance(lam):
+        counts["distance"] += 1
+        return distance(lam)
+
+    monkeypatch.setattr(WeightSpec, "log_eval", counted_log_eval)
+    monkeypatch.setattr(spectral, "point_spectrum", counted_point_spectrum)
+    monkeypatch.setattr(sections, "distance_to_limit_set", counted_distance)
+    monkeypatch.setattr(spectral, "distance_to_limit_set", counted_distance)
+    return counts
+
+
+def test_region_scan_work_counts(spectral_work, block413a2):
+    ctx = build_context(block413a2, horizon=10 ** 4)
+    spectral_work.update(log_eval=0, distance=0)
+    rows = region_scan(block413a2, DEFAULT_GRID, ctx)
+    assert len(rows) == 40000
+    assert sum(r.rule_id == RULE_RESOLVENT for r in rows) > 10000
+    # one bridge and one witness batch, not a bridge per node
+    assert spectral_work["log_eval"] <= 16
+    assert spectral_work["distance"] == 0
+
+
+def test_points_scanned_on_first_use(spectral_work, poly2):
+    ctx = build_context(poly2, horizon=10 ** 4)
+    region_scan(poly2, DEFAULT_GRID, ctx)
+    # no default-grid node lies within eps of a 1/m
+    assert spectral_work["point_spectrum"] == 0
+    rows = region_scan(poly2, PINNED_GRID, ctx)
+    assert any(r.lam == 0.5 for r in rows)
+    assert spectral_work["point_spectrum"] == 1
+    region_scan(poly2, PINNED_GRID, ctx)
+    assert spectral_work["point_spectrum"] == 1

@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -355,24 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        "command": args.command,
-        "weight": getattr(args, "weight", None),
-        "horizon": getattr(args, "horizon", DEFAULT_HORIZON),
-        "N": getattr(args, "N", DEFAULT_SECTION_N),
-        "M": getattr(args, "M", DEFAULT_ITERATES_M),
-        "mode": getattr(args, "mode", "float"),
-        "out": getattr(args, "out", None),
-        "seed": getattr(args, "seed", 0),
-        "probe": getattr(args, "probe", "e1"),
-        "m_max": getattr(args, "m_max", DEFAULT_POINT_M_MAX),
-        "eps": getattr(args, "eps", DEFAULT_EPS),
-        "averages": getattr(args, "averages", False),
-        "family": getattr(args, "family", None),
-    }
-    raw_grid = getattr(args, "grid", None)
-    fields["grid"] = _parse_grid(raw_grid) if raw_grid is not None else None
-    return RunConfig(**fields)
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if hasattr(args, f.name)}
+    if given.get("grid") is not None:
+        given["grid"] = _parse_grid(given["grid"])
+    return RunConfig(**given)
 
 
 _HANDLERS = {

@@ -25,7 +25,7 @@ Raising the horizon only sharpens empirical data or resolves an
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -611,31 +611,29 @@ def _certified_sup_log(profile: SupProfile, data: _ScanData, horizon: int,
 
 
 def _sup_verdict(profile: SupProfile, data: _ScanData,
-                 horizon: int) -> tuple[Verdict, np.ndarray, bool]:
-    """Returns (verdict, per-scan log values used for samples, tail_closed)."""
+                 horizon: int) -> tuple[Verdict, np.ndarray]:
+    """Returns (verdict, per-scan log values used for samples)."""
     notes: list = []
     if profile.diverges is True:
         w = _diverging_series_witness(profile, data)
         emp = float(np.max(_exp_clamped(data.partial_log)))
         notes.append("samples are partial sums up to the horizon")
-        return (Verdict.fails(w, emp, horizon, notes), data.partial_log, False)
+        return Verdict.fails(w, emp, horizon, notes), data.partial_log
     if profile.lower is not None and profile.lower.diverging:
         w = _witness_from_lower(profile.lower, "analytic-lower-bound")
         emp = float(np.max(_exp_clamped(data.partial_log)))
         notes.append("samples are partial sums up to the horizon")
-        return (Verdict.fails(w, emp, horizon, notes), data.partial_log, False)
+        return Verdict.fails(w, emp, horizon, notes), data.partial_log
 
     cert_notes: list = []
     cert_log = _certified_sup_log(profile, data, horizon, cert_notes)
     if cert_log is not None:
         if data.closed_log is not None:
             used = data.closed_log
-            tail_closed = True
             cert_notes.append("samples include the certified tail closure "
                               "beyond the horizon")
         else:
             used = data.partial_log
-            tail_closed = False
             cert_notes.append("samples are partial sums up to the horizon")
         emp = float(np.max(_exp_clamped(used)))
         bound = _exp_clamped_scalar(cert_log)
@@ -643,18 +641,17 @@ def _sup_verdict(profile: SupProfile, data: _ScanData,
             notes.extend(cert_notes)
             notes.append("scan contradicts the declared envelope; refusing "
                          "to certify (metadata may be wrong)")
-            return (Verdict.inconclusive(emp, horizon, notes), used, tail_closed)
-        return (Verdict.holds(max(bound, emp), emp, horizon, cert_notes),
-                used, tail_closed)
+            return Verdict.inconclusive(emp, horizon, notes), used
+        return Verdict.holds(max(bound, emp), emp, horizon, cert_notes), used
     notes.extend(cert_notes)
 
     gw = _growth_witness(profile, data, horizon)
     emp = float(np.max(_exp_clamped(data.partial_log)))
     notes.append("samples are partial sums up to the horizon")
     if gw is not None:
-        return (Verdict.fails(gw, emp, horizon, notes), data.partial_log, False)
+        return Verdict.fails(gw, emp, horizon, notes), data.partial_log
     notes.append("no certificate in either direction at this horizon")
-    return (Verdict.inconclusive(emp, horizon, notes), data.partial_log, False)
+    return Verdict.inconclusive(emp, horizon, notes), data.partial_log
 
 
 def _thin_samples(scan: np.ndarray, log_vals: np.ndarray, cap: int = 400):
@@ -677,7 +674,7 @@ def evaluate_sup_profile(profile: SupProfile, horizon: int,
 
 def _sup_report(profile: SupProfile, data: _ScanData, horizon: int,
                 params: Optional[dict]) -> CriterionReport:
-    verdict, used_log, _ = _sup_verdict(profile, data, horizon)
+    verdict, used_log = _sup_verdict(profile, data, horizon)
     samples = _thin_samples(data.scan, used_log)
     p = dict(params or {})
     p.setdefault("weight", profile.inner.id)
@@ -728,16 +725,10 @@ def _continuity_report(v: WeightSpec, profile: SupProfile, data: _ScanData,
                          {"v": v.id, "w": profile.inner.id,
                           "horizon": int(horizon)})
     if report.verdict.is_holds:
-        verdict = Verdict(
-            report.verdict.kind, report.verdict.certified_bound,
-            report.verdict.witness, report.verdict.empirical_sup,
-            report.verdict.scan_horizon,
-            report.verdict.notes + (
-                "certified bound dominates the operator norm of the "
-                "averaging operator between the weighted spaces",),
-        )
-        report = CriterionReport(report.criterion, report.params, verdict,
-                                 report.samples, report.horizon)
+        verdict = replace(report.verdict, notes=report.verdict.notes + (
+            "certified bound dominates the operator norm of the averaging "
+            "operator between the weighted spaces",))
+        report = replace(report, verdict=verdict)
     return report
 
 
@@ -895,6 +886,26 @@ def ratio_limsup_test(w: WeightSpec,
                            int(horizon))
 
 
+def _last_increase(log_f: Callable[[np.ndarray], np.ndarray],
+                   horizon: int) -> tuple[int, float]:
+    """Last index n < horizon with log f(n+1) - log f(n) > _MONOTONE_EPS (0
+    when there is none), and the largest relative increase f(n+1)/f(n) - 1
+    over those indices."""
+    last = 0
+    max_excess = 0.0
+    lo = 1
+    while lo < horizon:
+        hi = min(horizon, lo + _CHUNK)
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        d = np.diff(log_f(ns))
+        bad = d > _MONOTONE_EPS
+        if np.any(bad):
+            last = int(ns[np.nonzero(bad)[0][-1]])
+            max_excess = max(max_excess, float(np.expm1(np.max(d[bad]))))
+        lo = hi
+    return last, max_excess
+
+
 def monotone_majorant_test(w: WeightSpec, k: int,
                            horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Probe whether n^k * w(n) is eventually non-increasing.
@@ -907,22 +918,9 @@ def monotone_majorant_test(w: WeightSpec, k: int,
         raise ValueError("k must be >= 1")
     if horizon < 4:
         raise ValueError("horizon must be >= 4")
-    last_violation = 0
-    max_excess = 0.0
-    lo = 1
-    while lo < horizon:
-        hi = min(horizon, lo + _CHUNK)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        f = k * np.log(ns.astype(float)) + np.asarray(w.log_eval(ns),
-                                                      dtype=float)
-        d = np.diff(f)
-        bad = d > _MONOTONE_EPS
-        if np.any(bad):
-            pos = np.nonzero(bad)[0]
-            last_violation = int(ns[pos[-1]])
-            max_excess = max(max_excess,
-                             float(np.expm1(np.max(d[bad]))))
-        lo = hi
+    last_violation, max_excess = _last_increase(
+        lambda ns: k * np.log(ns.astype(float))
+        + np.asarray(w.log_eval(ns), dtype=float), horizon)
     start = last_violation + 1
     if last_violation == 0:
         return Verdict.holds(
@@ -1265,23 +1263,6 @@ def s1_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
 # comparison transfer
 
 
-def _last_ratio_violation(v: WeightSpec, w: WeightSpec, horizon: int) -> int:
-    """Last index n < horizon with v(n+1)/w(n+1) > v(n)/w(n), or 0."""
-    last = 0
-    lo = 1
-    while lo < horizon:
-        hi = min(horizon, lo + _CHUNK)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        lr = (np.asarray(v.log_eval(ns), dtype=float)
-              - np.asarray(w.log_eval(ns), dtype=float))
-        d = np.diff(lr)
-        bad = np.nonzero(d > _MONOTONE_EPS)[0]
-        if bad.size:
-            last = int(ns[bad[-1]])
-        lo = hi
-    return last
-
-
 def _transfer_head_bound_log(v: WeightSpec, w: WeightSpec, n0: int,
                              w_cert_log: float, horizon: int) -> Optional[float]:
     """Certified log bound on the quantity for indices below n0.
@@ -1319,7 +1300,9 @@ def comparison_transfer(v: WeightSpec, w: WeightSpec,
     """
     if horizon < 4:
         raise ValueError("horizon must be >= 4")
-    last_bad = _last_ratio_violation(v, w, horizon)
+    last_bad, _ = _last_increase(
+        lambda ns: np.asarray(v.log_eval(ns), dtype=float)
+        - np.asarray(w.log_eval(ns), dtype=float), horizon)
     n0 = last_bad + 1 if last_bad + 1 <= horizon // 2 else None
     notes: list = []
     transfers: list = []

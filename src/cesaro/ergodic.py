@@ -89,14 +89,20 @@ def kernel_bound_am(m: int) -> float:
     return math.exp(k * (math.log(k) - 1.0) - math.lgamma(m))
 
 
-def weight_l1_bound(w: WeightSpec, head: int = 4096) -> Optional[float]:
-    """Certified upper bound on the full weight sum, if the tail closes."""
-    tail = w.log_tail(head + 1, 1.0)
+def _tail_mass(w: WeightSpec, N: int) -> Optional[float]:
+    """Certified upper bound on sum_{n>N} w(n), or None if the tail is open."""
+    tail = w.log_tail(N + 1, 1.0)
     if tail is None or tail == float("inf"):
         return None
-    ns = np.arange(1, head + 1, dtype=np.int64)
-    partial = float(np.sum(np.exp(np.asarray(w.log_eval(ns), dtype=float))))
-    return partial + math.exp(min(tail, 700.0))
+    return math.exp(min(tail, 700.0))
+
+
+def weight_l1_bound(w: WeightSpec, head: int = 4096) -> Optional[float]:
+    """Certified upper bound on the full weight sum, if the tail closes."""
+    mass = _tail_mass(w, head)
+    if mass is None:
+        return None
+    return float(np.sum(_weight_values(w, head))) + mass
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +164,6 @@ def _pick_candidate(w: WeightSpec, x: Sequence) -> Optional[float]:
     return None
 
 
-def _tail_closure(w: WeightSpec, N: int, sup_bound: float) -> Optional[float]:
-    tail = w.log_tail(N + 1, 1.0)
-    if tail is None or tail == float("inf"):
-        return None
-    return sup_bound * math.exp(min(tail, 700.0))
-
-
 def iterate_trace(w: WeightSpec, x: Sequence, M: int, N: int,
                   probe_id: str = "custom",
                   limit_scalar: Optional[float] = None,
@@ -182,33 +181,57 @@ def iterate_trace(w: WeightSpec, x: Sequence, M: int, N: int,
     if M < 1 or N < 1:
         raise ErgodicError("M and N must be >= 1")
     _check_budget(M * N)
+    return _trace(w, x, M, N, probe_id, limit_scalar, auto_limit, mode,
+                  averages=False)
+
+
+def _trace(w: WeightSpec, x: Sequence, steps: int, N: int, probe_id: str,
+           limit_scalar: Optional[float], auto_limit: bool, mode: str,
+           averages: bool) -> IterateTrace:
     if limit_scalar is None and auto_limit:
         limit_scalar = _pick_candidate(w, x)
     arr = _start_vector(x, N, mode)
     sup_abs = float(np.max(np.abs(_as_float(arr)))) if N else 0.0
     wvals = _weight_values(w, N)
-    ns = np.arange(1, N + 1, dtype=float)
     tail_term = None
     notes = []
     if limit_scalar is not None:
-        tail_term = _tail_closure(w, N, sup_abs + abs(limit_scalar))
-        if tail_term is None:
+        mass = _tail_mass(w, N)
+        if mass is None:
             notes.append("no certified weight tail; residuals cover only "
                          "the first N coordinates")
-    records = []
-    for m in range(1, M + 1):
-        arr = _advance(arr, ns, mode)
-        vals = _as_float(arr)
-        norm = float(np.sum(wvals * np.abs(vals)))
-        if limit_scalar is None:
-            residual = None
         else:
+            tail_term = (sup_abs + abs(limit_scalar)) * mass
+    records = []
+    for m, vals in enumerate(_orbit(arr, mode, steps, averages), start=1):
+        norm = float(np.sum(wvals * np.abs(vals)))
+        residual = None
+        if limit_scalar is not None:
             residual = float(np.sum(wvals * np.abs(vals - limit_scalar)))
             if tail_term is not None:
                 residual += tail_term
         records.append((m, norm, residual))
     return IterateTrace(probe_id, tuple(records), limit_scalar, N,
                         tail_term, tuple(notes))
+
+
+def _orbit(arr, mode: str, steps: int, averages: bool):
+    """Float coordinates of the first ``steps`` iterates of ``arr`` or, with
+    ``averages``, of their running averages."""
+    ns = np.arange(1, len(arr) + 1, dtype=float)
+    if averages:
+        acc = [Fraction(0)] * len(arr) if mode == "rational" \
+            else np.zeros(len(arr), dtype=float)
+    for n in range(1, steps + 1):
+        arr = _advance(arr, ns, mode)
+        if not averages:
+            yield _as_float(arr)
+        elif mode == "rational":
+            acc = [a + b for a, b in zip(acc, arr)]
+            yield np.asarray([float(v / n) for v in acc], dtype=float)
+        else:
+            acc += arr
+            yield acc / n
 
 
 def _start_vector(x: Sequence, N: int, mode: str):
@@ -253,42 +276,8 @@ def cesaro_averages_trace(w: WeightSpec, x: Sequence, n_max: int, N: int,
     if n_max < 1 or N < 1:
         raise ErgodicError("n_max and N must be >= 1")
     _check_budget(n_max * N)
-    if limit_scalar is None and auto_limit:
-        limit_scalar = _pick_candidate(w, x)
-    arr = _start_vector(x, N, mode)
-    sup_abs = float(np.max(np.abs(_as_float(arr)))) if N else 0.0
-    wvals = _weight_values(w, N)
-    ns = np.arange(1, N + 1, dtype=float)
-    tail_term = None
-    notes = []
-    if limit_scalar is not None:
-        tail_term = _tail_closure(w, N, sup_abs + abs(limit_scalar))
-        if tail_term is None:
-            notes.append("no certified weight tail; residuals cover only "
-                         "the first N coordinates")
-    if mode == "rational":
-        acc = [Fraction(0)] * N
-    else:
-        acc = np.zeros(N, dtype=float)
-    records = []
-    for n in range(1, n_max + 1):
-        arr = _advance(arr, ns, mode)
-        if mode == "rational":
-            acc = [a + b for a, b in zip(acc, arr)]
-            avg = np.asarray([float(v / n) for v in acc], dtype=float)
-        else:
-            acc += arr
-            avg = acc / n
-        norm = float(np.sum(wvals * np.abs(avg)))
-        if limit_scalar is None:
-            residual = None
-        else:
-            residual = float(np.sum(wvals * np.abs(avg - limit_scalar)))
-            if tail_term is not None:
-                residual += tail_term
-        records.append((n, norm, residual))
-    return IterateTrace(probe_id, tuple(records), limit_scalar, N,
-                        tail_term, tuple(notes))
+    return _trace(w, x, n_max, N, probe_id, limit_scalar, auto_limit, mode,
+                  averages=True)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +381,6 @@ def power_bounded_probe(w: WeightSpec, M: int, N: int,
         else default_probes(N, seed=seed)
     _check_budget(M * N * max(1, len(probe_list)))
     wvals = _weight_values(w, N)
-    ns = np.arange(1, N + 1, dtype=float)
     traces = []
     for probe_id, vec in probe_list:
         arr = np.zeros(N, dtype=float)
@@ -402,10 +390,8 @@ def power_bounded_probe(w: WeightSpec, M: int, N: int,
         if start <= 0.0:
             raise ErgodicError(f"probe {probe_id!r} has zero weighted norm")
         arr /= start
-        norms = []
-        for _ in range(M):
-            arr = np.cumsum(arr) / ns
-            norms.append(float(np.sum(wvals * np.abs(arr))))
+        norms = [float(np.sum(wvals * np.abs(vals)))
+                 for vals in _orbit(arr, "float", M, averages=False)]
         traces.append(ProbeTrace(
             probe_id=probe_id,
             sup_ratio=float(max(norms)),

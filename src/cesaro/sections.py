@@ -247,14 +247,13 @@ def weighted_norm(coords: Sequence, w: WeightSpec) -> float:
     Each term is exp(log w(n) + log |x_n|), so weights far below float range
     cannot poison the sum, and huge exact coordinates do not overflow.
     """
-    terms = []
-    for i, x in enumerate(coords, 1):
-        la = _log_abs(x)
-        if la == NEG_INF:
-            continue
-        lw = float(w.log_eval(i))
-        terms.append(math.exp(min(lw + la, 700.0)))
-    return math.fsum(terms)
+    logs = {i: la for i, la in enumerate(map(_log_abs, coords), 1)
+            if la != NEG_INF}
+    if not logs:
+        return 0.0
+    lw = w.log_eval(np.fromiter(logs, dtype=np.int64))
+    return math.fsum(math.exp(min(float(a) + la, 700.0))
+                     for a, la in zip(lw, logs.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ from cesaro.weights import (
     build_compact_minorant,
     build_failing_minorant,
     catalog_weight,
-    tail_bound,
 )
 
 FULL_HORIZON = 10 ** 6
@@ -311,7 +310,7 @@ def test_ergodic_convergence_fixtures(geom05, poly05):
 def test_property_sweep(poly2, geom05, spike, poly05, block313, loggamma1):
     # certified tails dominate continued partial sums of w(n) n^(beta-1)
     for w, start in ((poly2, 11), (geom05, 5)):
-        bound = tail_bound(w, start, 0.0)
+        bound = w.tail_majorant(start, 0.0)
         ns = np.arange(start, 10 ** 5, dtype=np.int64)
         partial = float((np.exp(w.log_eval(ns)) / ns).sum())
         assert partial <= bound * (1 + 1e-12)

@@ -8,6 +8,7 @@ conflicting certificates.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -117,6 +118,39 @@ def test_analyze_byte_deterministic(tmp_path):
     first = out.read_bytes()
     assert main(argv) == EXIT_OK
     assert out.read_bytes() == first
+
+
+#: sha256 of `cesaro analyze --horizon 10000` stdout per catalog family,
+#: recorded before single values were read through the array evaluators
+PINNED_ANALYZE = [
+    ("poly:alpha=1.5",
+     "bd8946898e8c268bc6d8b963de8c77ef03c8786d59f6338e4da3e15dc844a862"),
+    ("loggamma:gamma=2",
+     "46b41d5f9ef8dec507781fe7a3821121496ee5b6de4d634c59ec63073ebafec8"),
+    ("geom:r=0.5,beta=1",
+     "6289da05a0b4f07906936c49379da139a65991ee759151a6f3ed659e4698fe6d"),
+    ("superfact",
+     "7af10329e8ad68a7e6f33fbd070ee96f842a601a2668009f17ad04d789d4dd2c"),
+    ("factorial:a=2.5",
+     "2cc8b1a43dcf83baacbf73f1924eff1aa9edfc1d89e3b548882bac90f04652a4"),
+    ("expbeta:beta=0.5",
+     "37c2f4b72ccd3b7b1fdae62e92a1451c0bdaefa0c12e76a7d938afa9d22b1739"),
+    ("explog:gamma=2",
+     "350dcc074b1fa306f9ec367fb555ede23950d29c30f63773fb2bacde48ac7971"),
+    ("spike",
+     "1433cd58655fe7aec0c55ad30c0b4dec9321051afffad394290bec3fdd6f84e3"),
+    ("block313",
+     "0ee292cb222682d6cd0e7272f6318a55779fe238ad6b9133453a2e4a0b7009e3"),
+    ("block413:alpha=2",
+     "4ce2103e20a42961183fe8ef030a25936541861d62553ac11596b5d98d0e0996"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", PINNED_ANALYZE)
+def test_analyze_pinned_bytes(capsys, spec, digest):
+    assert main(["analyze", "-w", spec, "--horizon", "10000"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,7 @@ def test_continuity_samples_recomputable(poly2):
     sandwiched between a bare partial recomputation and partial + tail."""
     horizon = 10 ** 5
     report = continuity_criterion(poly2, horizon=horizon)
-    from cesaro.weights import tail_bound
-    closure = tail_bound(poly2, horizon + 1, 0.0)
+    closure = poly2.tail_majorant(horizon + 1, 0.0)
     for n, value in report.samples[:12]:
         partial = empirical_continuity(poly2, n, horizon)
         ceiling = partial + closure / math.exp(poly2.log_eval(n))

@@ -9,6 +9,7 @@ sums, and expectations are cross-checked with the criteria layer.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -165,6 +166,35 @@ def test_averages_rational_mode_exact(geom05):
         acc = [a + v for a, v in zip(acc, p)]
         norm = weighted_norm([a / n for a in acc], geom05)
         assert avg.records[n - 1][1] == pytest.approx(norm, rel=1e-12)
+
+
+#: sha256 of trace_to_csv for the probe (1, -2, 3), 25 steps, N = 60,
+#: recorded before the iterate and average loops were merged
+PINNED_TRACES = [
+    ("geom05", "float", iterate_trace,
+     "1858edeb6e62744c5ff7b7d3e6255074f4da6a6c37ec37f6c4379c0aa487b855"),
+    ("geom05", "float", cesaro_averages_trace,
+     "b163a612ca619c8f11718f5a20970f6343af2276bff6100989f96acd831d288f"),
+    ("geom05", "rational", iterate_trace,
+     "056c1a0c25b121a9ca3c4a4aaeb66adb8ed450d7facf297d342dc8b9562d32a1"),
+    ("geom05", "rational", cesaro_averages_trace,
+     "aa8f0e29cbe76e226cb2da25f7ca647603644b9f140ec5415c523ac14923f0ad"),
+    ("poly05", "float", iterate_trace,
+     "1769272e83d175ff05f01cb700ffc84c02c25472a04646cc9f2414d243df11bb"),
+    ("poly05", "float", cesaro_averages_trace,
+     "26cf47958bab197bdc0851cc9f04a3546909bd2c21bae9a6b22648b4e103a263"),
+    ("poly05", "rational", iterate_trace,
+     "83fbb2e9bfae54b7c237b98b7510174755957175c1226666284527f4d7e7b641"),
+    ("poly05", "rational", cesaro_averages_trace,
+     "adcbc9d401d4488ef9b1302208104909ca628b520039753e6a1a7a313c20ab4e"),
+]
+
+
+@pytest.mark.parametrize("fixture,mode,tracer,digest", PINNED_TRACES)
+def test_iterate_trace_pinned_bytes(request, fixture, mode, tracer, digest):
+    w = request.getfixturevalue(fixture)
+    trace = tracer(w, [1, -2, 3], 25, 60, mode=mode)
+    assert hashlib.sha256(trace_to_csv(trace).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cesaro.weights import (
-    UNDERFLOW,
     WeightError,
     build_compact_minorant,
     build_failing_minorant,
     catalog_families,
     catalog_weight,
     custom_weight,
-    eval_weight,
     load_weight_table,
     parse_weight,
-    tail_bound,
 )
 from cesaro.criteria import continuity_criterion
 
@@ -55,16 +52,22 @@ def test_eval_oracles(family, params, n, value):
     assert math.exp(w.log_eval(n)) == pytest.approx(value, rel=1e-12)
 
 
-def test_array_eval_matches_scalar():
-    ns = np.arange(1, 200, dtype=np.int64)
-    for family, params in [("poly", {"alpha": 1.5}), ("spike", {}),
-                           ("block313", {}), ("block413", {"alpha": 2.0}),
-                           ("geom", {"r": 0.3, "beta": 1.0}),
-                           ("superfact", {}), ("loggamma", {"gamma": 1.0})]:
-        w = catalog_weight(family, params)
+def test_array_eval_matches_scalar(poly1):
+    """A single value is the array value at that index, bit for bit."""
+    weights = [catalog_weight(family, params) for family, params in [
+        ("poly", {"alpha": 1.5}), ("loggamma", {"gamma": 1.0}),
+        ("geom", {"r": 0.3, "beta": 1.0}), ("superfact", {}),
+        ("factorial", {"a": 2.5}), ("expbeta", {"beta": 0.5}),
+        ("explog", {"gamma": 2.0}), ("spike", {}), ("block313", {}),
+        ("block413", {"alpha": 2.0})]]
+    weights += [build_failing_minorant(poly1).to_weight_spec(),
+                build_compact_minorant(poly1),
+                custom_weight("harmonic", lambda n: -math.log(n))]
+    ns = np.arange(1, 10 ** 4 + 1, dtype=np.int64)
+    for w in weights:
         arr = w.log_eval(ns)
         scalars = np.array([w.log_eval(int(n)) for n in ns])
-        assert np.allclose(arr, scalars, rtol=1e-13, atol=1e-13)
+        assert np.array_equal(arr, scalars), w.id
 
 
 def test_eval_rejects_nonpositive_index(poly2):
@@ -73,10 +76,11 @@ def test_eval_rejects_nonpositive_index(poly2):
 
 
 def test_underflow_marker():
+    """The log domain keeps w(200) = 200^-200, which underflows float64."""
     w = catalog_weight("superfact")
-    logv, linear = eval_weight(w, 200)
+    logv = w.log_eval(200)
     assert math.isfinite(logv)
-    assert linear is UNDERFLOW
+    assert math.exp(logv) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +165,7 @@ TAIL_CASES = [
 def test_tail_bound_soundness(family, params, m, beta):
     """Certified tails dominate direct partial sums at every horizon."""
     w = catalog_weight(family, params)
-    bound = tail_bound(w, m, beta)
+    bound = w.tail_majorant(m, beta)
     assert bound is not None
     ns = np.arange(m, 10 ** 5, dtype=np.int64)
     terms = np.exp(w.log_eval(ns) + (beta - 1.0) * np.log(ns.astype(float)))
@@ -173,13 +177,13 @@ def test_tail_bound_exact_value_geom(geom05):
     # sum_{n>=3} 2^-n / n = ln 2 - 1/2 - 1/8 exactly; the certified route
     # majorizes 1/n by 1/3 across the tail, landing at 1/12 exactly
     exact = math.log(2.0) - 0.5 - 0.125
-    bound = tail_bound(geom05, 3, 0.0)
+    bound = geom05.tail_majorant(3, 0.0)
     assert bound >= exact
     assert bound == pytest.approx(1.0 / 12.0, rel=1e-10)
 
 
 def test_tail_absent_when_divergent(loggamma1, spike):
-    assert tail_bound(loggamma1, 1, 0.0) is None
+    assert loggamma1.tail_majorant(1, 0.0) is None
     assert spike.diverges_beta(1.0) is True
 
 
@@ -211,7 +215,7 @@ def test_poly_eval_property(alpha, n):
 @settings(max_examples=40, deadline=None)
 def test_geom_tail_property(m, beta):
     w = catalog_weight("geom", {"r": 0.5, "beta": 0.0})
-    bound = tail_bound(w, m, beta)
+    bound = w.tail_majorant(m, beta)
     assert bound is not None
     ns = np.arange(m, m + 4000, dtype=np.int64)
     partial = float(np.sum(np.exp(

@@ -34,10 +34,8 @@ from .criteria import (
     Verdict,
     Witness,
     compactness_criterion,
-    comparison_transfer,
     continuity_and_compactness,
     continuity_criterion,
-    monotone_majorant_test,
     ratio_limsup_test,
     rw_membership,
     rw_memberships,
@@ -99,9 +97,8 @@ __all__ = [
     "custom_weight", "load_weight_table", "parse_weight",
     # criteria
     "Bracket", "CriterionReport", "Verdict", "Witness",
-    "compactness_criterion", "comparison_transfer",
-    "continuity_and_compactness", "continuity_criterion",
-    "monotone_majorant_test", "ratio_limsup_test", "rw_membership",
+    "compactness_criterion", "continuity_and_compactness",
+    "continuity_criterion", "ratio_limsup_test", "rw_membership",
     "rw_memberships", "s1_estimate", "sw1_membership", "t0_estimate",
     "uw_quantity",
     # sections

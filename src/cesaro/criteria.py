@@ -44,8 +44,6 @@ __all__ = [
     "Verdict",
     "CriterionReport",
     "Bracket",
-    "TransferRecord",
-    "ComparisonOutcome",
     "SupProfile",
     "scan_indices",
     "suffix_log_sums",
@@ -54,14 +52,12 @@ __all__ = [
     "compactness_criterion",
     "continuity_and_compactness",
     "ratio_limsup_test",
-    "monotone_majorant_test",
     "uw_quantity",
     "rw_membership",
     "rw_memberships",
     "t0_estimate",
     "sw1_membership",
     "s1_estimate",
-    "comparison_transfer",
 ]
 
 DEFAULT_HORIZON = 10**6
@@ -86,7 +82,6 @@ _HUGE = 1.0e300
 _LOG_HUGE = math.log(_HUGE)
 #: widest admissible prefix that must be certified index-by-index
 _BRIDGE_CAP = 10**6
-_MONOTONE_EPS = 1e-12
 
 
 def _exp_clamped(a):
@@ -112,7 +107,6 @@ class Witness:
     * ``diverging-inner-series`` the summed series itself is certifiably infinite
     * ``partial-sum-growth``     heuristic threshold route
     * ``sup-exceeds``            scanned value crossed the growth threshold
-    * ``monotonicity-violation`` a late increase in a required decreasing tail
     """
 
     index: int
@@ -236,47 +230,6 @@ class Bracket:
             "hi": self.hi,
             "member_side": self.member_side,
             "tol": self.tol,
-            "notes": list(self.notes),
-        }
-
-
-@dataclass(frozen=True)
-class TransferRecord:
-    property_name: str  # 'continuity' | 'compactness'
-    source: str
-    target: str
-    kind: str
-    note: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "property": self.property_name,
-            "source": self.source,
-            "target": self.target,
-            "kind": self.kind,
-            "note": self.note,
-        }
-
-
-@dataclass(frozen=True)
-class ComparisonOutcome:
-    """Result of a ratio-monotonicity transfer between two weights.
-
-    The headline ``verdict`` states what was transferred onto the first
-    weight's continuity; ``transfers`` records every direction that fired,
-    including contrapositive ones.
-    """
-
-    verdict: Verdict
-    ratio_nonincreasing_from: Optional[int]
-    transfers: tuple = ()
-    notes: tuple = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.to_json_dict(),
-            "ratio_nonincreasing_from": self.ratio_nonincreasing_from,
-            "transfers": [t.to_json_dict() for t in self.transfers],
             "notes": list(self.notes),
         }
 
@@ -785,7 +738,8 @@ def _compactness_report(v: WeightSpec, profile: SupProfile, data: _ScanData,
             gw = _growth_witness(profile, data, horizon)
             emp = float(np.max(_exp_clamped(used_log)))
             if gw is not None:
-                notes.append("quantity shows certified-threshold growth")
+                notes.append("quantity shows heuristic growth evidence, "
+                             "not a certificate")
                 verdict = Verdict.fails(gw, emp, horizon, notes)
             else:
                 notes.append("no vanishing envelope and no lower bound "
@@ -835,7 +789,7 @@ def continuity_and_compactness(
 
 
 # ---------------------------------------------------------------------------
-# ratio test and monotone majorant probe
+# ratio test
 
 
 def ratio_limsup_test(w: WeightSpec,
@@ -884,60 +838,6 @@ def ratio_limsup_test(w: WeightSpec,
     samples = _thin_samples(scan, log_ratio)
     return CriterionReport("ratio_limsup", params, verdict, samples,
                            int(horizon))
-
-
-def _last_increase(log_f: Callable[[np.ndarray], np.ndarray],
-                   horizon: int) -> tuple[int, float]:
-    """Last index n < horizon with log f(n+1) - log f(n) > _MONOTONE_EPS (0
-    when there is none), and the largest relative increase f(n+1)/f(n) - 1
-    over those indices."""
-    last = 0
-    max_excess = 0.0
-    lo = 1
-    while lo < horizon:
-        hi = min(horizon, lo + _CHUNK)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        d = np.diff(log_f(ns))
-        bad = d > _MONOTONE_EPS
-        if np.any(bad):
-            last = int(ns[np.nonzero(bad)[0][-1]])
-            max_excess = max(max_excess, float(np.expm1(np.max(d[bad]))))
-        lo = hi
-    return last, max_excess
-
-
-def monotone_majorant_test(w: WeightSpec, k: int,
-                           horizon: int = DEFAULT_HORIZON) -> Verdict:
-    """Probe whether n^k * w(n) is eventually non-increasing.
-
-    Holds is finite-horizon evidence (a start index in the first half with no
-    later increase); Fails means increases persist into the second half of
-    the scan.  The reported quantity is the relative size of violations.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if horizon < 4:
-        raise ValueError("horizon must be >= 4")
-    last_violation, max_excess = _last_increase(
-        lambda ns: k * np.log(ns.astype(float))
-        + np.asarray(w.log_eval(ns), dtype=float), horizon)
-    start = last_violation + 1
-    if last_violation == 0:
-        return Verdict.holds(
-            0.0, 0.0, horizon,
-            (f"n^{k} * w(n) is non-increasing from index 1 through the "
-             f"horizon (finite-horizon evidence, not a certificate)",))
-    if start <= horizon // 2:
-        return Verdict.holds(
-            0.0, 0.0, horizon,
-            (f"n^{k} * w(n) is non-increasing from index {start} through "
-             f"the horizon (finite-horizon evidence, not a certificate)",))
-    wit = Witness(last_violation, max_excess, "monotonicity-violation",
-                  f"n^{k} * w(n) still increases at index {last_violation}, "
-                  f"inside the top half of the scan")
-    return Verdict.fails(wit, max_excess, horizon,
-                         ("increases persist at arbitrarily late scanned "
-                          "indices",))
 
 
 # ---------------------------------------------------------------------------
@@ -1257,112 +1157,3 @@ def s1_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
     return Bracket("bracket", lo=outside, hi=inside, member_side="hi",
                    lo_verdict=cache.get(outside), hi_verdict=cache.get(inside),
                    tol=inside - outside, notes=tuple(notes))
-
-
-# ---------------------------------------------------------------------------
-# comparison transfer
-
-
-def _transfer_head_bound_log(v: WeightSpec, w: WeightSpec, n0: int,
-                             w_cert_log: float, horizon: int) -> Optional[float]:
-    """Certified log bound on the quantity for indices below n0.
-
-    Uses the exact head of the v-series plus the w-series closed at n0 scaled
-    by the ratio at n0; requires a certified w tail.
-    """
-    if n0 <= 1:
-        return w_cert_log
-    w_tail = w.log_tail(horizon + 1, 0.0)
-    if w_tail is None or w_tail == float("inf"):
-        return None
-    w_term = _inner_log_term(w, 0.0)
-    w_suffix = float(suffix_log_sums(w_term, horizon,
-                                     np.array([n0], dtype=np.int64))[0])
-    w_closed = float(np.logaddexp(w_suffix, w_tail))
-    ratio_n0 = float(v.log_eval(n0)) - float(w.log_eval(n0))
-    v_term = _inner_log_term(v, 0.0)
-    heads = np.arange(1, n0, dtype=np.int64)
-    head_sums = suffix_log_sums(v_term, n0 - 1, heads)
-    vals = (np.logaddexp(head_sums, ratio_n0 + w_closed)
-            - np.asarray(v.log_eval(heads), dtype=float))
-    vals = np.where(np.isnan(vals), NEG_INF, vals)
-    return max(w_cert_log, float(np.max(vals)))
-
-
-def comparison_transfer(v: WeightSpec, w: WeightSpec,
-                        horizon: int = DEFAULT_HORIZON) -> ComparisonOutcome:
-    """Transfer continuity/compactness verdicts along a monotone ratio.
-
-    When v/w is non-increasing from some index in the first half of the scan,
-    certified Holds verdicts for w carry over to v, and certified Fails
-    verdicts for v carry over to w (contrapositive).  The monotonicity itself
-    is finite-horizon evidence, and every transferred verdict says so.
-    """
-    if horizon < 4:
-        raise ValueError("horizon must be >= 4")
-    last_bad, _ = _last_increase(
-        lambda ns: np.asarray(v.log_eval(ns), dtype=float)
-        - np.asarray(w.log_eval(ns), dtype=float), horizon)
-    n0 = last_bad + 1 if last_bad + 1 <= horizon // 2 else None
-    notes: list = []
-    transfers: list = []
-
-    w_cont, w_comp = continuity_and_compactness(w, horizon=horizon)
-    v_cont, v_comp = continuity_and_compactness(v, horizon=horizon)
-
-    evidence_note = ("ratio monotonicity is finite-horizon evidence, not a "
-                     "certificate")
-    if n0 is None:
-        notes.append("no index in the first half of the scan from which "
-                     "v/w is non-increasing")
-        headline = Verdict.inconclusive(v_cont.verdict.empirical_sup, horizon,
-                                        tuple(notes))
-        return ComparisonOutcome(headline, None, (), tuple(notes))
-
-    notes.append(f"v/w non-increasing from index {n0} through the horizon")
-    notes.append(evidence_note)
-
-    if w_cont.verdict.is_holds:
-        transfers.append(TransferRecord(
-            "continuity", w.id, v.id, "Holds",
-            "bounded quantity transfers down the monotone ratio"))
-    if w_comp.verdict.is_holds:
-        transfers.append(TransferRecord(
-            "compactness", w.id, v.id, "Holds",
-            "vanishing quantity transfers down the monotone ratio"))
-    if v_cont.verdict.is_fails:
-        transfers.append(TransferRecord(
-            "continuity", v.id, w.id, "Fails",
-            "unbounded quantity transfers up the monotone ratio "
-            "(contrapositive)"))
-    if v_comp.verdict.is_fails:
-        transfers.append(TransferRecord(
-            "compactness", v.id, w.id, "Fails",
-            "non-vanishing quantity transfers up the monotone ratio "
-            "(contrapositive)"))
-
-    if w_cont.verdict.is_holds:
-        w_cert_log = math.log(w_cont.verdict.certified_bound)
-        head_log = _transfer_head_bound_log(v, w, n0, w_cert_log, horizon)
-        if head_log is None:
-            notes.append("cannot certify the indices below the monotone "
-                         "start without a tail bound for w")
-            headline = Verdict.inconclusive(v_cont.verdict.empirical_sup,
-                                            horizon, tuple(notes))
-        else:
-            bound = _exp_clamped_scalar(head_log)
-            emp = v_cont.verdict.empirical_sup
-            if emp > bound * _BOUND_SLACK:
-                notes.append("empirical scan of v contradicts the "
-                             "transferred bound; refusing to certify")
-                headline = Verdict.inconclusive(emp, horizon, tuple(notes))
-            else:
-                notes.append("continuity transferred onto v with a "
-                             "certified bound")
-                headline = Verdict.holds(max(bound, emp), emp, horizon,
-                                         tuple(notes))
-    else:
-        notes.append("w carries no certified Holds to transfer")
-        headline = Verdict.inconclusive(v_cont.verdict.empirical_sup, horizon,
-                                        tuple(notes))
-    return ComparisonOutcome(headline, n0, tuple(transfers), tuple(notes))

@@ -4,8 +4,9 @@ A point is classified by a cascade of certificates, cheapest first:
 membership in the closed candidate set {0} union {1/m}, the certified
 spectral disk derived from the polynomial-minorant boundary, the
 compactness shortcut (compact operators have no spectrum off the candidate
-set), and finally the resolvent sup-criterion itself.  Every label is
-backed by evidence from the criteria layer; when certificates disagree the
+set), and finally the resolvent sup-criterion, decided from the weight's
+certified envelopes and divergence flags.  Every label is backed by
+evidence from the criteria layer; when certificates disagree the
 classification degrades to Unknown instead of picking a side.
 
 The cascade runs over arrays of points: each rule is a mask, and since the
@@ -24,6 +25,7 @@ import numpy as np
 
 from .weights import WeightSpec
 from .criteria import (
+    _BRIDGE_CAP,
     Bracket,
     CriterionReport,
     DEFAULT_HORIZON,
@@ -74,7 +76,6 @@ RULE_CONFLICT = "conflicting-certificates"
 RULE_NONE = "unclassified"
 
 MAX_GRID_POINTS = 10 ** 6
-_FAST_BRIDGE_CAP = 1 << 16
 #: largest 2-D block (rows x terms) one batched bridge or witness evaluates
 _BATCH_ELEMENTS = 1 << 16
 #: points per block of the cascade's rule masks
@@ -307,16 +308,17 @@ def _envelope_holds(cert_log: float) -> Verdict:
         notes=("envelope-certified without a numeric scan",))
 
 
-def _fast_resolvent(w: WeightSpec, alphas: Sequence[float]) -> list:
-    """Envelope-only verdicts for grid scans: one verdict per distinct
-    alpha, in the order of ``alphas``; None means scan the hard way.
+def _resolvent_verdicts(w: WeightSpec, alphas: Sequence[float]) -> list:
+    """The cascade's resolvent rule: one verdict per distinct alpha, in the
+    order of ``alphas``; None means no certificate applies.
 
     Holds comes from the weight's certified envelope plus exact closures of
-    the finitely many rows below the envelope's validity; Fails comes from
-    a certified divergence flag.  The metadata hooks (``diverges_beta``,
-    ``res_env``, ``log_tail``) run once per exponent; the closures run as
-    one batched bridge per distinct envelope start and the divergence
-    witnesses as one batch, so nothing here depends on a scan horizon.
+    the finitely many rows below the envelope's validity (at most
+    _BRIDGE_CAP of them); Fails comes from a certified divergence flag.
+    The metadata hooks (``diverges_beta``, ``res_env``, ``log_tail``) run
+    once per exponent; the closures run as one batched bridge per distinct
+    envelope start and the divergence witnesses as one batch, so nothing
+    here depends on a scan horizon.
     """
     out: list = [None] * len(alphas)
     diverging: list = []
@@ -331,7 +333,7 @@ def _fast_resolvent(w: WeightSpec, alphas: Sequence[float]) -> list:
         v0 = int(env.valid_from)
         if v0 <= 1:
             out[i] = _envelope_holds(env.log_sup)
-        elif v0 <= _FAST_BRIDGE_CAP:
+        elif v0 <= _BRIDGE_CAP:
             tail = w.log_tail(v0 + 1, alpha)
             if tail is not None and tail != float("inf"):
                 bridges.setdefault(v0, []).append((i, env.log_sup, tail))
@@ -339,7 +341,7 @@ def _fast_resolvent(w: WeightSpec, alphas: Sequence[float]) -> list:
     for i, log_q in zip(diverging, log_qs):
         witness = Witness(
             index=1, value=math.exp(min(log_q, _CLIP)),
-            kind="partial-sum-growth",
+            kind="diverging-inner-series",
             detail="partial sum of the divergent inner series through "
                    f"n = {_WITNESS_TOP}, measured against the first row")
         out[i] = Verdict.fails(
@@ -393,8 +395,7 @@ def _resolvent_outcome(verdict: Optional[Verdict]) -> tuple:
 
 
 def _classify_nodes(w: WeightSpec, re: np.ndarray, im: np.ndarray,
-                    ctx: SpectralContext, fast: bool,
-                    horizon: Optional[int]) -> list:
+                    ctx: SpectralContext) -> list:
     """The certificate cascade over the points re + i*im, in input order.
 
     Rules, in order: candidate-set membership (with point-spectrum
@@ -403,8 +404,7 @@ def _classify_nodes(w: WeightSpec, re: np.ndarray, im: np.ndarray,
     The first four are masks, applied to blocks of _NODE_BLOCK points so
     the array temporaries stay small.  The resolvent criterion depends on
     alpha = Re(1/lam) alone, so it runs once per distinct alpha over all
-    points it receives: from envelope certificates in fast mode, as one
-    full ``resolvent_condition`` otherwise.
+    points it receives, from envelope certificates.
     """
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise SpectralError("points to classify must be finite")
@@ -463,16 +463,9 @@ def _classify_nodes(w: WeightSpec, re: np.ndarray, im: np.ndarray,
     if idx.size == 0:
         return rows
     alpha = np.concatenate(pending_alpha)
-    distinct, first, group = np.unique(alpha, return_index=True,
-                                       return_inverse=True)
-    if fast:
-        verdicts = _fast_resolvent(w, distinct.tolist())
-    else:
-        verdicts = [resolvent_condition(w, complex(re[k], im[k]),
-                                        horizon or ctx.horizon,
-                                        eps=ctx.eps).verdict
-                    for k in idx[first].tolist()]
-    outcomes = [_resolvent_outcome(v) for v in verdicts]
+    distinct, group = np.unique(alpha, return_inverse=True)
+    outcomes = [_resolvent_outcome(v)
+                for v in _resolvent_verdicts(w, distinct.tolist())]
     for lo in range(0, idx.size, _NODE_BLOCK):
         k = idx[lo:lo + _NODE_BLOCK]
         for row, x, y, a, g in zip(k.tolist(), re[k].tolist(),
@@ -484,21 +477,20 @@ def _classify_nodes(w: WeightSpec, re: np.ndarray, im: np.ndarray,
 
 
 def classify_point(w: WeightSpec, lam: complex,
-                   context: Optional[SpectralContext] = None,
-                   *, fast: bool = False,
-                   horizon: Optional[int] = None) -> SpectralClassification:
+                   context: Optional[SpectralContext] = None
+                   ) -> SpectralClassification:
     """Label one complex point through the certificate cascade.
 
     Rules, in order: candidate-set membership (with point-spectrum
     upgrade), the certified spectral disk, the compactness shortcut, the
-    resolvent criterion, Unknown.  In fast mode the last rule uses only
-    envelope certificates, which is what grid scans rely on.  This is the
-    one-point case of the cascade ``region_scan`` runs.
+    resolvent criterion from envelope certificates, Unknown.  This is the
+    one-point case of the cascade ``region_scan`` runs; the full-scan
+    report at one point is ``resolvent_condition``.
     """
     ctx = context if context is not None else build_context(w)
     z = complex(lam)
-    return _classify_nodes(w, np.array([z.real]), np.array([z.imag]), ctx,
-                           fast, horizon)[0]
+    return _classify_nodes(w, np.array([z.real]), np.array([z.imag]),
+                           ctx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +520,7 @@ class GridSpec:
 
 
 def region_scan(w: WeightSpec, grid: GridSpec,
-                context: Optional[SpectralContext] = None,
-                *, fast: bool = True) -> list:
+                context: Optional[SpectralContext] = None) -> list:
     """Classify every node of the grid, row-major over im then re.
 
     The whole grid goes through the cascade as arrays: one verdict per
@@ -547,7 +538,7 @@ def region_scan(w: WeightSpec, grid: GridSpec,
         return []
     ctx = context if context is not None else build_context(w)
     re, im = grid.node_arrays()
-    return _classify_nodes(w, re, im, ctx, fast, None)
+    return _classify_nodes(w, re, im, ctx)
 
 
 def scan_to_csv(classifications: Sequence[SpectralClassification]) -> str:

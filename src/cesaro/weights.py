@@ -167,6 +167,8 @@ class WeightSpec:
     def log_eval(self, n):
         """Log of w at a positive integer or an integer numpy array."""
         if isinstance(n, np.ndarray):
+            if n.size and n.min() < 1:
+                raise ValueError("weight index must be >= 1")
             return self.log_eval_array(n)
         k = int(n)
         if k < 1:

@@ -10,11 +10,9 @@ from cesaro.cli import main
 from cesaro.spectral import build_context, point_spectrum
 from cesaro.weights import WeightSpec, catalog_weight, custom_weight
 from cesaro.criteria import (
-    comparison_transfer,
     compactness_criterion,
     continuity_and_compactness,
     continuity_criterion,
-    monotone_majorant_test,
     ratio_limsup_test,
     rw_membership,
     rw_memberships,
@@ -115,8 +113,18 @@ def test_compactness_expbeta_holds():
     assert report.verdict.is_holds
 
 
+def test_compactness_growth_route_says_heuristic():
+    # an increasing custom weight declares no metadata, so only the
+    # heuristic partial-sum growth route can fire
+    w = custom_weight("n^2", lambda n: 2.0 * math.log(n))
+    v = compactness_criterion(w, horizon=10 ** 4).verdict
+    assert v.is_fails
+    assert v.witness.kind == "partial-sum-growth"
+    assert any("heuristic" in note for note in v.notes)
+
+
 # ---------------------------------------------------------------------------
-# ratio and monotone-majorant tests
+# ratio tests
 
 
 def test_ratio_geom_holds():
@@ -146,17 +154,6 @@ def test_ratio_expbeta_inconclusive():
     w = catalog_weight("expbeta", {"beta": 0.5})
     report = ratio_limsup_test(w)
     assert report.verdict.is_inconclusive
-
-
-def test_monotone_majorant():
-    explog2 = catalog_weight("explog", {"gamma": 2.0})
-    assert monotone_majorant_test(explog2, 3).is_holds
-    poly2 = catalog_weight("poly", {"alpha": 2.0})
-    assert monotone_majorant_test(poly2, 3).is_fails
-    superfact = catalog_weight("superfact")
-    v = monotone_majorant_test(superfact, 5)
-    assert v.is_holds
-    assert v.certified_bound <= 10  # n(5) found at a small start index
 
 
 # ---------------------------------------------------------------------------
@@ -277,35 +274,6 @@ def test_s1_superfact_empty(superfact):
     b = s1_estimate(superfact)
     assert b.kind == "empty"
     assert b.point is None
-
-
-# ---------------------------------------------------------------------------
-# comparison transfer
-
-
-def test_transfer_continuity_onto_logfactor(poly2):
-    v = custom_weight(
-        "poly2-logfactor",
-        lambda n: -2.0 * math.log(n) - 1.5 * math.log(math.log(n + 1.0)))
-    out = comparison_transfer(v, poly2)
-    assert out.verdict.is_holds
-    assert out.ratio_nonincreasing_from is not None
-    assert any(t.property_name == "continuity" for t in out.transfers)
-
-
-def test_transfer_noncompact_contrapositive(poly2):
-    w = custom_weight(
-        "harmonic-logsq",
-        lambda n: -math.log(n) - 2.0 * math.log(math.log(n + 1.0)))
-    out = comparison_transfer(poly2, w)
-    kinds = {(t.property_name, t.kind) for t in out.transfers}
-    assert ("compactness", "Fails") in kinds
-
-
-def test_transfer_identity(poly2):
-    out = comparison_transfer(poly2, poly2)
-    assert out.verdict.is_holds
-    assert out.ratio_nonincreasing_from == 1
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +512,3 @@ def test_callers_scan_continuity_once(continuity_scans, capsys, poly2):
     assert continuity_scans[0] == 1
     build_context(poly2, horizon=horizon, m_max=3)
     assert continuity_scans[0] == 2
-    comparison_transfer(catalog_weight("poly", {"alpha": 3.0}), poly2,
-                        horizon=horizon)
-    assert continuity_scans[0] == 4

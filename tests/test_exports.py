@@ -1,0 +1,26 @@
+"""Every exported name resolves, so star imports work for each module."""
+
+import importlib
+
+import pytest
+
+import cesaro
+
+MODULES = ("weights", "criteria", "sections", "spectral", "ergodic", "cli")
+
+
+def test_package_exports_resolve():
+    missing = [name for name in cesaro.__all__ if not hasattr(cesaro, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    # a module without __all__ exports its public names, which resolve
+    module = importlib.import_module(f"cesaro.{name}")
+    exported = getattr(module, "__all__", ())
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert missing == []
+    namespace: dict = {}
+    exec(f"from cesaro.{name} import *", namespace)
+    assert set(exported) <= set(namespace)

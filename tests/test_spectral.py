@@ -13,11 +13,12 @@ import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
-from cesaro import sections, spectral
+from cesaro import criteria, sections, spectral
 from cesaro.criteria import compactness_criterion, s1_estimate
-from cesaro.weights import WeightSpec, parse_weight
+from cesaro.weights import WeightSpec, custom_weight, parse_weight
 from cesaro.spectral import (
     LABEL_POINT,
     LABEL_RESOLVENT,
@@ -150,7 +151,7 @@ def test_classify_disk_boundary_point(spike, ctx_spike):
 
 
 def test_classify_by_resolvent_criterion(poly2, ctx_poly2):
-    c = classify_point(poly2, 0.6 + 0.3j, ctx_poly2, fast=False)
+    c = classify_point(poly2, 0.6 + 0.3j, ctx_poly2)
     assert c.label == LABEL_RESOLVENT
     assert c.rule_id == RULE_RESOLVENT
     assert c.sup_value is not None and c.sup_value > 0
@@ -170,13 +171,12 @@ def test_classify_conflicting_certificates(geom05, ctx_geom, ctx_poly2):
 @pytest.mark.parametrize("lam", [0.6 + 0.3j, -0.4 + 0.25j, 0.25 + 0.2j,
                                  0.9 + 0.55j])
 def test_classification_conjugate_symmetry(poly2, ctx_poly2, lam):
-    for fast in (True, False):
-        upper = classify_point(poly2, lam, ctx_poly2, fast=fast)
-        lower = classify_point(poly2, lam.conjugate(), ctx_poly2, fast=fast)
-        assert upper.label == lower.label
-        assert upper.rule_id == lower.rule_id
-        if upper.alpha is not None:
-            assert upper.alpha == pytest.approx(lower.alpha, rel=1e-12)
+    upper = classify_point(poly2, lam, ctx_poly2)
+    lower = classify_point(poly2, lam.conjugate(), ctx_poly2)
+    assert upper.label == lower.label
+    assert upper.rule_id == lower.rule_id
+    if upper.alpha is not None:
+        assert upper.alpha == pytest.approx(lower.alpha, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -365,27 +365,89 @@ def test_region_scan_pinned_bytes(spec, grid, digest):
     rows = region_scan(w, grid, ctx)
     assert hashlib.sha256(scan_to_csv(rows).encode()).hexdigest() == digest
     # the one-point call runs the same cascade
-    assert rows == [classify_point(w, z, ctx, fast=True)
-                    for z in grid.nodes()]
+    assert rows == [classify_point(w, z, ctx) for z in grid.nodes()]
 
 
 def test_full_resolvent_rule_once_per_distinct_alpha(monkeypatch, poly2,
                                                       ctx_poly2):
-    calls = []
-    original = spectral.resolvent_condition
+    full_scans, handed = [], []
+    original = spectral._resolvent_verdicts
 
-    def counted(w, lam, *args, **kwargs):
-        calls.append(lam)
-        return original(w, lam, *args, **kwargs)
+    def counted(w, alphas):
+        handed.extend(alphas)
+        return original(w, alphas)
 
-    monkeypatch.setattr(spectral, "resolvent_condition", counted)
+    monkeypatch.setattr(spectral, "resolvent_condition",
+                        lambda *args, **kwargs: full_scans.append(args))
+    monkeypatch.setattr(spectral, "_resolvent_verdicts", counted)
     grid = GridSpec(0.3, 0.9, -0.3, 0.3, 4, 5)
-    rows = region_scan(poly2, grid, ctx_poly2, fast=False)
+    rows = region_scan(poly2, grid, ctx_poly2)
     alphas = {r.alpha for r in rows if r.rule_id in (RULE_RESOLVENT,
                                                      RULE_NONE)}
-    assert alphas and len(calls) == len(alphas)
-    calls.clear()
+    assert full_scans == []
+    assert alphas and sorted(handed) == sorted(alphas)
     assert rows == [classify_point(poly2, z, ctx_poly2) for z in grid.nodes()]
+
+
+def test_heuristic_growth_is_not_a_spectrum_certificate():
+    # the inner series of w = n^-2 at alpha = 4.7 diverges, but a custom
+    # weight declares no divergence flag: only heuristic partial-sum growth
+    # is seen, and the cascade labels no certificate from it
+    n2 = custom_weight("n2", lambda n: -2 * np.log(n))
+    c = classify_point(n2, 0.2 + 0.05j, build_context(n2, horizon=10 ** 5))
+    assert c.label == LABEL_UNKNOWN
+    assert c.rule_id == RULE_NONE
+
+
+def test_resolvent_fails_names_the_certified_route(block413a2):
+    # 1 < alpha < s1's member end: inside the divergence range of the inner
+    # series and outside the certified disk, so the resolvent rule decides
+    ctx = build_context(block413a2, horizon=10 ** 4)
+    grid = GridSpec(1 / 1.0008, 1 / 1.0003, 0.0, 0.0, 5, 1)
+    for row in region_scan(block413a2, grid, ctx):
+        assert (row.label, row.rule_id) == (LABEL_SPECTRUM, RULE_RESOLVENT)
+        (_, verdict), = row.evidence
+        assert verdict.is_fails
+        assert verdict.witness.kind == "diverging-inner-series"
+
+
+REFERENCE_FAMILIES = ["poly:alpha=2", "loggamma:gamma=1",
+                      "geom:r=0.3,beta=1", "superfact", "factorial:a=2.5",
+                      "expbeta:beta=0.5", "explog:gamma=2", "spike",
+                      "block313", "block413:alpha=2"]
+
+
+def test_cascade_agrees_with_full_scan_reference():
+    """resolvent_condition, the one-point full-scan report, is the
+    reference: where it certifies, the cascade's label agrees, and every
+    resolvent-rule bound dominates the exact partial sums of the scan."""
+    horizon = 10 ** 4
+    grid = GridSpec(-0.2, 1.2, -0.7, 0.7, 9, 9)
+    decided = {"Holds": 0, "Fails": 0}
+    for spec in REFERENCE_FAMILIES:
+        w = parse_weight(spec)
+        ctx = build_context(w, horizon=horizon)
+        reference = {}
+        for row in region_scan(w, grid, ctx):
+            if row.rule_id in (RULE_SIGMA0, RULE_POINT):
+                continue
+            if row.alpha not in reference:
+                reference[row.alpha] = resolvent_condition(
+                    w, row.lam, horizon).verdict
+            verdict = reference[row.alpha]
+            if verdict.is_holds:
+                decided["Holds"] += 1
+                assert row.label == LABEL_RESOLVENT, (spec, row)
+            elif (verdict.is_fails
+                  and verdict.witness.kind == "diverging-inner-series"):
+                decided["Fails"] += 1
+                assert row.label == LABEL_SPECTRUM, (spec, row)
+            if row.rule_id == RULE_RESOLVENT and row.label == LABEL_RESOLVENT:
+                data = criteria._scan_sup_quantity(
+                    spectral._resolvent_profile(w, row.alpha), horizon)
+                assert row.sup_value >= math.exp(np.max(data.partial_log)), (
+                    spec, row)
+    assert min(decided.values()) > 0, decided
 
 
 @pytest.mark.parametrize("kwargs", [{"eps": -1.0}, {"eps": float("nan")},

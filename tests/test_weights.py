@@ -52,27 +52,35 @@ def test_eval_oracles(family, params, n, value):
     assert math.exp(w.log_eval(n)) == pytest.approx(value, rel=1e-12)
 
 
-def test_array_eval_matches_scalar(poly1):
-    """A single value is the array value at that index, bit for bit."""
+def _every_family_and_constructed(poly1):
+    """All 10 catalog families and the 3 constructed weights."""
     weights = [catalog_weight(family, params) for family, params in [
         ("poly", {"alpha": 1.5}), ("loggamma", {"gamma": 1.0}),
         ("geom", {"r": 0.3, "beta": 1.0}), ("superfact", {}),
         ("factorial", {"a": 2.5}), ("expbeta", {"beta": 0.5}),
         ("explog", {"gamma": 2.0}), ("spike", {}), ("block313", {}),
         ("block413", {"alpha": 2.0})]]
-    weights += [build_failing_minorant(poly1).to_weight_spec(),
-                build_compact_minorant(poly1),
-                custom_weight("harmonic", lambda n: -math.log(n))]
+    return weights + [build_failing_minorant(poly1).to_weight_spec(),
+                      build_compact_minorant(poly1),
+                      custom_weight("harmonic", lambda n: -math.log(n))]
+
+
+def test_array_eval_matches_scalar(poly1):
+    """A single value is the array value at that index, bit for bit."""
     ns = np.arange(1, 10 ** 4 + 1, dtype=np.int64)
-    for w in weights:
+    for w in _every_family_and_constructed(poly1):
         arr = w.log_eval(ns)
         scalars = np.array([w.log_eval(int(n)) for n in ns])
         assert np.array_equal(arr, scalars), w.id
 
 
-def test_eval_rejects_nonpositive_index(poly2):
-    with pytest.raises(ValueError):
-        poly2.log_eval(0)
+def test_eval_rejects_nonpositive_index(poly1):
+    """Scalars and arrays are checked alike, before any family evaluates."""
+    for w in _every_family_and_constructed(poly1):
+        for bad in (0, -3, np.array([0, -3]), np.array([5, 0]),
+                    np.array([-1])):
+            with pytest.raises(ValueError, match="weight index must be >= 1"):
+                w.log_eval(bad)
 
 
 def test_underflow_marker():

@@ -12,8 +12,10 @@ separates what was proved from what was merely sampled:
 
 ``Fails``
     A certified divergence route fired: the inner series is known to diverge,
-    a certified lower envelope grows without bound, or partial sums crossed
-    the configured growth threshold (the heuristic route, always labelled).
+    a certified lower envelope grows without bound or stays above a positive
+    constant, or a certified rapidly decreasing weight forces the quantity
+    up.  Every ``Fails`` names one of these routes in its witness; large
+    partial sums at the horizon alone never produce one.
 
 ``Inconclusive``
     Neither certificate applies; the empirical scan is still reported.
@@ -66,11 +68,10 @@ DENSE_SCAN_LIMIT = 10**4
 GEOMETRIC_STEP = 1.05
 #: chunk length for streaming suffix sums
 _CHUNK = 1 << 19
-#: partial sums this many times the first term count as divergence evidence
+#: when rapid decay certifies that 1/(n^s w(n)) is unbounded, the witness is
+#: the first scanned value this many times the value at index 1
 DIVERGENCE_FACTOR = 1.0e6
 _LOG_DIVERGENCE = math.log(DIVERGENCE_FACTOR)
-#: the top half of the scan must still carry this share of the partial sum
-TOP_SHARE_MIN = 0.01
 #: diverging lower envelopes are walked until the certified value reaches this
 WITNESS_TARGET = 100.0
 BISECTION_TOL = 1.0e-3
@@ -95,24 +96,33 @@ def _exp_clamped_scalar(a: float) -> float:
 # ---------------------------------------------------------------------------
 # verdict types
 
+_WITNESS_KINDS = frozenset(("diverging-inner-series", "analytic-lower-bound",
+                            "liminf-lower-bound", "sup-exceeds"))
+
 
 @dataclass(frozen=True)
 class Witness:
     """A reproducible index/value pair backing a Fails verdict.
 
-    ``kind`` names the route that produced it:
+    ``kind`` names the certified route that produced it; no other kind is
+    accepted:
 
     * ``analytic-lower-bound``   certified lower envelope, grows without bound
     * ``liminf-lower-bound``     certified lower envelope, positive constant
     * ``diverging-inner-series`` the summed series itself is certifiably infinite
-    * ``partial-sum-growth``     heuristic threshold route
-    * ``sup-exceeds``            scanned value crossed the growth threshold
+    * ``sup-exceeds``            certified rapid decay makes the quantity
+                                 unbounded; the index is where the scan first
+                                 shows it
     """
 
     index: int
     value: float
     kind: str
     detail: str = ""
+
+    def __post_init__(self):
+        if self.kind not in _WITNESS_KINDS:
+            raise ValueError(f"unknown witness kind {self.kind!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,10 +207,12 @@ class CriterionReport:
 class Bracket:
     """Outcome of a boundary estimate for a one-sided exponent set.
 
-    ``kind`` is ``bracket`` (both endpoints certified), ``infinite`` (every
-    probed exponent is in the set), ``empty`` (certified empty set), or
-    ``inconclusive``.  ``member_side`` says which endpoint carries certified
-    membership: ``lo`` for downward-closed sets, ``hi`` for upward-closed.
+    ``kind`` is ``bracket`` (certified endpoints; the non-member one is None
+    when no probe certified a non-member), ``infinite`` (certified to hold
+    for every exponent, or up to the probe ceiling), ``empty`` (certified
+    empty set), or ``inconclusive``.  ``member_side`` says which endpoint
+    carries certified membership: ``lo`` for downward-closed sets, ``hi``
+    for upward-closed.
     """
 
     kind: str
@@ -331,9 +343,8 @@ def suffix_log_sums(log_term: Callable[[np.ndarray], np.ndarray], horizon: int,
     return out
 
 
-def _moment_log_sums(w: WeightSpec, betas, horizon: int):
-    """log of sum_{n<=horizon} n^(beta-1) w(n), and of its top half
-    (n > horizon // 2), for every beta at once.
+def _moment_log_sums(w: WeightSpec, betas, horizon: int) -> np.ndarray:
+    """log of sum_{n<=horizon} n^(beta-1) w(n) for every beta at once.
 
     One streamed pass: log w(n) and log n are evaluated once per chunk and
     shared by all exponents.
@@ -349,10 +360,12 @@ def _moment_log_sums(w: WeightSpec, betas, horizon: int):
             buf += lw
             yield buf
 
+    # the split at horizon // 2 + 1 is unread, but it fixes how each total
+    # is reduced, so dropping it would move the last bits of every total
     sums = _stream_suffix_sums(chunk_terms, horizon,
                                np.array([1, horizon // 2 + 1], dtype=np.int64),
                                betas.size)
-    return sums[:, 0], sums[:, 1]
+    return sums[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +396,9 @@ class SupProfile:
 @dataclass
 class _ScanData:
     scan: np.ndarray
-    starts: np.ndarray
-    suffix_log: np.ndarray
-    den_log: np.ndarray
     partial_log: np.ndarray
     closed_log: Optional[np.ndarray]
     tail_log: Optional[float]
-    log_term: Callable[[np.ndarray], np.ndarray]
     #: suffix sums at the envelope bridge starts, from the same single pass
     bridge_suffix_log: np.ndarray
 
@@ -435,8 +444,8 @@ def _scan_sup_quantity(profile: SupProfile, horizon: int) -> _ScanData:
     else:
         closed_log = None
         tail_log = None
-    return _ScanData(scan, starts, suffix_log, den_log, partial_log,
-                     closed_log, tail_log, log_term, bridge_suffix_log)
+    return _ScanData(scan, partial_log, closed_log, tail_log,
+                     bridge_suffix_log)
 
 
 def _witness_from_lower(lower: LowerEnvelope, kind: str) -> Witness:
@@ -493,38 +502,6 @@ def _diverging_series_witness(profile: SupProfile, data: _ScanData) -> Witness:
     if profile.diverges_note:
         detail += " (" + profile.diverges_note + ")"
     return Witness(int(data.scan[0]), value, "diverging-inner-series", detail)
-
-
-def _growth_witness(profile: SupProfile, data: _ScanData,
-                    horizon: int) -> Optional[Witness]:
-    """Heuristic divergence: inner partial sums dwarf their first term while
-    the top half of the scan still contributes; both conditions recorded."""
-    starts = data.starts
-    in_range = starts <= horizon
-    if not np.any(in_range):
-        return None
-    first_lt = np.full(starts.shape, NEG_INF)
-    first_lt[in_range] = np.asarray(
-        data.log_term(starts[in_range]), dtype=float)
-    with np.errstate(invalid="ignore"):
-        ratio = data.suffix_log - first_lt
-    ratio = np.where(np.isnan(ratio), 0.0, ratio)
-    mid_pos = int(np.searchsorted(starts, horizon // 2 + 1))
-    if mid_pos >= len(starts):
-        return None
-    top_log = float(data.suffix_log[mid_pos])
-    below_mid = starts < starts[mid_pos]
-    share_ok = top_log >= math.log(TOP_SHARE_MIN) + data.suffix_log
-    trigger = in_range & below_mid & share_ok & (ratio >= _LOG_DIVERGENCE)
-    if not np.any(trigger):
-        return None
-    i0 = int(np.argmax(trigger))
-    value = _exp_clamped_scalar(float(data.partial_log[i0]))
-    detail = (f"inner partial sum exceeds {DIVERGENCE_FACTOR:.0e} times its "
-              f"first term and the top half of the scan still carries at "
-              f"least {TOP_SHARE_MIN:.0%} of it; heuristic evidence, not an "
-              f"analytic certificate")
-    return Witness(int(data.scan[i0]), value, "partial-sum-growth", detail)
 
 
 def _certified_sup_log(profile: SupProfile, data: _ScanData, horizon: int,
@@ -598,11 +575,8 @@ def _sup_verdict(profile: SupProfile, data: _ScanData,
         return Verdict.holds(max(bound, emp), emp, horizon, cert_notes), used
     notes.extend(cert_notes)
 
-    gw = _growth_witness(profile, data, horizon)
     emp = float(np.max(_exp_clamped(data.partial_log)))
     notes.append("samples are partial sums up to the horizon")
-    if gw is not None:
-        return Verdict.fails(gw, emp, horizon, notes), data.partial_log
     notes.append("no certificate in either direction at this horizon")
     return Verdict.inconclusive(emp, horizon, notes), data.partial_log
 
@@ -735,16 +709,10 @@ def _compactness_report(v: WeightSpec, profile: SupProfile, data: _ScanData,
                 emp = float(np.max(_exp_clamped(used_log)))
                 verdict = Verdict.inconclusive(emp, horizon, notes)
         else:
-            gw = _growth_witness(profile, data, horizon)
             emp = float(np.max(_exp_clamped(used_log)))
-            if gw is not None:
-                notes.append("quantity shows heuristic growth evidence, "
-                             "not a certificate")
-                verdict = Verdict.fails(gw, emp, horizon, notes)
-            else:
-                notes.append("no vanishing envelope and no lower bound "
-                             "metadata at this horizon")
-                verdict = Verdict.inconclusive(emp, horizon, notes)
+            notes.append("no vanishing envelope and no lower bound "
+                         "metadata at this horizon")
+            verdict = Verdict.inconclusive(emp, horizon, notes)
 
     samples = _thin_samples(data.scan, used_log)
     return CriterionReport("compactness", params, verdict, samples,
@@ -883,7 +851,8 @@ def rw_membership(w: WeightSpec, t: float,
 
     Holds closes the series with a certified tail bound (or, for t < -1,
     with the certified sup of the weight); Fails uses the certified
-    divergence metadata (minorants and family rules).
+    divergence metadata (minorants and family rules).  Without either the
+    verdict is Inconclusive, however large the partial sum has grown.
     """
     return rw_memberships(w, (t,), horizon)[0]
 
@@ -895,15 +864,14 @@ def rw_memberships(w: WeightSpec, ts,
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     ts = [float(t) for t in ts]
-    totals, tops = _moment_log_sums(w, [t + 1.0 for t in ts], horizon)
-    return [_rw_verdict(w, t, horizon, float(total), float(top))
-            for t, total, top in zip(ts, totals, tops)]
+    totals = _moment_log_sums(w, [t + 1.0 for t in ts], horizon)
+    return [_rw_verdict(w, t, horizon, float(total))
+            for t, total in zip(ts, totals)]
 
 
-def _rw_verdict(w: WeightSpec, t: float, horizon: int, partial_log: float,
-                top_log: float) -> Verdict:
-    """The membership verdict from the log partial sum through the horizon
-    and the log sum of its top half (n > horizon // 2)."""
+def _rw_verdict(w: WeightSpec, t: float, horizon: int,
+                partial_log: float) -> Verdict:
+    """The membership verdict from the log partial sum through the horizon."""
     beta = t + 1.0
     emp = _exp_clamped_scalar(partial_log)
     notes: list = []
@@ -932,18 +900,6 @@ def _rw_verdict(w: WeightSpec, t: float, horizon: int, partial_log: float,
                          "certify")
             return Verdict.inconclusive(emp, horizon, notes)
         return Verdict.holds(bound, emp, horizon, notes)
-
-    # heuristic growth route
-    log_term = _inner_log_term(w, beta)
-    first_lt = float(np.asarray(log_term(np.array([1], dtype=np.int64)))[0])
-    ratio = partial_log - first_lt if first_lt > NEG_INF else 0.0
-    share_ok = top_log >= math.log(TOP_SHARE_MIN) + partial_log
-    if ratio >= _LOG_DIVERGENCE and share_ok:
-        wit = Witness(1, emp, "partial-sum-growth",
-                      f"partial sum exceeds {DIVERGENCE_FACTOR:.0e} times "
-                      f"the first term and keeps growing; heuristic evidence")
-        return Verdict.fails(wit, emp, horizon,
-                             ("heuristic growth threshold",))
     notes.append("no certificate in either direction at this horizon")
     return Verdict.inconclusive(emp, horizon, notes)
 
@@ -996,18 +952,6 @@ def sw1_membership(w: WeightSpec, s: float,
                           "1/(n^s w(n)) grows without bound for every s")
             return Verdict.fails(wit, emp, horizon,
                                  ("certified rapid decay forces divergence",))
-
-    late = scan >= 100
-    threshold = float(log_g[0]) + _LOG_DIVERGENCE
-    over = np.nonzero(late & (log_g >= threshold))[0]
-    if over.size:
-        i0 = int(over[0])
-        wit = Witness(int(scan[i0]), _exp_clamped_scalar(float(log_g[i0])),
-                      "sup-exceeds",
-                      f"scanned value exceeds {DIVERGENCE_FACTOR:.0e} times "
-                      f"the value at index 1; heuristic evidence")
-        return Verdict.fails(wit, emp, horizon,
-                             ("heuristic growth threshold",))
     notes.append("no certificate in either direction at this horizon")
     return Verdict.inconclusive(emp, horizon, notes)
 
@@ -1092,32 +1036,38 @@ def t0_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
     """Bracket the supremum of the exponents t with sum n^t w(n) finite.
 
     The set is downward closed, so the bracket's low endpoint is a certified
-    member and the high endpoint a certified non-member.  Certified rapidly
-    decreasing weights short-circuit to the infinite flag.  The whole ladder
-    is probed in one pass over the weight; only the bisection midpoints are
+    member and the high endpoint, when one was found, a certified
+    non-member.  Certified rapidly decreasing weights make the set every
+    exponent (``infinite``); any other weight is ``infinite`` only when the
+    probe at the ceiling itself is a certified member.  The whole ladder is
+    probed in one pass over the weight; only the bisection midpoints are
     probed one at a time.
     """
     def member(t: float) -> Verdict:
         return rw_membership(w, t, horizon=horizon)
 
     if w.rapidly_decreasing:
-        v = member(ceiling)
-        if v.is_holds:
-            return Bracket("infinite", notes=(
-                "certified rapid decay: every exponent is summable",
-                f"verified membership at the probe ceiling {ceiling}",))
-    ladder = tuple(x for x in _T_LADDER if x <= ceiling)
+        notes = ["certified rapid decay: every exponent is summable"]
+        if member(ceiling).is_holds:
+            notes.append(f"verified membership at the probe ceiling {ceiling}")
+        return Bracket("infinite", notes=tuple(notes))
+    ladder = tuple(x for x in _T_LADDER if x < ceiling) + (ceiling,)
     ladder_verdicts = dict(zip(ladder, rw_memberships(w, ladder, horizon)))
     inside, outside, cache, notes = _bisect_boundary(member, ladder, "lo", tol,
                                                      ladder_verdicts)
-    if inside is not None and outside is None:
+    if inside is None:
+        return Bracket("inconclusive", notes=tuple(
+            notes + ["no certified member found on the probe ladder"]))
+    if inside == ceiling:
         return Bracket("infinite", lo=inside, member_side="lo",
                        lo_verdict=cache.get(inside), notes=tuple(
                            notes + [f"membership holds at every probe up to "
                                     f"{ceiling}"]))
-    if inside is None:
-        return Bracket("inconclusive", notes=tuple(
-            notes + ["no certified member found on the probe ladder"]))
+    if outside is None:
+        return Bracket("bracket", lo=inside, hi=None, member_side="lo",
+                       lo_verdict=cache.get(inside), notes=tuple(
+                           notes + ["no certified non-member found above; "
+                                    "only the member endpoint is certified"]))
     return Bracket("bracket", lo=inside, hi=outside, member_side="lo",
                    lo_verdict=cache.get(inside), hi_verdict=cache.get(outside),
                    tol=outside - inside, notes=tuple(notes))

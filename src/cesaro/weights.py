@@ -167,7 +167,9 @@ class WeightSpec:
     def log_eval(self, n):
         """Log of w at a positive integer or an integer numpy array."""
         if isinstance(n, np.ndarray):
-            if n.size and n.min() < 1:
+            if n.size == 0:
+                return np.empty(n.shape, dtype=float)
+            if n.min() < 1:
                 raise ValueError("weight index must be >= 1")
             return self.log_eval_array(n)
         k = int(n)
@@ -243,15 +245,18 @@ class WeightSpec:
         return None
 
     def diverges_beta(self, beta: float) -> Optional[bool]:
-        """True when sum_{n>=n0} w(n) n^(beta-1) certifiably diverges (any n0)."""
-        log_c = self.minorant_log_c(beta)
-        if log_c is not None:
-            # terms >= c n^(beta-1-beta) = c / n: harmonic divergence
-            return True
+        """True when sum_{n>=n0} w(n) n^(beta-1) certifiably diverges (any n0).
+
+        The family's divergence hook is asked first: a minorant constant
+        can cost far more to build than the hook's closed-form answer.
+        """
         if self.diverges_beta_hook is not None:
             v = self.diverges_beta_hook(beta)
             if v is not None:
                 return v
+        if self.minorant_log_c(beta) is not None:
+            # terms >= c n^(beta-1-beta) = c / n: harmonic divergence
+            return True
         if self.log_tail(max(self.decreasing_from or 1, 1), beta) is not None:
             return False
         return None

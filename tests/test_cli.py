@@ -134,9 +134,9 @@ PINNED_ANALYZE = [
     ("factorial:a=2.5",
      "2cc8b1a43dcf83baacbf73f1924eff1aa9edfc1d89e3b548882bac90f04652a4"),
     ("expbeta:beta=0.5",
-     "37c2f4b72ccd3b7b1fdae62e92a1451c0bdaefa0c12e76a7d938afa9d22b1739"),
+     "7bc06091a45894ea774ac74e6da45033d0b200e0d2327a75b2390b121c5b62c7"),
     ("explog:gamma=2",
-     "350dcc074b1fa306f9ec367fb555ede23950d29c30f63773fb2bacde48ac7971"),
+     "5daf76198a35387f1252af364176df177a347d67161bdf92bc6848f2b9d6c4c0"),
     ("spike",
      "1433cd58655fe7aec0c55ad30c0b4dec9321051afffad394290bec3fdd6f84e3"),
     ("block313",
@@ -145,12 +145,30 @@ PINNED_ANALYZE = [
      "4ce2103e20a42961183fe8ef030a25936541861d62553ac11596b5d98d0e0996"),
 ]
 
+CERTIFIED_WITNESS_KINDS = {"diverging-inner-series", "analytic-lower-bound",
+                           "liminf-lower-bound", "sup-exceeds"}
+
+
+def _verdicts(node):
+    """Every verdict object nested anywhere in a JSON report."""
+    if isinstance(node, dict):
+        if "witness" in node and "kind" in node:
+            yield node
+        for value in node.values():
+            yield from _verdicts(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _verdicts(value)
+
 
 @pytest.mark.parametrize("spec,digest", PINNED_ANALYZE)
 def test_analyze_pinned_bytes(capsys, spec, digest):
     assert main(["analyze", "-w", spec, "--horizon", "10000"]) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    for verdict in _verdicts(json.loads(out)):
+        if verdict["kind"] == "Fails":
+            assert verdict["witness"]["kind"] in CERTIFIED_WITNESS_KINDS
 
 
 # ---------------------------------------------------------------------------

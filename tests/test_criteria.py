@@ -8,7 +8,8 @@ import pytest
 from cesaro import criteria
 from cesaro.cli import main
 from cesaro.spectral import build_context, point_spectrum
-from cesaro.weights import WeightSpec, catalog_weight, custom_weight
+from cesaro.weights import (WeightSpec, catalog_weight, custom_weight,
+                            parse_weight)
 from cesaro.criteria import (
     compactness_criterion,
     continuity_and_compactness,
@@ -113,14 +114,15 @@ def test_compactness_expbeta_holds():
     assert report.verdict.is_holds
 
 
-def test_compactness_growth_route_says_heuristic():
-    # an increasing custom weight declares no metadata, so only the
-    # heuristic partial-sum growth route can fire
+def test_compactness_growth_without_metadata_is_inconclusive():
+    # an increasing custom weight declares no metadata: its partial sums
+    # grow, but growth up to the horizon certifies nothing
     w = custom_weight("n^2", lambda n: 2.0 * math.log(n))
     v = compactness_criterion(w, horizon=10 ** 4).verdict
-    assert v.is_fails
-    assert v.witness.kind == "partial-sum-growth"
-    assert any("heuristic" in note for note in v.notes)
+    assert v.is_inconclusive
+    assert v.witness is None
+    assert v.notes == ("no vanishing envelope and no lower bound metadata "
+                       "at this horizon",)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +235,28 @@ def test_t0_poly2(poly2):
     assert b.hi - b.lo <= 2e-3
 
 
-def test_t0_superfact(superfact):
-    b = t0_estimate(superfact)
+@pytest.mark.parametrize("spec", ["geom:r=0.5,beta=1", "superfact",
+                                  "factorial:a=2.5", "expbeta:beta=0.5",
+                                  "explog:gamma=2", "block313"])
+def test_t0_rapidly_decreasing_is_infinite(spec):
+    b = t0_estimate(parse_weight(spec))
     assert b.kind == "infinite"
+
+
+def test_t0_without_a_certified_non_member_leaves_hi_open():
+    # w = n^-2: sum n^t w(n) is finite exactly for t < 1, but without a tail
+    # or divergence hook only t < -1 is certified (by the weight's sup)
+    w = custom_weight("n^-2", lambda n: -2.0 * math.log(n), decreasing_from=1,
+                      log_sup_bound=0.0)
+    b = t0_estimate(w)
+    assert (b.kind, b.lo, b.hi, b.member_side) == ("bracket", -1.5, None, "lo")
+    assert b.point == -1.5
+    assert "only the member endpoint is certified" in b.notes[-1]
+
+
+def test_witness_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown witness kind"):
+        criteria.Witness(1, 2.0, "partial-sum-growth")
 
 
 def test_t0_loggamma2(loggamma2):

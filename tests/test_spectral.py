@@ -209,6 +209,13 @@ def test_point_spectrum_superfact_full(superfact):
     assert table[0][0] == 1.0 and table[19][0] == pytest.approx(1 / 20)
 
 
+def test_point_spectrum_explog_claims_no_fails():
+    # explog is rapidly decreasing, so every 1/m is an eigenvalue; without a
+    # certified moment tail the verdicts may stay open, but none is Fails
+    table = point_spectrum(parse_weight("explog:gamma=2"), 20, 10 ** 4)
+    assert not any(v.is_fails for _, v in table)
+
+
 def test_point_spectrum_block313_full(block313):
     table = point_spectrum(block313, m_max=6, horizon=HORIZON)
     assert all(v.is_holds for _, v in table)

@@ -1,5 +1,6 @@
 """Weight catalog: evaluation oracles, certified tails, metadata soundness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -75,12 +76,15 @@ def test_array_eval_matches_scalar(poly1):
 
 
 def test_eval_rejects_nonpositive_index(poly1):
-    """Scalars and arrays are checked alike, before any family evaluates."""
+    """Scalars and arrays are checked alike, before any family evaluates;
+    an empty index array gives an empty float array."""
     for w in _every_family_and_constructed(poly1):
         for bad in (0, -3, np.array([0, -3]), np.array([5, 0]),
                     np.array([-1])):
             with pytest.raises(ValueError, match="weight index must be >= 1"):
                 w.log_eval(bad)
+        empty = w.log_eval(np.array([], dtype=np.int64))
+        assert empty.shape == (0,) and empty.dtype == float, w.id
 
 
 def test_underflow_marker():
@@ -193,6 +197,17 @@ def test_tail_bound_exact_value_geom(geom05):
 def test_tail_absent_when_divergent(loggamma1, spike):
     assert loggamma1.tail_majorant(1, 0.0) is None
     assert spike.diverges_beta(1.0) is True
+
+
+def test_divergence_hook_answers_before_the_minorant():
+    # block413's minorant walks ~alpha/((beta-1) ln 2) terms as beta falls to
+    # 1; its divergence hook answers in closed form and must be asked first
+    def no_minorant(s):
+        raise AssertionError("minorant built although the hook answers")
+
+    w = dataclasses.replace(catalog_weight("block413", {"alpha": 2.0}),
+                            minorant_log_c_hook=no_minorant)
+    assert w.diverges_beta(1.0 + 1e-6) is True
 
 
 def test_decreasing_metadata_sound():

@@ -48,7 +48,7 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "1.1"
 
 EXIT_OK = 0
 EXIT_PARSE = 2

@@ -22,6 +22,12 @@ separates what was proved from what was merely sampled:
 
 Raising the horizon only sharpens empirical data or resolves an
 ``Inconclusive``; certified verdicts never flip.
+
+Sup-type criteria share one engine, ``_sup_verdict``, and every ``Holds`` here
+passes one guard, ``_certify``, which refuses a bound the scan contradicts.
+Compactness is not a separate test: it is the vanishing question on the
+continuity quantity, the same engine asked whether the quantity tends to
+zero rather than whether it stays bounded.
 """
 
 from __future__ import annotations
@@ -360,12 +366,8 @@ def _moment_log_sums(w: WeightSpec, betas, horizon: int) -> np.ndarray:
             buf += lw
             yield buf
 
-    # the split at horizon // 2 + 1 is unread, but it fixes how each total
-    # is reduced, so dropping it would move the last bits of every total
-    sums = _stream_suffix_sums(chunk_terms, horizon,
-                               np.array([1, horizon // 2 + 1], dtype=np.int64),
-                               betas.size)
-    return sums[:, 0]
+    return _stream_suffix_sums(chunk_terms, horizon,
+                               np.array([1], dtype=np.int64), betas.size)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -540,45 +542,68 @@ def _certified_sup_log(profile: SupProfile, data: _ScanData, horizon: int,
     return max(pieces)
 
 
-def _sup_verdict(profile: SupProfile, data: _ScanData,
-                 horizon: int) -> tuple[Verdict, np.ndarray]:
-    """Returns (verdict, per-scan log values used for samples)."""
-    notes: list = []
-    if profile.diverges is True:
-        w = _diverging_series_witness(profile, data)
-        emp = float(np.max(_exp_clamped(data.partial_log)))
-        notes.append("samples are partial sums up to the horizon")
-        return Verdict.fails(w, emp, horizon, notes), data.partial_log
-    if profile.lower is not None and profile.lower.diverging:
-        w = _witness_from_lower(profile.lower, "analytic-lower-bound")
-        emp = float(np.max(_exp_clamped(data.partial_log)))
-        notes.append("samples are partial sums up to the horizon")
-        return Verdict.fails(w, emp, horizon, notes), data.partial_log
+def _certify(bound: float, emp: float, horizon: int, notes,
+             what: str) -> Verdict:
+    """Holds with a certified ``bound``, unless the scan contradicts it.
 
-    cert_notes: list = []
-    cert_log = _certified_sup_log(profile, data, horizon, cert_notes)
-    if cert_log is not None:
-        if data.closed_log is not None:
-            used = data.closed_log
-            cert_notes.append("samples include the certified tail closure "
-                              "beyond the horizon")
-        else:
-            used = data.partial_log
-            cert_notes.append("samples are partial sums up to the horizon")
-        emp = float(np.max(_exp_clamped(used)))
-        bound = _exp_clamped_scalar(cert_log)
-        if emp > bound * _BOUND_SLACK:
-            notes.extend(cert_notes)
-            notes.append("scan contradicts the declared envelope; refusing "
-                         "to certify (metadata may be wrong)")
-            return Verdict.inconclusive(emp, horizon, notes), used
-        return Verdict.holds(max(bound, emp), emp, horizon, cert_notes), used
-    notes.extend(cert_notes)
+    ``emp`` is the scanned value the bound must dominate.  When it exceeds
+    the bound (beyond float slack), or either side is NaN, the declared
+    ``what`` is wrong somewhere and the verdict is Inconclusive.  A Holds
+    reports ``max(bound, emp)``, so its bound is never below its empirical
+    value.
+    """
+    if not emp <= bound * _BOUND_SLACK:
+        return Verdict.inconclusive(emp, horizon, list(notes) + [
+            f"scan contradicts the declared {what}; refusing to certify"])
+    return Verdict.holds(max(bound, emp), emp, horizon, notes)
 
+
+def _sup_verdict(profile: SupProfile, data: _ScanData, horizon: int,
+                 vanishing: bool = False) -> tuple[Verdict, np.ndarray]:
+    """Classify the supremum of one scanned quantity, or with ``vanishing``
+    whether it tends to zero.
+
+    Fails needs certified divergence of the inner series or a diverging
+    lower envelope; under ``vanishing`` any lower envelope, which keeps a
+    subsequence above a positive constant, also Fails.  Holds needs the
+    declared sup envelope, which under ``vanishing`` must itself vanish,
+    and passes through ``_certify``.  Returns (verdict, per-scan log values
+    used for samples).
+    """
+    partial = "samples are partial sums up to the horizon"
     emp = float(np.max(_exp_clamped(data.partial_log)))
-    notes.append("samples are partial sums up to the horizon")
-    notes.append("no certificate in either direction at this horizon")
-    return Verdict.inconclusive(emp, horizon, notes), data.partial_log
+    low = profile.lower
+    if profile.diverges is True:
+        wit = _diverging_series_witness(profile, data)
+        return Verdict.fails(wit, emp, horizon, [partial]), data.partial_log
+    if low is not None and (low.diverging or vanishing):
+        wit = _witness_from_lower(low, "analytic-lower-bound" if low.diverging
+                                  else "liminf-lower-bound")
+        return Verdict.fails(wit, emp, horizon, [partial]), data.partial_log
+
+    notes: list = []
+    env = profile.envelope
+    cert_log = None
+    if env is not None and (env.vanishes or not vanishing):
+        cert_log = _certified_sup_log(profile, data, horizon, notes)
+    if cert_log is None:
+        notes += [partial,
+                  "no certificate in either direction at this horizon"]
+        return Verdict.inconclusive(emp, horizon, notes), data.partial_log
+    if data.closed_log is not None:
+        used = data.closed_log
+        notes.append("samples include the certified tail closure beyond the "
+                     "horizon")
+    else:
+        used = data.partial_log
+        notes.append(partial)
+    verdict = _certify(_exp_clamped_scalar(cert_log),
+                       float(np.max(_exp_clamped(used))), horizon, notes,
+                       "envelope")
+    if vanishing and verdict.is_holds:
+        verdict = replace(verdict, notes=verdict.notes + (
+            "certified envelope vanishes, so the quantity tends to zero",))
+    return verdict, used
 
 
 def _thin_samples(scan: np.ndarray, log_vals: np.ndarray, cap: int = 400):
@@ -600,25 +625,23 @@ def evaluate_sup_profile(profile: SupProfile, horizon: int,
 
 
 def _sup_report(profile: SupProfile, data: _ScanData, horizon: int,
-                params: Optional[dict]) -> CriterionReport:
-    verdict, used_log = _sup_verdict(profile, data, horizon)
+                params: Optional[dict], name: Optional[str] = None,
+                vanishing: bool = False) -> CriterionReport:
+    verdict, used_log = _sup_verdict(profile, data, horizon, vanishing)
     samples = _thin_samples(data.scan, used_log)
     p = dict(params or {})
     p.setdefault("weight", profile.inner.id)
     p.setdefault("horizon", int(horizon))
-    return CriterionReport(profile.name, p, verdict, samples, int(horizon))
+    return CriterionReport(name or profile.name, p, verdict, samples,
+                           int(horizon))
 
 
 # ---------------------------------------------------------------------------
 # continuity and compactness
 
 
-def _is_same_weight(v: WeightSpec, w: WeightSpec) -> bool:
-    return v is w or v.id == w.id
-
-
 def _continuity_profile(v: WeightSpec, w: WeightSpec) -> SupProfile:
-    same = _is_same_weight(v, w)
+    same = v is w or v.id == w.id
 
     def den(ms: np.ndarray) -> np.ndarray:
         return np.asarray(v.log_eval(ms), dtype=float)
@@ -636,87 +659,18 @@ def _continuity_profile(v: WeightSpec, w: WeightSpec) -> SupProfile:
     )
 
 
-def _continuity_scan(v: WeightSpec, w: Optional[WeightSpec],
-                     horizon: int) -> tuple[SupProfile, _ScanData]:
-    """The continuity quantity of (v, w) and its one scan; the continuity
-    and compactness reports both read it."""
+def _continuity_quantity_reports(v: WeightSpec, w: Optional[WeightSpec],
+                                 horizon: int, names) -> list:
+    """The ``continuity`` and ``compactness`` reports of (v, w) named in
+    ``names``, from one scan of the quantity they share: continuity asks
+    for its supremum, compactness whether it vanishes."""
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     profile = _continuity_profile(v, v if w is None else w)
-    return profile, _scan_sup_quantity(profile, horizon)
-
-
-def _continuity_report(v: WeightSpec, profile: SupProfile, data: _ScanData,
-                       horizon: int) -> CriterionReport:
-    report = _sup_report(profile, data, horizon,
-                         {"v": v.id, "w": profile.inner.id,
-                          "horizon": int(horizon)})
-    if report.verdict.is_holds:
-        verdict = replace(report.verdict, notes=report.verdict.notes + (
-            "certified bound dominates the operator norm of the averaging "
-            "operator between the weighted spaces",))
-        report = replace(report, verdict=verdict)
-    return report
-
-
-def _compactness_report(v: WeightSpec, profile: SupProfile, data: _ScanData,
-                        horizon: int) -> CriterionReport:
+    data = _scan_sup_quantity(profile, horizon)
     params = {"v": v.id, "w": profile.inner.id, "horizon": int(horizon)}
-    notes: list = []
-    used_log = data.partial_log
-
-    if profile.diverges is True:
-        wit = _diverging_series_witness(profile, data)
-        emp = float(np.max(_exp_clamped(used_log)))
-        notes.append("quantity is infinite at every index, so it cannot vanish")
-        verdict = Verdict.fails(wit, emp, horizon, notes)
-    elif profile.lower is not None and profile.lower.diverging:
-        wit = _witness_from_lower(profile.lower, "analytic-lower-bound")
-        emp = float(np.max(_exp_clamped(used_log)))
-        notes.append("quantity grows without bound along a certified "
-                     "subsequence, so it cannot vanish")
-        verdict = Verdict.fails(wit, emp, horizon, notes)
-    elif profile.lower is not None:
-        wit = _witness_from_lower(profile.lower, "liminf-lower-bound")
-        emp = float(np.max(_exp_clamped(used_log)))
-        notes.append("a certified subsequence stays above a positive "
-                     "constant, so the quantity does not vanish")
-        verdict = Verdict.fails(wit, emp, horizon, notes)
-    else:
-        env = profile.envelope
-        if env is not None and env.vanishes:
-            cert_notes: list = []
-            cert_log = _certified_sup_log(profile, data, horizon, cert_notes)
-            if cert_log is not None:
-                if data.closed_log is not None:
-                    used_log = data.closed_log
-                    cert_notes.append("samples include the certified tail "
-                                      "closure beyond the horizon")
-                emp = float(np.max(_exp_clamped(used_log)))
-                bound = _exp_clamped_scalar(cert_log)
-                if emp > bound * _BOUND_SLACK:
-                    notes = cert_notes + ["scan contradicts the declared "
-                                          "envelope; refusing to certify"]
-                    verdict = Verdict.inconclusive(emp, horizon, notes)
-                else:
-                    cert_notes.append("certified envelope vanishes, so the "
-                                      "quantity tends to zero")
-                    verdict = Verdict.holds(max(bound, emp), emp, horizon,
-                                            cert_notes)
-            else:
-                notes = cert_notes + ["vanishing envelope exists but the "
-                                      "prefix could not be certified"]
-                emp = float(np.max(_exp_clamped(used_log)))
-                verdict = Verdict.inconclusive(emp, horizon, notes)
-        else:
-            emp = float(np.max(_exp_clamped(used_log)))
-            notes.append("no vanishing envelope and no lower bound "
-                         "metadata at this horizon")
-            verdict = Verdict.inconclusive(emp, horizon, notes)
-
-    samples = _thin_samples(data.scan, used_log)
-    return CriterionReport("compactness", params, verdict, samples,
-                           int(horizon))
+    return [_sup_report(profile, data, horizon, params, name,
+                        name == "compactness") for name in names]
 
 
 def continuity_criterion(v: WeightSpec, w: Optional[WeightSpec] = None,
@@ -724,22 +678,21 @@ def continuity_criterion(v: WeightSpec, w: Optional[WeightSpec] = None,
     """Certify sup over n of (1/v(n)) * sum_{m>=n} w(m)/m.
 
     Holds means the averaging operator maps the w-weighted summable space
-    boundedly into the v-weighted one, and the certified bound equals its
-    operator norm bound.  With one argument, v = w.
+    boundedly into the v-weighted one, and the certified bound dominates its
+    operator norm.  With one argument, v = w.
     """
-    profile, data = _continuity_scan(v, w, horizon)
-    return _continuity_report(v, profile, data, horizon)
+    return _continuity_quantity_reports(v, w, horizon, ("continuity",))[0]
 
 
 def compactness_criterion(v: WeightSpec, w: Optional[WeightSpec] = None,
                           horizon: int = DEFAULT_HORIZON) -> CriterionReport:
     """Certify that (1/v(n)) * sum_{m>=n} w(m)/m tends to zero.
 
-    Holds requires a certified vanishing envelope; Fails requires either a
+    This is the continuity quantity asked the vanishing question.  Holds
+    requires a certified vanishing envelope; Fails requires either a
     certified positive lower bound along a subsequence or outright divergence.
     """
-    profile, data = _continuity_scan(v, w, horizon)
-    return _compactness_report(v, profile, data, horizon)
+    return _continuity_quantity_reports(v, w, horizon, ("compactness",))[0]
 
 
 def continuity_and_compactness(
@@ -751,9 +704,8 @@ def continuity_and_compactness(
     Both criteria read the same quantity, so callers that need both should
     use this instead of scanning it twice.
     """
-    profile, data = _continuity_scan(v, w, horizon)
-    return (_continuity_report(v, profile, data, horizon),
-            _compactness_report(v, profile, data, horizon))
+    return tuple(_continuity_quantity_reports(
+        v, w, horizon, ("continuity", "compactness")))
 
 
 # ---------------------------------------------------------------------------
@@ -786,12 +738,7 @@ def ratio_limsup_test(w: WeightSpec,
             notes.append(f"certified: w(n+1)/w(n) <= {r} for all n >= {nfrom}")
             notes.append("empirical limsup estimate taken over the top of "
                          "the scan window")
-            if emp > r * _BOUND_SLACK:
-                notes.append("scan contradicts the declared ratio bound; "
-                             "refusing to certify")
-                verdict = Verdict.inconclusive(emp, horizon, notes)
-            else:
-                verdict = Verdict.holds(r, emp, horizon, notes)
+            verdict = _certify(r, emp, horizon, notes, "ratio bound")
         else:
             emp = float(np.max(np.exp(log_ratio[scan >= horizon // 2])))
             notes.append("declared ratio bound unusable at this horizon")
@@ -874,8 +821,6 @@ def _rw_verdict(w: WeightSpec, t: float, horizon: int,
     """The membership verdict from the log partial sum through the horizon."""
     beta = t + 1.0
     emp = _exp_clamped_scalar(partial_log)
-    notes: list = []
-
     if w.diverges_beta(beta) is True:
         wit = Witness(1, emp, "diverging-inner-series",
                       "series certified divergent; the value shown is the "
@@ -886,22 +831,16 @@ def _rw_verdict(w: WeightSpec, t: float, horizon: int,
     tail_log = w.log_tail(horizon + 1, beta)
     if tail_log is not None and tail_log < float("inf"):
         total_log = float(np.logaddexp(partial_log, tail_log))
-        notes.append("series closed: partial sum plus certified tail bound")
-        return Verdict.holds(_exp_clamped_scalar(total_log), emp, horizon,
-                             notes)
+        return _certify(_exp_clamped_scalar(total_log), emp, horizon, (
+            "series closed: partial sum plus certified tail bound",),
+            "tail bound")
     if t < -1.0 and w.log_sup_bound is not None:
-        delta = -1.0 - t
-        total_log = w.log_sup_bound + _log_pseries_tail(1, delta)
-        notes.append("series closed: certified weight sup times a certified "
-                     "power-series tail")
-        bound = _exp_clamped_scalar(total_log)
-        if emp > bound * _BOUND_SLACK:
-            notes.append("partial sum contradicts the closure; refusing to "
-                         "certify")
-            return Verdict.inconclusive(emp, horizon, notes)
-        return Verdict.holds(bound, emp, horizon, notes)
-    notes.append("no certificate in either direction at this horizon")
-    return Verdict.inconclusive(emp, horizon, notes)
+        total_log = w.log_sup_bound + _log_pseries_tail(1, -1.0 - t)
+        return _certify(_exp_clamped_scalar(total_log), emp, horizon, (
+            "series closed: certified weight sup times a certified "
+            "power-series tail",), "weight sup")
+    return Verdict.inconclusive(
+        emp, horizon, ("no certificate in either direction at this horizon",))
 
 
 def sw1_membership(w: WeightSpec, s: float,
@@ -919,18 +858,13 @@ def sw1_membership(w: WeightSpec, s: float,
     log_g = (-s * np.log(scan.astype(float))
              - np.asarray(w.log_eval(scan), dtype=float))
     emp = float(np.max(_exp_clamped(log_g)))
-    notes: list = []
 
     log_c = w.minorant_log_c(s)
     if log_c is not None:
         bound = _exp_clamped_scalar(-log_c)
-        notes.append("certified minorant: w(n) >= c * n^-s with "
-                     f"1/c = {bound:.6g}")
-        if emp > bound * _BOUND_SLACK:
-            notes.append("scan contradicts the declared minorant; refusing "
-                         "to certify")
-            return Verdict.inconclusive(emp, horizon, notes)
-        return Verdict.holds(bound, emp, horizon, notes)
+        return _certify(bound, emp, horizon, (
+            f"certified minorant: w(n) >= c * n^-s with 1/c = {bound:.6g}",),
+            "minorant")
 
     low = w.sw_lower(s)
     if low is not None and low.diverging:
@@ -952,8 +886,8 @@ def sw1_membership(w: WeightSpec, s: float,
                           "1/(n^s w(n)) grows without bound for every s")
             return Verdict.fails(wit, emp, horizon,
                                  ("certified rapid decay forces divergence",))
-    notes.append("no certificate in either direction at this horizon")
-    return Verdict.inconclusive(emp, horizon, notes)
+    return Verdict.inconclusive(
+        emp, horizon, ("no certificate in either direction at this horizon",))
 
 
 _T_LADDER = (-64.0, -16.0, -4.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5,

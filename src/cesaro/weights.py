@@ -1002,8 +1002,9 @@ def custom_weight(wid: str, log_fn: Callable[[int], float], **metadata) -> Weigh
 def load_weight_table(path: str, wid: Optional[str] = None) -> WeightSpec:
     """Load a custom weight from a two-column text table ``n ln_w``.
 
-    Indices must be 1, 2, 3, ... with no gaps.  Evaluation beyond the table
-    raises, so callers clamp their horizons to the table length.
+    Indices must be 1, 2, 3, ... with no gaps, and every ``ln_w`` must be
+    finite.  Evaluation beyond the table raises, so callers clamp their
+    horizons to the table length.
     """
     ns: list[int] = []
     logs: list[float] = []
@@ -1020,6 +1021,9 @@ def load_weight_table(path: str, wid: Optional[str] = None) -> WeightSpec:
                 lv = float(parts[1])
             except ValueError as exc:
                 raise WeightError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(lv):
+                raise WeightError(f"{path}:{lineno}: ln_w must be finite, "
+                                  f"got {parts[1]}")
             ns.append(n)
             logs.append(lv)
     if not ns:

@@ -121,28 +121,30 @@ def test_analyze_byte_deterministic(tmp_path):
 
 
 #: sha256 of `cesaro analyze --horizon 10000` stdout per catalog family,
-#: recorded before single values were read through the array evaluators
+#: report schema 1.1
 PINNED_ANALYZE = [
     ("poly:alpha=1.5",
-     "bd8946898e8c268bc6d8b963de8c77ef03c8786d59f6338e4da3e15dc844a862"),
+     "fd648a1d6bbc37bf64e116e18cd2b921589619dc350ee7afbadfa0aa6e5c3d44"),
     ("loggamma:gamma=2",
-     "46b41d5f9ef8dec507781fe7a3821121496ee5b6de4d634c59ec63073ebafec8"),
+     "e3ef2a7a28c6aeea10a7c2c9e7382c1d8b19097638a86ba18d574bc4d94be80b"),
     ("geom:r=0.5,beta=1",
-     "6289da05a0b4f07906936c49379da139a65991ee759151a6f3ed659e4698fe6d"),
+     "579cb50c56f42969085684232f4c9a797da536f6f0810bc38b6b98527843863d"),
     ("superfact",
-     "7af10329e8ad68a7e6f33fbd070ee96f842a601a2668009f17ad04d789d4dd2c"),
+     "fc6d371c4e33feedf4f11216952c850738719bfa1e9d57b62554d4826d41263c"),
     ("factorial:a=2.5",
-     "2cc8b1a43dcf83baacbf73f1924eff1aa9edfc1d89e3b548882bac90f04652a4"),
+     "e434e69dce72818b13727d52eb68d974c157467869258614e442a0cd70e64ee3"),
     ("expbeta:beta=0.5",
-     "7bc06091a45894ea774ac74e6da45033d0b200e0d2327a75b2390b121c5b62c7"),
+     "7bb9c83d18de7593dc1c7ed89ea1a85c5cd72070cc3965d28035f6bb731e5939"),
     ("explog:gamma=2",
-     "5daf76198a35387f1252af364176df177a347d67161bdf92bc6848f2b9d6c4c0"),
+     "ce6683902fc74215bf087c6b5cae029f739c75e9060a2cfb1243562bbb8acda6"),
     ("spike",
-     "1433cd58655fe7aec0c55ad30c0b4dec9321051afffad394290bec3fdd6f84e3"),
+     "3508de438fcb454ade8040532ec09087f86a5219ff0d22815ef1779d45b7fce6"),
     ("block313",
-     "0ee292cb222682d6cd0e7272f6318a55779fe238ad6b9133453a2e4a0b7009e3"),
+     "ec2bdfa876d6fc637124125c90a841a0fce3ee4516f1fa93d661d5027c5de5b2"),
     ("block413:alpha=2",
-     "4ce2103e20a42961183fe8ef030a25936541861d62553ac11596b5d98d0e0996"),
+     "3d04329cd598b9ba96e63879f6932e65a9c2879748c564c56d8d1439d93f1cb1"),
+    ("geom:r=0.5",
+     "51cae9b761bac6bde71e28ccd5b01dc8448c5741f47373baf7ce43ae804629a2"),
 ]
 
 CERTIFIED_WITNESS_KINDS = {"diverging-inner-series", "analytic-lower-bound",
@@ -169,6 +171,8 @@ def test_analyze_pinned_bytes(capsys, spec, digest):
     for verdict in _verdicts(json.loads(out)):
         if verdict["kind"] == "Fails":
             assert verdict["witness"]["kind"] in CERTIFIED_WITNESS_KINDS
+        if verdict["kind"] == "Holds":
+            assert verdict["certified_bound"] >= verdict["empirical_sup"]
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,8 @@ def test_compactness_growth_without_metadata_is_inconclusive():
     v = compactness_criterion(w, horizon=10 ** 4).verdict
     assert v.is_inconclusive
     assert v.witness is None
-    assert v.notes == ("no vanishing envelope and no lower bound metadata "
-                       "at this horizon",)
+    assert v.notes == ("samples are partial sums up to the horizon",
+                       "no certificate in either direction at this horizon")
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +254,17 @@ def test_t0_without_a_certified_non_member_leaves_hi_open():
     assert "only the member endpoint is certified" in b.notes[-1]
 
 
+def test_nan_sup_bound_is_not_certified():
+    # the t < -1 closure multiplies the declared weight sup into its bound;
+    # a NaN sup must be refused, not reported as a NaN certified bound
+    w = custom_weight("n^-2", lambda n: -2.0 * math.log(n),
+                      log_sup_bound=float("nan"))
+    v = rw_membership(w, -2.0)
+    assert not v.is_holds
+    assert v.notes[-1] == ("scan contradicts the declared weight sup; "
+                           "refusing to certify")
+
+
 def test_witness_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="unknown witness kind"):
         criteria.Witness(1, 2.0, "partial-sum-growth")
@@ -344,7 +355,7 @@ def test_refinement_never_flips(family, params):
 ])
 def test_certified_dominates_empirical(family, params):
     w = catalog_weight(family, params)
-    for crit in (continuity_criterion, uw_quantity):
+    for crit in (continuity_criterion, uw_quantity, ratio_limsup_test):
         for h in HORIZONS:
             v = crit(w, horizon=h).verdict
             if v.is_holds:

@@ -124,6 +124,12 @@ def test_load_weight_table(tmp_path):
     gap.write_text("1 0.0\n3 -1.0\n")
     with pytest.raises(WeightError):
         load_weight_table(str(gap))
+    for bad in ("nan", "inf", "-inf"):
+        table = tmp_path / f"{bad}.txt"
+        table.write_text(f"1 0.0\n2 {bad}\n3 -1.0\n")
+        with pytest.raises(WeightError, match=f"{table}:2: ln_w must be "
+                           "finite"):
+            load_weight_table(str(table))
 
 
 def test_parse_custom_grammar(tmp_path):

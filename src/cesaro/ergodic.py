@@ -18,7 +18,7 @@ import numpy as np
 
 from .weights import WeightSpec
 from .criteria import Bracket, CriterionReport, s1_estimate, uw_quantity
-from .sections import apply_power
+from .sections import apply_power, cumulative_means
 
 __all__ = [
     "ErgodicError",
@@ -217,18 +217,29 @@ def _trace(w: WeightSpec, x: Sequence, steps: int, N: int, probe_id: str,
 
 def _orbit(arr, mode: str, steps: int, averages: bool):
     """Float coordinates of the first ``steps`` iterates of ``arr`` or, with
-    ``averages``, of their running averages."""
+    ``averages``, of their running averages.
+
+    Rational mode takes the iterates from the exact kernel
+    ``sections.cumulative_means``, held as integers over one common
+    denominator; the running sums are kept over that denominator too.  Each
+    float is the correctly rounded value of the exact coordinate, however
+    the exact value is reduced.
+    """
+    if mode == "rational":
+        acc, prev = [0] * len(arr), 1
+        for n, (nums, _, den) in enumerate(cumulative_means(arr, steps), 1):
+            if averages:
+                scale, prev = den // prev, den
+                acc = [s * scale + v for s, v in zip(acc, nums)]
+                nums, den = acc, n * den
+            yield np.array([v / den for v in nums], dtype=float)
+        return
     ns = np.arange(1, len(arr) + 1, dtype=float)
-    if averages:
-        acc = [Fraction(0)] * len(arr) if mode == "rational" \
-            else np.zeros(len(arr), dtype=float)
+    acc = np.zeros(len(arr), dtype=float)
     for n in range(1, steps + 1):
-        arr = _advance(arr, ns, mode)
+        arr = np.cumsum(arr) / ns
         if not averages:
-            yield _as_float(arr)
-        elif mode == "rational":
-            acc = [a + b for a, b in zip(acc, arr)]
-            yield np.asarray([float(v / n) for v in acc], dtype=float)
+            yield arr
         else:
             acc += arr
             yield acc / n
@@ -244,17 +255,6 @@ def _start_vector(x: Sequence, N: int, mode: str):
     arr = np.zeros(N, dtype=float)
     arr[:min(len(x), N)] = [float(v) for v in x[:N]]
     return arr
-
-
-def _advance(arr, ns: np.ndarray, mode: str):
-    if mode == "rational":
-        out = []
-        acc = Fraction(0)
-        for n, v in enumerate(arr, start=1):
-            acc += v
-            out.append(acc / n)
-        return out
-    return np.cumsum(arr) / ns
 
 
 def _as_float(arr) -> np.ndarray:

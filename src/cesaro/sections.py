@@ -9,7 +9,11 @@ Two arithmetic modes are supported throughout:
 
 ``rational``
     Exact arithmetic over rationals (complex rationals where needed).  Used
-    for oracle checks at small dimensions.
+    for oracle checks at small dimensions.  The loops hold their values as
+    integer numerators over one common denominator and take no gcd; a
+    Fraction or QC is built, reduced, only when a value is returned.  Floats
+    read from the exact values (int-by-int true division) are correctly
+    rounded, so they do not depend on how the values are reduced.
 
 ``float``
     complex128 with log-magnitude/unit-phase product accumulation where naive
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from numbers import Rational
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -41,6 +46,7 @@ __all__ = [
     "nearest_limit_point",
     "identity_section",
     "cesaro_section",
+    "cumulative_means",
     "apply_power",
     "kernel_power_entry",
     "operator_norm_l1w",
@@ -307,26 +313,58 @@ def cesaro_section(N: int, mode: str = "rational") -> FiniteSection:
     return FiniteSection(N, "C", mode, rows)
 
 
-def _to_exact(x):
-    if isinstance(x, (QC, Fraction)):
-        return x
+def _exact_parts(x) -> tuple:
+    """(re, im) Fractions of one rational-mode coordinate; im is None when
+    the coordinate is real.  A QC counts as complex even when its imaginary
+    part is zero, a Python complex only when it is not."""
+    if isinstance(x, QC):
+        return x.re, x.im
     if isinstance(x, complex):
-        if x.imag == 0.0:
-            return Fraction(x.real)
-        return QC.from_number(x)
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
+        return Fraction(x.real), (Fraction(x.imag) if x.imag else None)
+    if isinstance(x, (Rational, float)):
+        return Fraction(x), None
     raise TypeError(f"cannot use {type(x).__name__} in rational mode")
+
+
+def cumulative_means(x: Sequence, steps: int):
+    """Yield the first ``steps`` averaging iterates of x, held exactly.
+
+    Each iterate is held as common-denominator integers ``(re, im, den)``:
+    coordinate n is ``(re[n] + i im[n]) / den``, with ``im`` None for real
+    input.  With L = lcm(1..N) one step is ``a <- prefix sums of a times
+    L // n`` and ``den <- den * L``, so no gcd is ever taken.  The values
+    are not reduced, but ``re[n] / den`` (int-by-int true division) is the
+    correctly rounded float of the exact coordinate, bit for bit equal to
+    ``float`` of the reduced Fraction.
+    """
+    parts = [_exact_parts(v) for v in x]
+    fracs = [re for re, _ in parts]
+    if any(im is not None for _, im in parts):
+        fracs += [Fraction(0) if im is None else im for _, im in parts]
+    den = math.lcm(*(f.denominator for f in fracs))
+    nums = [f.numerator * (den // f.denominator) for f in fracs]
+    N = len(parts)
+    re, im = nums[:N], (nums[N:] or None)
+    L = math.lcm(*range(1, N + 1))
+    q = [L // n for n in range(1, N + 1)]
+    for _ in range(steps):
+        re = [s * c for s, c in zip(accumulate(re), q)]
+        if im is not None:
+            im = [s * c for s, c in zip(accumulate(im), q)]
+        den *= L
+        yield re, im, den
 
 
 def apply_power(x: Sequence, m: int, N: int,
                 mode: str = "float") -> tuple:
     """First N coordinates of the m-th power of the averaging operator at x.
 
-    Exact in rational mode; float mode runs vectorized cumulative means.
-    Triangularity makes the result independent of coordinates beyond N.
+    Rational mode runs the exact kernel ``cumulative_means`` on
+    common-denominator integers and reduces once, at the end: the result
+    is a tuple of Fractions, or of QC when any input coordinate is complex
+    (a QC, or a complex with nonzero imaginary part).  Float mode runs
+    vectorized cumulative means.  Triangularity makes the result
+    independent of coordinates beyond N.
     """
     _check_mode(mode)
     if m < 1:
@@ -336,18 +374,12 @@ def apply_power(x: Sequence, m: int, N: int,
     if len(x) < N:
         raise SectionError("need at least N input coordinates")
     if mode == "rational":
-        cur = [_to_exact(v) for v in x[:N]]
-        for _ in range(m):
-            out = []
-            acc = None
-            for n, v in enumerate(cur, 1):
-                acc = v if acc is None else acc + v
-                if isinstance(acc, QC):
-                    out.append(acc / QC(Fraction(n)))
-                else:
-                    out.append(acc / n)
-            cur = out
-        return tuple(cur)
+        for re, im, den in cumulative_means(x[:N], m):
+            pass
+        if im is None:
+            return tuple(Fraction(a, den) for a in re)
+        return tuple(QC(Fraction(a, den), Fraction(b, den))
+                     for a, b in zip(re, im))
     arr = np.asarray([complex(v) for v in x[:N]], dtype=complex)
     ns = np.arange(1, N + 1, dtype=float)
     for _ in range(m):
@@ -361,17 +393,17 @@ def kernel_power_entry(n: int, k: int, m: int) -> Fraction:
     """Exact (n, k) entry of the m-th power of the averaging operator.
 
     Closed form: binom(n-1, k-1) * sum_{j=0}^{n-k} (-1)^j binom(n-k, j) /
-    (k+j)^m, summed over exact rationals.
+    (k+j)^m.  The sum is taken in integers over one common denominator
+    lcm(k..n)^m, and the Fraction is reduced once, at the end.
     """
     if k < 1 or n < 1 or m < 1:
         raise SectionError("indices and power must be >= 1")
     if k > n:
         raise SectionError("column index exceeds row index")
-    total = Fraction(0)
-    for j in range(n - k + 1):
-        term = Fraction(math.comb(n - k, j), (k + j) ** m)
-        total += term if j % 2 == 0 else -term
-    return math.comb(n - 1, k - 1) * total
+    L = math.lcm(*range(k, n + 1))
+    total = sum((-1) ** j * math.comb(n - k, j) * (L // (k + j)) ** m
+                for j in range(n - k + 1))
+    return Fraction(math.comb(n - 1, k - 1) * total, L ** m)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +505,10 @@ def resolvent_section(lam, N: int, mode: str = "float",
     The diagonal is 1/(1/n - lam); strictly below it the entries are
     -(1/lam^2) / (n * prod_{k=m}^{n} (1 - 1/(lam k))).  Row products are
     accumulated as log-magnitude plus unit phase in float mode, so deep rows
-    neither overflow nor underflow.  Values of lam within ``eps`` of the
-    excluded set {0} union {1/m} are rejected.
+    neither overflow nor underflow.  Rational mode forms them in integers,
+    a Gaussian-integer numerator over one integer denominator per entry, and
+    returns rows of QC with reduced parts.  Values of lam within ``eps`` of
+    the excluded set {0} union {1/m} are rejected.
     """
     _check_mode(mode)
     if N < 1:
@@ -491,20 +525,8 @@ def resolvent_section(lam, N: int, mode: str = "float",
     if mode == "rational":
         _check_rational_dim(N, mode)
         lq = QC.from_number(lam if isinstance(lam, (QC, Fraction)) else lam_c)
-        inv_lam2 = _QC_ONE / (lq * lq)
-        rows = []
-        factors = [_QC_ONE - _QC_ONE / (lq * QC(Fraction(k)))
-                   for k in range(1, N + 1)]
-        for n in range(1, N + 1):
-            row = [QC(Fraction(0))] * n
-            row[n - 1] = _QC_ONE / (QC(Fraction(1, n)) - lq)
-            prod = factors[n - 1]
-            for m in range(n - 1, 0, -1):
-                prod = prod * factors[m - 1]
-                row[m - 1] = -(inv_lam2 / (QC(Fraction(n)) * prod))
-            rows.append(tuple(row))
         return FiniteSection(N, f"resolvent({lam_c})", "rational",
-                             tuple(rows))
+                             _rational_resolvent_rows(lq, N))
     ks = np.arange(1, N + 1, dtype=float)
     factors = 1.0 - 1.0 / (lam_c * ks)
     mags = np.abs(factors)
@@ -523,6 +545,49 @@ def resolvent_section(lam, N: int, mode: str = "float",
             row[:n - 1] = -inv_lam2 * np.exp(log_mag) * phases
         rows.append(row)
     return FiniteSection(N, f"resolvent({lam_c})", "float", tuple(rows))
+
+
+def _recip(re: int, im: int) -> tuple:
+    """1/(re + i im) as (numerator re, numerator im, integer denominator)."""
+    if im == 0:
+        return 1, 0, re
+    return re, -im, re * re + im * im
+
+
+def _gauss_mul(u: tuple, v: tuple) -> tuple:
+    """Product of two (re, im, den) Gaussian-integer fractions, unreduced."""
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0],
+            u[2] * v[2])
+
+
+def _rational_resolvent_rows(lq: QC, N: int) -> tuple:
+    """Rows of the exact resolvent section, built in integers.
+
+    Write lam = z/d with z a Gaussian integer and d a positive integer, and
+    let P[j] be the prefix product of f_k = 1 - d/(k z) over k <= j.  Entry
+    (n, m) below the diagonal is c_n P[m-1] with c_n = -lam^-2 / (n P[n]);
+    along row n it is the running quotient V_m = V_{m+1} * m z / (m z - d),
+    started at V_n = -d^2 / (z (n z - d)).  Each V is held as a
+    Gaussian-integer numerator over an integer denominator, so no gcd is
+    taken until an entry is stored as a QC of reduced Fractions.
+    """
+    d = math.lcm(lq.re.denominator, lq.im.denominator)
+    a, b = int(lq.re * d), int(lq.im * d)
+    # 1 / f_m = m z / (m z - d), one (re, im, den) triple per column m
+    inv_f = [_gauss_mul((m * a, m * b, 1), _recip(m * a - d, m * b))
+             for m in range(1, N + 1)]
+    rows = []
+    for n in range(1, N + 1):
+        row = [None] * n
+        dr, di, dd = _gauss_mul((n * d, 0, 1), _recip(d - n * a, -n * b))
+        row[n - 1] = QC(Fraction(dr, dd), Fraction(di, dd))
+        zr, zi, _ = _gauss_mul((a, b, 1), (n * a - d, n * b, 1))
+        v = _gauss_mul((-d * d, 0, 1), _recip(zr, zi))
+        for m in range(n - 1, 0, -1):
+            v = _gauss_mul(v, inv_f[m - 1])
+            row[m - 1] = QC(Fraction(v[0], v[2]), Fraction(v[1], v[2]))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

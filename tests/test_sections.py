@@ -9,14 +9,18 @@ windows used by the resolvent and eigenvector formulas.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cesaro import ergodic
+from cesaro.ergodic import cesaro_averages_trace, iterate_trace, trace_to_csv
 from cesaro.sections import (
     QC,
     DENSE_DIMENSION_CAP,
@@ -218,6 +222,133 @@ def test_apply_power_semigroup(x, a, b):
     staged = apply_power(apply_power(x, a, N, mode="rational"), b, N,
                          mode="rational")
     assert combined == staged
+
+
+def test_apply_power_mixed_real_and_complex_input():
+    # real and complex coordinates share one exact vector; the result is QC
+    # throughout and agrees with float mode
+    assert apply_power([1, 1j], 1, 2, mode="rational") == \
+        (QC(Fraction(1)), QC(Fraction(1, 2), Fraction(1, 2)))
+    for x in ([1, 1j], [1j, 1], [Fraction(1, 3), 2 - 1j, 0.5, 3]):
+        for m in (1, 2, 5):
+            exact = apply_power(x, m, len(x), mode="rational")
+            approx = apply_power(x, m, len(x), mode="float")
+            assert all(isinstance(z, QC) for z in exact)
+            for z, want in zip(exact, approx):
+                assert z.to_complex() == pytest.approx(want, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel against the plain-Fraction loop it replaced
+
+
+def fraction_power(x, m):
+    """Reference: m plain-Fraction (or all-QC) cumulative-mean steps."""
+    cur = list(x)
+    for _ in range(m):
+        out, acc = [], None
+        for n, v in enumerate(cur, 1):
+            acc = v if acc is None else acc + v
+            out.append(acc / QC(Fraction(n)) if isinstance(acc, QC)
+                       else acc / n)
+        cur = out
+    return tuple(cur)
+
+
+def fraction_orbit(arr, mode, steps, averages):
+    """Reference for ``ergodic._orbit`` in rational mode: Fraction iterates,
+    Fraction running sums, one float() per coordinate."""
+    assert mode == "rational"
+    cur, acc = list(arr), [Fraction(0)] * len(arr)
+    for n in range(1, steps + 1):
+        cur = list(fraction_power(cur, 1))
+        if averages:
+            acc = [a + b for a, b in zip(acc, cur)]
+            yield np.array([float(v / n) for v in acc], dtype=float)
+        else:
+            yield np.array([float(v) for v in cur], dtype=float)
+
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(RATIONALS, min_size=1, max_size=40),
+       st.integers(min_value=1, max_value=6))
+def test_apply_power_equals_fraction_loop(x, m):
+    got = apply_power(x, m, len(x), mode="rational")
+    want = fraction_power(x, m)
+    assert got == want
+    assert all(type(v) is Fraction for v in got)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.builds(QC, RATIONALS, RATIONALS), min_size=1,
+                max_size=40),
+       st.integers(min_value=1, max_value=6))
+def test_apply_power_equals_qc_loop(x, m):
+    got = apply_power(x, m, len(x), mode="rational")
+    assert got == fraction_power(x, m)
+    assert all(type(v) is QC and type(v.re) is Fraction
+               and type(v.im) is Fraction for v in got)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(RATIONALS, min_size=1, max_size=40),
+       st.integers(min_value=1, max_value=6),
+       st.sampled_from([iterate_trace, cesaro_averages_trace]))
+def test_rational_traces_equal_fraction_loop(geom05, x, steps, tracer):
+    # the same trace with ergodic's exact orbit swapped for the reference:
+    # every float of every record must agree exactly
+    got = tracer(geom05, x, steps, len(x), mode="rational")
+    with mock.patch.object(ergodic, "_orbit", fraction_orbit):
+        want = tracer(geom05, x, steps, len(x), mode="rational")
+    assert got.records == want.records
+    assert trace_to_csv(got) == trace_to_csv(want)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256("\n".join(map(repr, values)).encode()).hexdigest()
+
+
+def _resolvent_entries(lam):
+    sec = resolvent_section(lam, 60, mode="rational")
+    return [z for row in sec.rows for z in row]
+
+
+#: sha256 of the repr of every entry, recorded with the Fraction loops the
+#: common-denominator kernels replaced; repr tells QC from Fraction
+MIXED_VECTOR = [Fraction(1, 3), 2, -0.375, Fraction(-7, 5), 0, 5,
+                Fraction(22, 7)] * 4
+COMPLEX_VECTOR = [1 + 2j, -0.5j, 3 - 1j, 0.25 + 0.75j,
+                  QC(Fraction(1, 3), Fraction(-2, 9))] * 4
+PINNED_EXACT = [
+    ("resolvent-8/11", lambda: _resolvent_entries(Fraction(8, 11)),
+     "ce47de862d480b60abc8eded9820caff55eb6b089b7a31c9884ba3110f2d4b70"),
+    ("resolvent-3/4+i/2",
+     lambda: _resolvent_entries(QC(Fraction(3, 4), Fraction(1, 2))),
+     "089e81c99b24086826942db3e11977327e24caa70178cca5b182ead2dd90dc17"),
+    ("kernel-rows1..40-m3..6",
+     lambda: [kernel_power_entry(n, k, m) for m in range(3, 7)
+              for n in range(1, 41) for k in range(1, n + 1)],
+     "d1e12c0ef6cd58415015bdcbb9de28f625463675968bbc286dcbc931df02ef4f"),
+    ("apply-power-mixed-fraction",
+     lambda: apply_power(MIXED_VECTOR, 5, 28, mode="rational"),
+     "060b7994ee9698faf6bc7faac21b93eba8940d98719d55a6d60cdd9f0b5ef5e0"),
+    ("apply-power-complex",
+     lambda: apply_power(COMPLEX_VECTOR, 3, 20, mode="rational"),
+     "78ff3a5dcf5dff192c9fed15596dd01e310bea8d17c795ed70a9ed1c9341ad10"),
+]
+
+
+@pytest.mark.parametrize("build,digest", [p[1:] for p in PINNED_EXACT],
+                         ids=[p[0] for p in PINNED_EXACT])
+def test_exact_values_pinned_bytes(build, digest):
+    values = build()
+    assert _digest(values) == digest
+    for v in values:
+        parts = (v.re, v.im) if isinstance(v, QC) else (v,)
+        assert all(type(p) is Fraction for p in parts)
 
 
 # ---------------------------------------------------------------------------

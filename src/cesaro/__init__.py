@@ -61,6 +61,7 @@ from .sections import (
     weighted_norm,
 )
 from .spectral import (
+    GridScan,
     GridSpec,
     SpectralClassification,
     SpectralContext,
@@ -107,9 +108,9 @@ __all__ = [
     "identity_section", "kernel_power_entry", "operator_norm_l1w",
     "resolvent_section", "shifted_inverse_section", "weighted_norm",
     # spectral
-    "GridSpec", "SpectralClassification", "SpectralContext", "SpectralError",
-    "build_context", "classify_point", "point_spectrum", "region_scan",
-    "resolvent_condition", "scan_to_csv",
+    "GridScan", "GridSpec", "SpectralClassification", "SpectralContext",
+    "SpectralError", "build_context", "classify_point", "point_spectrum",
+    "region_scan", "resolvent_condition", "scan_to_csv",
     # ergodic
     "BudgetError", "ErgodicError", "IterateTrace", "PowerBoundednessReport",
     "cesaro_averages_trace", "decomposition_project", "ergodic_identity_check",

@@ -226,14 +226,10 @@ def cmd_spectrum(config: RunConfig) -> int:
             f"budget is {spectral.MAX_GRID_POINTS}")
     context = spectral.build_context(w, horizon=config.horizon,
                                      m_max=config.m_max, eps=config.eps)
-    rows = spectral.region_scan(w, grid, context=context)
-    csv_text = spectral.scan_to_csv(rows)
-    counts: dict = {}
-    conflicts = 0
-    for row in rows:
-        counts[row.label] = counts.get(row.label, 0) + 1
-        if row.rule_id == spectral.RULE_CONFLICT:
-            conflicts += 1
+    scan = spectral.region_scan(w, grid, context=context)
+    csv_text = spectral.scan_to_csv(scan)
+    counts = scan.label_counts()
+    conflicts = scan.rule_counts().get(spectral.RULE_CONFLICT, 0)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "command": "spectrum",

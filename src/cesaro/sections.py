@@ -130,6 +130,8 @@ class QC:
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
+    __complex__ = to_complex
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.im == 0:
             return f"QC({self.re})"
@@ -516,7 +518,7 @@ def resolvent_section(lam, N: int, mode: str = "float",
     if N > DENSE_DIMENSION_CAP:
         raise SectionError(f"dense resolvent sections are capped at "
                            f"N = {DENSE_DIMENSION_CAP}")
-    lam_c = lam.to_complex() if isinstance(lam, QC) else complex(lam)
+    lam_c = complex(lam)
     if distance_to_limit_set(lam_c) <= eps:
         dist, m = nearest_limit_point(lam_c.real, lam_c.imag)
         nearest = "0" if abs(lam_c) <= dist else f"1/{m}"

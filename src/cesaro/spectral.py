@@ -11,15 +11,20 @@ classification degrades to Unknown instead of picking a side.
 
 The cascade runs over arrays of points: each rule is a mask, and since the
 resolvent criterion depends only on alpha = Re(1/lam), it is decided once
-per distinct alpha.  A single point is a one-element array.
+per distinct alpha.  Its result is a GridScan: per-node code columns plus
+one resolvent table row per distinct alpha, read as a sequence of
+SpectralClassification rows built on demand.  A single point is a
+one-node scan.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,8 +53,11 @@ __all__ = [
     "LABEL_SPECTRUM",
     "LABEL_RESOLVENT",
     "LABEL_UNKNOWN",
+    "RULES",
+    "LABELS",
     "SpectralError",
     "SpectralClassification",
+    "GridScan",
     "SpectralContext",
     "GridSpec",
     "build_context",
@@ -80,8 +88,20 @@ MAX_GRID_POINTS = 10 ** 6
 _BATCH_ELEMENTS = 1 << 16
 #: points per block of the cascade's rule masks
 _NODE_BLOCK = 4096
-#: the cascade's rules, as codes of its mask stage
-_SIGMA0, _CONFLICT, _DISK, _COMPACT, _RESOLVENT = range(5)
+#: a GridScan's rule and label codes index these
+RULES = (RULE_SIGMA0, RULE_POINT, RULE_DISK, RULE_COMPACT, RULE_RESOLVENT,
+         RULE_CONFLICT, RULE_NONE)
+LABELS = (LABEL_POINT, LABEL_SPECTRUM, LABEL_RESOLVENT, LABEL_UNKNOWN)
+_SIGMA0, _POINT, _DISK, _COMPACT, _RESOLVENT, _CONFLICT, _NONE = range(7)
+_L_POINT, _L_SPECTRUM, _L_RESOLVENT, _L_UNKNOWN = range(4)
+#: the label of each rule; the resolvent rule's Fails nodes are Spectrum
+_RULE_LABEL = np.array([_L_SPECTRUM, _L_POINT, _L_SPECTRUM, _L_RESOLVENT,
+                        _L_RESOLVENT, _L_UNKNOWN, _L_UNKNOWN], dtype=np.int8)
+#: the resolvent rule's certificate kinds, per distinct alpha
+_NO_CERT, _HOLDS, _FAILS = range(3)
+_ORIGIN_EVIDENCE = (
+    (RULE_SIGMA0, "0 is an accumulation point of the candidate set and "
+                  "always belongs to the spectrum"),)
 _WITNESS_TOP = 4096
 _CLIP = 700.0
 
@@ -114,7 +134,7 @@ def _check_context_args(m_max: int, eps: float) -> None:
 class SpectralClassification:
     """Label for one complex point, with the evidence that produced it.
 
-    Slotted: a grid scan keeps one of these per node.
+    A GridScan builds one each time a node is read.
     """
 
     lam: complex
@@ -302,15 +322,21 @@ def _bridge_log_sups(w: WeightSpec, v0: int, alphas: Sequence[float],
     return out
 
 
-def _envelope_holds(cert_log: float) -> Verdict:
-    return Verdict.holds(
-        math.exp(min(cert_log, _CLIP)), 0.0, 0,
-        notes=("envelope-certified without a numeric scan",))
+class _ResolventTable(NamedTuple):
+    """The resolvent rule's outcome per distinct alpha: the certificate kind
+    (_HOLDS, _FAILS or _NO_CERT), its log value (the certified log bound,
+    or the log of the divergence witness's partial sum) and sup_value =
+    exp(min(log, _CLIP)), NaN where no certificate applies."""
+
+    kind: np.ndarray
+    log: np.ndarray
+    sup: np.ndarray
 
 
-def _resolvent_verdicts(w: WeightSpec, alphas: Sequence[float]) -> list:
-    """The cascade's resolvent rule: one verdict per distinct alpha, in the
-    order of ``alphas``; None means no certificate applies.
+def _resolvent_verdicts(w: WeightSpec, alphas: Sequence[float]
+                        ) -> _ResolventTable:
+    """The cascade's resolvent rule: one table row per distinct alpha, in
+    the order of ``alphas``.
 
     Holds comes from the weight's certified envelope plus exact closures of
     the finitely many rows below the envelope's validity (at most
@@ -318,9 +344,11 @@ def _resolvent_verdicts(w: WeightSpec, alphas: Sequence[float]) -> list:
     The metadata hooks (``diverges_beta``, ``res_env``, ``log_tail``) run
     once per exponent; the closures run as one batched bridge per distinct
     envelope start and the divergence witnesses as one batch, so nothing
-    here depends on a scan horizon.
+    here depends on a scan horizon.  ``_resolvent_verdict`` turns a row
+    into its Verdict.
     """
-    out: list = [None] * len(alphas)
+    kind = [_NO_CERT] * len(alphas)
+    log = [math.nan] * len(alphas)
     diverging: list = []
     bridges: dict = {}  # envelope start -> [(slot, log_sup, tail), ...]
     for i, alpha in enumerate(alphas):
@@ -332,71 +360,165 @@ def _resolvent_verdicts(w: WeightSpec, alphas: Sequence[float]) -> list:
             continue
         v0 = int(env.valid_from)
         if v0 <= 1:
-            out[i] = _envelope_holds(env.log_sup)
+            kind[i], log[i] = _HOLDS, env.log_sup
         elif v0 <= _BRIDGE_CAP:
             tail = w.log_tail(v0 + 1, alpha)
             if tail is not None and tail != float("inf"):
                 bridges.setdefault(v0, []).append((i, env.log_sup, tail))
     log_qs = _witness_log_ratios(w, [alphas[i] for i in diverging])
     for i, log_q in zip(diverging, log_qs):
-        witness = Witness(
-            index=1, value=math.exp(min(log_q, _CLIP)),
-            kind="diverging-inner-series",
-            detail="partial sum of the divergent inner series through "
-                   f"n = {_WITNESS_TOP}, measured against the first row")
-        out[i] = Verdict.fails(
-            witness, witness.value, _WITNESS_TOP,
-            notes=("certified divergence of the inner series",))
+        kind[i], log[i] = _FAILS, log_q
     for v0, rows in bridges.items():
         slots, log_sups, tails = zip(*rows)
         closed = _bridge_log_sups(w, v0, [alphas[i] for i in slots], tails)
         for i, log_sup, c in zip(slots, log_sups, closed):
-            out[i] = _envelope_holds(max(log_sup, c))
-    return out
+            kind[i], log[i] = _HOLDS, max(log_sup, c)
+    sup = [math.exp(min(v, _CLIP)) if k != _NO_CERT else math.nan
+           for k, v in zip(kind, log)]
+    return _ResolventTable(np.array(kind, dtype=np.int8), np.array(log),
+                           np.array(sup))
+
+
+def _resolvent_verdict(kind: int, sup: float) -> Optional[Verdict]:
+    """The Verdict of one resolvent table row; None without a certificate."""
+    if kind == _HOLDS:
+        return Verdict.holds(sup, 0.0, 0,
+                             notes=("envelope-certified without a numeric "
+                                    "scan",))
+    if kind == _FAILS:
+        witness = Witness(
+            index=1, value=sup, kind="diverging-inner-series",
+            detail="partial sum of the divergent inner series through "
+                   f"n = {_WITNESS_TOP}, measured against the first row")
+        return Verdict.fails(
+            witness, witness.value, _WITNESS_TOP,
+            notes=("certified divergence of the inner series",))
+    return None
 
 
 # ---------------------------------------------------------------------------
 # the classification cascade
 
 
-def _sigma0_classification(z: complex, alpha: Optional[float], m: int,
-                           ctx: SpectralContext) -> SpectralClassification:
-    if abs(z) <= ctx.eps:
-        return SpectralClassification(
-            z, None, LABEL_SPECTRUM, RULE_SIGMA0, 0.0,
-            (("sigma0-membership",
-              "0 is an accumulation point of the candidate set and always "
-              "belongs to the spectrum"),))
+def _candidate_outcome(m: int, ctx: SpectralContext) -> tuple:
+    """(rule code, evidence) of a node within eps of 1/m."""
     verdict = ctx.point_verdict(m)
     if verdict is not None and verdict.is_holds:
-        return SpectralClassification(
-            z, alpha, LABEL_POINT, RULE_POINT, 0.0,
-            ((RULE_POINT, verdict),))
+        return _POINT, ((RULE_POINT, verdict),)
     evidence = [(RULE_SIGMA0,
                  f"1/{m} belongs to the candidate set, hence to the "
                  f"spectrum")]
     if verdict is not None:
         evidence.append((RULE_POINT, verdict))
-    return SpectralClassification(
-        z, alpha, LABEL_SPECTRUM, RULE_SIGMA0, 0.0, tuple(evidence))
+    return _SIGMA0, tuple(evidence)
 
 
-def _resolvent_outcome(verdict: Optional[Verdict]) -> tuple:
-    """(label, rule_id, sup_value, evidence) from a resolvent verdict."""
-    if verdict is not None and verdict.is_holds:
-        return (LABEL_RESOLVENT, RULE_RESOLVENT, verdict.certified_bound,
-                ((RULE_RESOLVENT, verdict),))
-    if verdict is not None and verdict.is_fails:
-        sup_val = verdict.witness.value if verdict.witness else None
-        return (LABEL_SPECTRUM, RULE_RESOLVENT, sup_val,
-                ((RULE_RESOLVENT, verdict),))
-    evidence = ((RULE_RESOLVENT, verdict),) if verdict is not None else ()
-    return (LABEL_UNKNOWN, RULE_NONE, None, evidence)
+class GridScan(collections.abc.Sequence):
+    """The cascade's labels for the nodes of a grid, kept as columns.
+
+    Node k is ``xs[k % nx] + 1j * ys[k // nx]``, row-major over im then re.
+    Per node: ``alpha`` (NaN where the row's alpha is None, at points
+    within eps of 0), ``rule`` and ``label`` codes (indices into ``RULES``
+    and ``LABELS``) and ``group``, the node's row of the resolvent
+    ``table`` (-1 for nodes the resolvent rule did not decide).  Nodes
+    within eps of the candidate set keep their evidence in ``candidates``.
+
+    Read as a sequence it is the list of SpectralClassification rows; a
+    row, and its Verdict, is built only when it is read.
+    """
+
+    __slots__ = ("xs", "ys", "alpha", "rule", "label", "group", "table",
+                 "candidates", "context", "_verdicts")
+
+    def __init__(self, xs, ys, alpha, rule, label, group, table, candidates,
+                 context):
+        self.xs, self.ys = xs, ys
+        self.alpha, self.rule, self.label, self.group = (alpha, rule, label,
+                                                         group)
+        self.table, self.candidates, self.context = table, candidates, context
+        self._verdicts: dict = {}
+
+    def __len__(self) -> int:
+        return self.alpha.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self)))]
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("grid scan index out of range")
+        lam = complex(self.xs[k % self.xs.size], self.ys[k // self.xs.size])
+        a = float(self.alpha[k])
+        a = None if math.isnan(a) else a
+        rule, label = RULES[self.rule[k]], LABELS[self.label[k]]
+        ctx = self.context
+        if k in self.candidates:
+            return SpectralClassification(lam, a, label, rule, 0.0,
+                                          self.candidates[k])
+        if rule == RULE_DISK:
+            return SpectralClassification(lam, a, label, rule, a,
+                                          ((RULE_DISK, ctx.s1),))
+        compact = ctx.compactness.verdict
+        if rule == RULE_COMPACT:
+            return SpectralClassification(lam, a, label, rule,
+                                          compact.certified_bound,
+                                          ((RULE_COMPACT, compact),))
+        if rule == RULE_CONFLICT:
+            return SpectralClassification(lam, a, label, rule, None, (
+                (RULE_DISK, ctx.s1), (RULE_COMPACT, compact),
+                (RULE_CONFLICT,
+                 "a compact operator admits no spectrum off the candidate "
+                 "set, yet the disk certificate claims this point; the "
+                 "context reports are inconsistent")))
+        g = int(self.group[k])
+        verdict = self._verdict(g)
+        if verdict is None:
+            return SpectralClassification(lam, a, label, rule)
+        return SpectralClassification(lam, a, label, rule,
+                                      float(self.table.sup[g]),
+                                      ((RULE_RESOLVENT, verdict),))
+
+    def _verdict(self, g: int) -> Optional[Verdict]:
+        if g < 0:
+            return None
+        if g not in self._verdicts:
+            self._verdicts[g] = _resolvent_verdict(
+                int(self.table.kind[g]), float(self.table.sup[g]))
+        return self._verdicts[g]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, collections.abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"GridScan({self.xs.size} x {self.ys.size} nodes)"
+
+    def label_counts(self) -> dict:
+        """{label: number of nodes} over the labels that occur."""
+        return _counts(self.label, LABELS)
+
+    def rule_counts(self) -> dict:
+        """{rule_id: number of nodes} over the rules that fired."""
+        return _counts(self.rule, RULES)
 
 
-def _classify_nodes(w: WeightSpec, re: np.ndarray, im: np.ndarray,
-                    ctx: SpectralContext) -> list:
-    """The certificate cascade over the points re + i*im, in input order.
+def _counts(codes: np.ndarray, names: tuple) -> dict:
+    counts = np.bincount(codes, minlength=len(names)).tolist()
+    return {name: c for name, c in zip(names, counts) if c}
+
+
+def _classify_nodes(w: WeightSpec, xs: np.ndarray, ys: np.ndarray,
+                    ctx: Optional[SpectralContext]) -> GridScan:
+    """The certificate cascade over the nodes xs[k % nx] + i*ys[k // nx].
 
     Rules, in order: candidate-set membership (with point-spectrum
     upgrade), the certified spectral disk, the compactness shortcut (a
@@ -404,26 +526,15 @@ def _classify_nodes(w: WeightSpec, re: np.ndarray, im: np.ndarray,
     The first four are masks, applied to blocks of _NODE_BLOCK points so
     the array temporaries stay small.  The resolvent criterion depends on
     alpha = Re(1/lam) alone, so it runs once per distinct alpha over all
-    points it receives, from envelope certificates.
+    points it receives, from envelope certificates.  With no nodes the
+    context is not read.
     """
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise SpectralError("points to classify must be finite")
-    s_mem = ctx.s1_member
-    compact = ctx.compactness.verdict
-    fixed = {
-        _CONFLICT: (
-            LABEL_UNKNOWN, RULE_CONFLICT, None,
-            ((RULE_DISK, ctx.s1), (RULE_COMPACT, compact),
-             (RULE_CONFLICT,
-              "a compact operator admits no spectrum off the candidate "
-              "set, yet the disk certificate claims this point; the "
-              "context reports are inconsistent"))),
-        _COMPACT: (LABEL_RESOLVENT, RULE_COMPACT, compact.certified_bound,
-                   ((RULE_COMPACT, compact),)),
-    }
-    disk_ev = ((RULE_DISK, ctx.s1),)
-    rows: list = [None] * re.size
-    pending, pending_alpha = [], []  # the rows left to the resolvent rule
+    re, im = np.tile(xs, ys.size), np.repeat(ys, xs.size)
+    alpha = np.empty(re.size)
+    rule = np.empty(re.size, dtype=np.int8)
+    near, near_m = [], []  # the nodes within eps of the candidate set
     for lo in range(0, re.size, _NODE_BLOCK):
         r = re[lo:lo + _NODE_BLOCK]
         i = im[lo:lo + _NODE_BLOCK]
@@ -433,47 +544,37 @@ def _classify_nodes(w: WeightSpec, re: np.ndarray, im: np.ndarray,
             raise SpectralError(
                 "the exponent Re(1/lam) is undefined at lam = 0")
         with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = np.where(nonzero, r / d2, np.nan)
+            a = alpha[lo:lo + _NODE_BLOCK] = np.where(nonzero, r / d2, np.nan)
         dist, nearest_m = nearest_limit_point(r, i)
         live = dist > ctx.eps
-        disk_hit = (alpha >= s_mem if s_mem is not None
-                    else np.zeros_like(live))
+        s_mem, compact = ctx.s1_member, ctx.compactness.verdict.is_holds
+        disk_hit = a >= s_mem if s_mem is not None else np.zeros_like(live)
         # np.select takes the first condition that holds: the rule order
-        rule = np.select(
-            [~live, disk_hit & compact.is_holds, disk_hit, compact.is_holds],
+        rule[lo:lo + _NODE_BLOCK] = np.select(
+            [~live, disk_hit & compact, disk_hit, compact],
             [_SIGMA0, _CONFLICT, _DISK, _COMPACT], _RESOLVENT)
-        left = np.flatnonzero(rule == _RESOLVENT)
-        pending.append(lo + left)
-        pending_alpha.append(alpha[left])
-        nodes = zip(r.tolist(), i.tolist(), alpha.tolist(), nonzero.tolist(),
-                    rule.tolist())
-        for k, (x, y, a, nz, code) in enumerate(nodes, start=lo):
-            if code == _RESOLVENT:
-                continue
-            lam, a = complex(x, y), (a if nz else None)
-            if code == _SIGMA0:
-                rows[k] = _sigma0_classification(
-                    lam, a, int(nearest_m[k - lo]), ctx)
-            elif code == _DISK:
-                rows[k] = SpectralClassification(
-                    lam, a, LABEL_SPECTRUM, RULE_DISK, a, disk_ev)
+        near.append(lo + np.flatnonzero(~live))
+        near_m.append(nearest_m[~live])
+    candidates: dict = {}
+    if near:
+        for k, m in zip(np.concatenate(near).tolist(),
+                        np.concatenate(near_m).tolist()):
+            if abs(complex(re[k], im[k])) <= ctx.eps:
+                alpha[k] = np.nan
+                candidates[k] = _ORIGIN_EVIDENCE
             else:
-                rows[k] = SpectralClassification(lam, a, *fixed[code])
-    idx = np.concatenate(pending)
-    if idx.size == 0:
-        return rows
-    alpha = np.concatenate(pending_alpha)
-    distinct, group = np.unique(alpha, return_inverse=True)
-    outcomes = [_resolvent_outcome(v)
-                for v in _resolvent_verdicts(w, distinct.tolist())]
-    for lo in range(0, idx.size, _NODE_BLOCK):
-        k = idx[lo:lo + _NODE_BLOCK]
-        for row, x, y, a, g in zip(k.tolist(), re[k].tolist(),
-                                   im[k].tolist(),
-                                   alpha[lo:lo + _NODE_BLOCK].tolist(),
-                                   group[lo:lo + _NODE_BLOCK].tolist()):
-            rows[row] = SpectralClassification(complex(x, y), a, *outcomes[g])
-    return rows
+                rule[k], candidates[k] = _candidate_outcome(m, ctx)
+    idx = np.flatnonzero(rule == _RESOLVENT)
+    distinct, group_of = np.unique(alpha[idx], return_inverse=True)
+    table = _resolvent_verdicts(w, distinct.tolist())
+    group = np.full(re.size, -1, dtype=np.intp)
+    kind = table.kind[group_of]
+    decided = kind != _NO_CERT
+    group[idx[decided]] = group_of[decided]
+    rule[idx[~decided]] = _NONE
+    label = _RULE_LABEL[rule]
+    label[idx[kind == _FAILS]] = _L_SPECTRUM
+    return GridScan(xs, ys, alpha, rule, label, group, table, candidates, ctx)
 
 
 def classify_point(w: WeightSpec, lam: complex,
@@ -484,8 +585,8 @@ def classify_point(w: WeightSpec, lam: complex,
     Rules, in order: candidate-set membership (with point-spectrum
     upgrade), the certified spectral disk, the compactness shortcut, the
     resolvent criterion from envelope certificates, Unknown.  This is the
-    one-point case of the cascade ``region_scan`` runs; the full-scan
-    report at one point is ``resolvent_condition``.
+    one-node case of the scan ``region_scan`` runs; the full-scan report
+    at one point is ``resolvent_condition``.
     """
     ctx = context if context is not None else build_context(w)
     z = complex(lam)
@@ -508,10 +609,14 @@ class GridSpec:
     nx: int
     ny: int
 
+    def axes(self) -> tuple:
+        """The grid's real parts (nx of them) and imaginary parts (ny)."""
+        return (np.linspace(self.re0, self.re1, self.nx),
+                np.linspace(self.im0, self.im1, self.ny))
+
     def node_arrays(self) -> tuple:
         """Real and imaginary parts of the nodes, row-major over im then re."""
-        res = np.linspace(self.re0, self.re1, self.nx)
-        ims = np.linspace(self.im0, self.im1, self.ny)
+        res, ims = self.axes()
         return np.tile(res, self.ny), np.repeat(ims, self.nx)
 
     def nodes(self) -> list:
@@ -520,33 +625,69 @@ class GridSpec:
 
 
 def region_scan(w: WeightSpec, grid: GridSpec,
-                context: Optional[SpectralContext] = None) -> list:
+                context: Optional[SpectralContext] = None) -> GridScan:
     """Classify every node of the grid, row-major over im then re.
 
     The whole grid goes through the cascade as arrays: one verdict per
     distinct alpha = Re(1/lam), and the eigenvalue points scanned on first
     use (only nodes within eps of the candidate set need them).  The output
     order is a pure function of the grid, never of evaluation order.
-    Empty grids give empty output.
+    Empty grids give an empty scan, without building a context.
     """
     if grid.nx < 0 or grid.ny < 0:
         raise SpectralError("grid resolution must be non-negative")
     if grid.nx * grid.ny > MAX_GRID_POINTS:
         raise SpectralError(
             f"grid exceeds {MAX_GRID_POINTS} points")
-    if grid.nx == 0 or grid.ny == 0:
-        return []
-    ctx = context if context is not None else build_context(w)
-    re, im = grid.node_arrays()
-    return _classify_nodes(w, re, im, ctx)
+    ctx = context
+    if ctx is None and grid.nx * grid.ny > 0:
+        ctx = build_context(w)
+    return _classify_nodes(w, *grid.axes(), ctx)
 
 
-def scan_to_csv(classifications: Sequence[SpectralClassification]) -> str:
-    """Render scan results as CSV with a fixed header and row order."""
-    lines = ["re,im,alpha,label,rule_id,sup_value"]
-    for c in classifications:
-        alpha = "" if c.alpha is None else repr(c.alpha)
-        sup = "" if c.sup_value is None else repr(c.sup_value)
-        lines.append(f"{c.lam.real!r},{c.lam.imag!r},{alpha},"
-                     f"{c.label},{c.rule_id},{sup}")
-    return "\n".join(lines) + "\n"
+def _repr_columns(*columns) -> list:
+    """For each (values, present) pair, the repr of each present value and
+    "" elsewhere.  repr runs once per distinct bit pattern over all the
+    columns, so 0.0 and -0.0 keep their own strings."""
+    picked = [values[present] for values, present in columns]
+    bits, at = np.unique(np.concatenate(picked).view(np.int64),
+                         return_inverse=True)
+    strings = np.array(["", *map(repr, bits.view(np.float64).tolist())],
+                       dtype=object)
+    out, lo = [], 0
+    for (values, present), chosen in zip(columns, picked):
+        idx = np.zeros(values.size, dtype=np.intp)
+        idx[present] = at[lo:lo + chosen.size] + 1
+        lo += chosen.size
+        out.append(strings[idx].tolist())
+    return out
+
+
+def scan_to_csv(scan: GridScan) -> str:
+    """Render a scan as CSV with a fixed header and row order.
+
+    The rows are joined from strings made once per grid column value, per
+    grid row value and per distinct alpha or sup_value.  A node's
+    sup_value follows its rule: 0 on the candidate set, alpha in the disk,
+    the compactness bound, or the resolvent table's bound.
+    """
+    rule, nx = scan.rule, scan.xs.size
+    sup = np.zeros(len(scan))
+    disk, compact = rule == _DISK, rule == _COMPACT
+    sup[disk] = scan.alpha[disk]
+    if compact.any():
+        sup[compact] = scan.context.compactness.verdict.certified_bound
+    resolvent = rule == _RESOLVENT
+    sup[resolvent] = scan.table.sup[scan.group[resolvent]]
+    alpha_col, sup_col = _repr_columns(
+        (scan.alpha, ~np.isnan(scan.alpha)),
+        (sup, (rule != _CONFLICT) & (rule != _NONE)))
+    outcome = np.array([f"{label},{r}" for label in LABELS for r in RULES],
+                       dtype=object)
+    rows = map(",".join, zip(
+        list(map(repr, scan.xs.tolist())) * scan.ys.size,
+        [y for y in map(repr, scan.ys.tolist()) for _ in range(nx)],
+        alpha_col,
+        outcome[scan.label.astype(np.intp) * len(RULES) + rule].tolist(),
+        sup_col))
+    return "\n".join(["re,im,alpha,label,rule_id,sup_value", *rows]) + "\n"

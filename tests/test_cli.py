@@ -226,6 +226,35 @@ def test_spectrum_byte_deterministic(tmp_path):
     assert (out.read_bytes(), (tmp_path / "scan.json").read_bytes()) == first
 
 
+#: sha256 of the CSV and of the JSON summary that `spectrum` prints on the
+#: 41 x 21 grid over [0, 1] x [-0.5, 0.5] (0, 1/4, 1/2, 1 and an im = 0 row)
+#: at horizon 10^4; recorded when the summary still counted labels row by row
+PINNED_SPECTRUM = [
+    ("poly:alpha=2",
+     "a7b5991ba82e651ec3f7b170a60e0d908e46328c7ddcb73a6fb4157341b58d32",
+     "0341efc6245a7c24bec4d6459f5d670ecc2872127e807b011290cff2d658b669"),
+    ("block413:alpha=2",
+     "f6d09cb2ce1bad16aa2e3f47dd994700e9791fb9be09fb84163e936e2a9ec81d",
+     "25bc963ddda718a4bef79723ae9c8089b12048d0a3074b7adfc33b58bab10e3a"),
+    ("geom:r=0.5,beta=0.3",
+     "2eeee52ada32896205f4a46dbf6e43ed22c6b8ff18d8b9e2483d378e96a7d948",
+     "530ca001ea44b1a968637280a1f9e0a87a929af49469c511e9226b435c60999b"),
+]
+
+
+@pytest.mark.parametrize("spec,csv_digest,json_digest", PINNED_SPECTRUM,
+                         ids=[spec for spec, _, _ in PINNED_SPECTRUM])
+def test_spectrum_pinned_bytes(capsys, spec, csv_digest, json_digest):
+    assert main(["spectrum", "-w", spec, "--grid=0.0,1.0,-0.5,0.5,41,21",
+                 "--horizon", "10000"]) == EXIT_OK
+    csv_text, summary = capsys.readouterr().out.split("{", 1)
+    summary = "{" + summary
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == csv_digest
+    assert hashlib.sha256(summary.encode()).hexdigest() == json_digest
+    labels = json.loads(summary)["labels"]
+    assert sum(labels.values()) == 41 * 21 and 0 not in labels.values()
+
+
 # ---------------------------------------------------------------------------
 # iterate
 

@@ -238,6 +238,20 @@ def test_apply_power_mixed_real_and_complex_input():
                 assert z.to_complex() == pytest.approx(want, rel=1e-14)
 
 
+def test_float_mode_accepts_exact_complex_input():
+    # complex(QC) is the same value as to_complex, so float mode takes the
+    # exact inputs rational mode takes
+    q = QC(Fraction(1, 3), Fraction(-2, 9))
+    assert complex(q) == q.to_complex() == complex(1 / 3, -2 / 9)
+    assert apply_power([QC(Fraction(1))], 1, 1, mode="float") == (1 + 0j,)
+    x = [QC(Fraction(1)), q, Fraction(1, 2), 3]
+    for z, want in zip(apply_power(x, 2, 4, mode="float"),
+                       apply_power(x, 2, 4, mode="rational")):
+        assert z == pytest.approx(complex(want), rel=1e-14)
+    assert dual_eigenvector(QC(Fraction(1, 2)), 5, mode="float") == \
+        dual_eigenvector(0.5, 5, mode="float")
+
+
 # ---------------------------------------------------------------------------
 # the exact kernel against the plain-Fraction loop it replaced
 

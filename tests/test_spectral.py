@@ -9,12 +9,16 @@ snapping) are exercised on small grids.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
+import functools
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cesaro import criteria, sections, spectral
 from cesaro.criteria import compactness_criterion, s1_estimate
@@ -32,6 +36,7 @@ from cesaro.spectral import (
     RULE_POINT,
     RULE_RESOLVENT,
     RULE_SIGMA0,
+    GridScan,
     GridSpec,
     SpectralError,
     build_context,
@@ -515,3 +520,121 @@ def test_points_scanned_on_first_use(spectral_work, poly2):
     assert spectral_work["point_spectrum"] == 1
     region_scan(poly2, PINNED_GRID, ctx)
     assert spectral_work["point_spectrum"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the columnar scan: rows on demand, one CSV renderer
+
+
+def reference_csv(rows) -> str:
+    """The per-row rendering the columnar scan_to_csv must reproduce."""
+    lines = ["re,im,alpha,label,rule_id,sup_value"]
+    for c in rows:
+        alpha = "" if c.alpha is None else repr(c.alpha)
+        sup = "" if c.sup_value is None else repr(c.sup_value)
+        lines.append(f"{c.lam.real!r},{c.lam.imag!r},{alpha},"
+                     f"{c.label},{c.rule_id},{sup}")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def reference_context(spec):
+    w = parse_weight(spec)
+    return w, build_context(w, horizon=10 ** 4)
+
+
+#: axis ends that put nodes on 0, next to it, and on 1/m
+ANCHORS = [0.0, 1e-12, 0.25, 0.5, 1.0, 1.0 / 3]
+
+
+@st.composite
+def small_grids(draw):
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        # [0, 1] or [1/3, 1/2]-like spans with a symmetric im range: nodes
+        # on 0 and 1/m, an im = 0 row when ny is odd
+        re0, re1 = sorted(draw(st.lists(st.sampled_from(ANCHORS),
+                                        min_size=2, max_size=2)))
+        h = draw(st.sampled_from([0.0, 0.25, 0.5, 0.7]))
+        return GridSpec(re0, re1, -h, h, nx, ny)
+    coords = st.floats(-0.3, 1.3, allow_nan=False)
+    re0, re1 = sorted(draw(st.lists(coords, min_size=2, max_size=2)))
+    im0, im1 = sorted(draw(st.lists(coords, min_size=2, max_size=2)))
+    return GridSpec(re0, re1, im0 - 0.5, im1 - 0.5, nx, ny)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(REFERENCE_FAMILIES), grid=small_grids())
+@example(spec="superfact", grid=GridSpec(0.0, 1.0, -0.5, 0.5, 5, 3))
+@example(spec="poly:alpha=2", grid=GridSpec(0.0, 1.0, -0.2, 0.2, 5, 3))
+def test_scan_to_csv_matches_per_row_rendering(spec, grid):
+    w, ctx = reference_context(spec)
+    rows = [classify_point(w, z, ctx) for z in grid.nodes()]
+    assert scan_to_csv(region_scan(w, grid, ctx)) == reference_csv(rows)
+
+
+def test_scan_to_csv_keeps_signed_zeros(poly2, ctx_poly2):
+    # 0.0 and -0.0 are equal but print differently, so strings are shared
+    # by bit pattern, not by value
+    scan = spectral._classify_nodes(poly2, np.array([-0.0, 0.0]),
+                                    np.array([0.5, -0.0]), ctx_poly2)
+    text = scan_to_csv(scan)
+    assert text == reference_csv(list(scan))
+    assert [line.split(",")[:3] for line in text.splitlines()[1:]] == [
+        ["-0.0", "0.5", "-0.0"], ["0.0", "0.5", "0.0"],
+        ["-0.0", "-0.0", ""], ["0.0", "-0.0", ""]]
+
+
+def test_grid_scan_sequence_contract(poly2, ctx_poly2):
+    # the sequence a caller counting rules and labels row by row reads
+    empty = region_scan(poly2, GridSpec(0, 1, 0, 1, 4, 0), ctx_poly2)
+    assert len(empty) == 0 and empty == [] and [] == empty
+    assert list(empty) == [] and scan_to_csv(empty) == reference_csv([])
+    grid = GridSpec(0.0, 1.0, -0.2, 0.2, 5, 3)  # 0, 1/4, 1/2, 1, disk
+    scan = region_scan(poly2, grid, ctx_poly2)
+    rows = [classify_point(poly2, z, ctx_poly2) for z in grid.nodes()]
+    assert isinstance(scan, GridScan)
+    assert isinstance(scan, collections.abc.Sequence)
+    assert len(scan) == len(rows) == 15
+    assert scan == rows and rows == scan and list(scan) == rows
+    assert scan[0] == rows[0] and scan[-1] == rows[-1]
+    assert scan[3:9] == rows[3:9]
+    assert scan != rows[:-1] and scan != rows[::-1]
+    with pytest.raises(IndexError):
+        scan[15]
+    assert {r.rule_id for r in scan} == {RULE_SIGMA0, RULE_POINT, RULE_DISK,
+                                         RULE_RESOLVENT}
+    for row in scan:
+        assert row.rule_id in spectral.RULES
+        assert row.label in spectral.LABELS
+    assert scan.rule_counts() == Counter(r.rule_id for r in rows)
+    assert scan.label_counts() == Counter(r.label for r in rows)
+
+
+def test_scan_and_csv_build_no_rows_or_verdicts(monkeypatch, block413a2):
+    ctx = build_context(block413a2, horizon=10 ** 4)
+    built = Counter()
+    for cls in (spectral.SpectralClassification, criteria.Verdict,
+                criteria.Witness):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
+                    **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    scan = region_scan(block413a2, DEFAULT_GRID, ctx)
+    text = scan_to_csv(scan)
+    assert built == Counter()
+    assert len(text.splitlines()) == 40001
+    # reading a row builds it and its verdict, with the evidence the
+    # per-node cascade gave
+    k = int(np.flatnonzero(
+        scan.rule == spectral.RULES.index(RULE_RESOLVENT))[0])
+    row = scan[k]
+    assert built == Counter(SpectralClassification=1, Verdict=1)
+    assert (row.label, row.rule_id) == (LABEL_RESOLVENT, RULE_RESOLVENT)
+    assert row.evidence == ((RULE_RESOLVENT, criteria.Verdict.holds(
+        row.sup_value, 0.0, 0,
+        notes=("envelope-certified without a numeric scan",))),)
+    assert row.sup_value == math.exp(min(
+        float(scan.table.log[scan.group[k]]), spectral._CLIP))
+

@@ -39,6 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .weights import (
+    _BRIDGE_CAP,
     NEG_INF,
     LowerEnvelope,
     SupEnvelope,
@@ -87,8 +88,6 @@ ESTIMATE_HORIZON = 10**5
 _BOUND_SLACK = 1.0 + 1e-9
 _HUGE = 1.0e300
 _LOG_HUGE = math.log(_HUGE)
-#: widest admissible prefix that must be certified index-by-index
-_BRIDGE_CAP = 10**6
 
 
 def _exp_clamped(a):

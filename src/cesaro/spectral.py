@@ -28,9 +28,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .weights import WeightSpec
+from .weights import _BRIDGE_CAP, WeightSpec
 from .criteria import (
-    _BRIDGE_CAP,
     Bracket,
     CriterionReport,
     DEFAULT_HORIZON,

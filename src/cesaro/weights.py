@@ -4,7 +4,8 @@ A weight is a bounded positive sequence w(1), w(2), ... evaluated in the log
 domain so that extremely fast decay (w(n) = n^-n and similar) never underflows.
 Each catalog family ships the analytic facts the criteria engine needs:
 
-* ``log_tail``       -- certified upper bounds for tails  sum_{n>=m} w(n) n^(beta-1)
+* ``log_tail``       -- certified upper bounds for tails  sum_{n>=m} w(n) n^(beta-1):
+                        a closed form from the family's start, plus exact terms
 * ``*_env`` hooks    -- certified sup-envelopes for the continuity / resolvent /
                         averaging quantities beyond a small index prefix
 * ``*_lower`` hooks  -- certified lower envelopes (constant or diverging) used
@@ -25,6 +26,8 @@ import numpy as np
 
 LN2 = math.log(2.0)
 NEG_INF = float("-inf")
+#: widest admissible prefix that must be certified index-by-index
+_BRIDGE_CAP = 10**6
 
 class WeightError(ValueError):
     """Bad weight family, parameter, or custom table."""
@@ -140,6 +143,8 @@ class WeightSpec:
     shape; it is the one evaluator, and single values are read through it.
     Hooks are optional; criteria degrade to Inconclusive verdicts when
     metadata is absent.
+    ``tail_hook(m, beta)`` gives ``(start, log_closed)`` or None: start >= m,
+    and log_closed bounds sum_{n>=start} w(n) n^(beta-1) from start alone.
     """
 
     id: str
@@ -151,7 +156,7 @@ class WeightSpec:
     log_sup_bound: Optional[float] = None  # certified: log w(n) <= this for all n
     note: str = ""
     # certified hooks (all optional, all log-domain)
-    log_tail_hook: Optional[Callable[[int, float], Optional[float]]] = None
+    tail_hook: Optional[Callable[[int, float], Optional[tuple[int, float]]]] = None
     minorant_log_c_hook: Optional[Callable[[float], Optional[float]]] = None
     diverges_beta_hook: Optional[Callable[[float], Optional[bool]]] = None
     cont_env_hook: Optional[Callable[[int], Optional[SupEnvelope]]] = None
@@ -180,49 +185,51 @@ class WeightSpec:
     # -- certified tails ----------------------------------------------------
 
     def log_tail(self, m: int, beta: float) -> Optional[float]:
-        """Certified log upper bound for sum_{n>=m} w(n) n^(beta-1), or None."""
+        """Certified log upper bound for sum_{n>=m} w(n) n^(beta-1), or None.
+
+        The one place a tail is composed: ``_closed_tail`` covers n >= start
+        and the terms over [m, start) are summed exactly.
+        """
         if m < 1:
             raise ValueError("tail start must be >= 1")
-        if self.log_tail_hook is not None:
-            v = self.log_tail_hook(m, beta)
-            if v is not None:
-                return v
-        if self.ratio_bound is not None:
-            v = self._ratio_tail(m, beta)
-            if v is not None:
-                return v
-        if beta < 0.0 and self.decreasing_from is not None:
-            return self._decreasing_tail(m, beta)
+        found = self._closed_tail(m, beta)
+        if found is None:
+            return None
+        start, closed = found
+        if start == m:
+            return closed
+        return _logsumexp([self._bridge(m, start, beta), closed])
+
+    def _closed_tail(self, m: int, beta: float) -> Optional[tuple[int, float]]:
+        """First (start, log_closed) of the family hook, the ratio bound and
+        monotone decrease whose bridge from m fits under _BRIDGE_CAP."""
+        for supplier in (self.tail_hook, self._ratio_closed, self._decreasing_closed):
+            found = supplier and supplier(m, beta)
+            if found is not None and found[0] - m <= _BRIDGE_CAP:
+                return found
         return None
 
     def _bridge(self, m: int, stop: int, beta: float) -> float:
         """Exact log sum of terms for n in [m, stop)."""
-        if stop <= m:
-            return NEG_INF
         ns = np.arange(m, stop, dtype=np.int64)
         logs = self.log_eval(ns) + (beta - 1.0) * np.log(ns.astype(float))
         return _logsumexp(logs.tolist())
 
-    def _ratio_tail(self, m: int, beta: float) -> Optional[float]:
+    def _ratio_closed(self, m: int, beta: float) -> Optional[tuple[int, float]]:
+        if self.ratio_bound is None:
+            return None
         nfrom, r = self.ratio_bound
         if not (0.0 < r < 1.0):
             return None
         start = max(m, nfrom)
-        if start - m > 10**6:
-            return None
-        bridge = self._bridge(m, start, beta)
         log_s, _ = _geom_power_factor_log(r, beta)
-        tail = self.log_eval(start) + (beta - 1.0) * math.log(start) + log_s
-        return _logsumexp([bridge, tail])
+        return start, self.log_eval(start) + (beta - 1.0) * math.log(start) + log_s
 
-    def _decreasing_tail(self, m: int, beta: float) -> Optional[float]:
-        start = max(m, self.decreasing_from, 2)
-        if start - m > 10**6:
+    def _decreasing_closed(self, m: int, beta: float) -> Optional[tuple[int, float]]:
+        if beta >= 0.0 or self.decreasing_from is None:
             return None
-        bridge = self._bridge(m, start, beta)
-        delta = -beta
-        tail = self.log_eval(start) + _log_pseries_tail(start, delta)
-        return _logsumexp([bridge, tail])
+        start = max(m, self.decreasing_from, 2)
+        return start, self.log_eval(start) + _log_pseries_tail(start, -beta)
 
     def tail_majorant(self, m: int, beta: float) -> Optional[float]:
         """Linear-domain certified tail bound (rounded up; never unsound)."""
@@ -257,7 +264,7 @@ class WeightSpec:
         if self.minorant_log_c(beta) is not None:
             # terms >= c n^(beta-1-beta) = c / n: harmonic divergence
             return True
-        if self.log_tail(max(self.decreasing_from or 1, 1), beta) is not None:
+        if self._closed_tail(max(self.decreasing_from or 1, 1), beta) is not None:
             return False
         return None
 
@@ -315,11 +322,11 @@ def _poly(alpha: float) -> WeightSpec:
     def log_array(n: np.ndarray) -> np.ndarray:
         return -a * np.log(n.astype(float))
 
-    def tail(m: int, beta: float) -> Optional[float]:
+    def tail(m: int, beta: float) -> Optional[tuple[int, float]]:
         delta = a - beta
         if delta <= 0:
             return None
-        return _log_pseries_tail(m, delta)
+        return m, _log_pseries_tail(m, delta)
 
     def cont_env(n0: int) -> SupEnvelope:
         v = max(n0, 2)
@@ -355,7 +362,7 @@ def _poly(alpha: float) -> WeightSpec:
         rapidly_decreasing=False,
         log_sup_bound=0.0,
         note="w(n) = n^-alpha",
-        log_tail_hook=tail,
+        tail_hook=tail,
         minorant_log_c_hook=lambda s: 0.0 if s >= a else None,
         diverges_beta_hook=lambda beta: beta >= a,
         cont_env_hook=cont_env,
@@ -375,16 +382,13 @@ def _loggamma(gamma: float) -> WeightSpec:
     def log_array(n: np.ndarray) -> np.ndarray:
         return -g * np.log(np.log(n.astype(float) + 1.0))
 
-    def tail(m: int, beta: float) -> Optional[float]:
+    def tail(m: int, beta: float) -> Optional[tuple[int, float]]:
         if beta == 0.0 and g > 1.0:
             mm = max(m, 2)
-            bridge = NEG_INF
-            if mm > m:
-                bridge = _log_at(log_array, m) - math.log(m)
             # sum_{n>=mm} 1/(n log^g(n+1)) <= w(mm)/mm + log(mm)^(1-g)/(g-1)
             head = _log_at(log_array, mm) - math.log(mm)
             integral = (1.0 - g) * math.log(math.log(mm)) - math.log(g - 1.0)
-            return _logsumexp([bridge, head, integral])
+            return mm, _logsumexp([head, integral])
         return None  # beta < 0 falls through to the decreasing fallback
 
     def minorant(s: float) -> Optional[float]:
@@ -425,7 +429,7 @@ def _loggamma(gamma: float) -> WeightSpec:
         rapidly_decreasing=False,
         log_sup_bound=-g * math.log(math.log(2.0)),
         note="w(n) = log(n+1)^-gamma",
-        log_tail_hook=tail,
+        tail_hook=tail,
         minorant_log_c_hook=minorant,
         diverges_beta_hook=diverges,
         cont_lower=cont_low,
@@ -581,16 +585,12 @@ def _expbeta(beta: float) -> WeightSpec:
             val = (float(v) ** b - float(v - 1) ** b) - math.log(b) - b * math.log(v)
             return SupEnvelope(v, val, True, "integral envelope e^(n^b-(n-1)^b)/(b n^b)")
 
-        def tail_hook(m: int, beta_q: float) -> Optional[float]:
+        def tail_hook(m: int, beta_q: float) -> Optional[tuple[int, float]]:
             if beta_q != 0.0:
                 return None
             mm = max(m, 2)
-            bridge = NEG_INF
-            if mm > m:
-                bridge = _log_at(log_array, m) - math.log(m)
             # sum_{n>=mm} e^-(n^b)/n <= (1/mm^b) int_{mm-1}^inf e^-(x^b) x^(b-1) dx
-            val = -float(mm - 1) ** b - math.log(b) - b * math.log(mm)
-            return _logsumexp([bridge, val])
+            return mm, -float(mm - 1) ** b - math.log(b) - b * math.log(mm)
 
     def sw_low(s: float) -> LowerEnvelope:
         return LowerEnvelope(lambda i: i,
@@ -607,7 +607,7 @@ def _expbeta(beta: float) -> WeightSpec:
         log_sup_bound=-1.0,
         note="w(n) = exp(-n^beta)",
         cont_env_hook=cont_hook,
-        log_tail_hook=tail_hook,
+        tail_hook=tail_hook,
         sw_lower_hook=sw_low,
     )
 
@@ -630,17 +630,15 @@ def _explog(gamma: float) -> WeightSpec:
         return SupEnvelope(v, val, True,
                            "integral envelope e^(dlog^g)/(g log^(g-1)(n-1))")
 
-    def tail_hook(m: int, beta_q: float) -> Optional[float]:
+    def tail_hook(m: int, beta_q: float) -> Optional[tuple[int, float]]:
         if beta_q != 0.0:
             return None
         mm = max(m, 3)
-        bridge = NEG_INF
-        if mm > m:
-            terms = [_log_at(log_array, k) - math.log(k) for k in range(m, mm)]
-            bridge = _logsumexp(terms)
+        # f(n) = e^-(log^g n)/n decreases, so sum_{n>=mm} f(n) <= f(mm) + int_mm^inf f
         lt = math.log(mm)
-        val = -lt ** g - math.log(g) - (g - 1.0) * math.log(lt)
-        return _logsumexp([bridge, val])
+        head = _log_at(log_array, mm) - lt
+        integral = -lt ** g - math.log(g) - (g - 1.0) * math.log(lt)
+        return mm, _logsumexp([head, integral])
 
     def sw_low(s: float) -> LowerEnvelope:
         return LowerEnvelope(lambda i: i + 2,
@@ -656,7 +654,7 @@ def _explog(gamma: float) -> WeightSpec:
         log_sup_bound=0.0,
         note="w(n) = exp(-log^gamma n)",
         cont_env_hook=cont_hook,
-        log_tail_hook=tail_hook,
+        tail_hook=tail_hook,
         sw_lower_hook=sw_low,
     )
 
@@ -668,20 +666,16 @@ def _spike() -> WeightSpec:
         out[(ni & (ni - 1)) == 0] = 0.0  # powers of two, n = 1 included
         return out
 
-    def tail_hook(m: int, beta: float) -> Optional[float]:
+    def tail_hook(m: int, beta: float) -> Optional[tuple[int, float]]:
         if beta >= 1.0:
             return None
         mm = max(m, 2)
-        parts = []
-        if m == 1:
-            parts.append(0.0)  # the n=1 term is 1^(beta-1) = 1
         # non-power part: sum_{n>=mm} n^(beta-2)
-        parts.append(_log_pseries_tail(mm, 1.0 - beta))
+        nonpower = _log_pseries_tail(mm, 1.0 - beta)
         # power part: sum over 2^k >= mm of 2^(k(beta-1))
-        k0 = max(1, math.ceil(math.log2(mm)))
+        k0 = math.ceil(math.log2(mm))
         q_log = (beta - 1.0) * LN2
-        parts.append(k0 * q_log - math.log1p(-math.exp(q_log)))
-        return _logsumexp(parts)
+        return mm, _logsumexp([nonpower, k0 * q_log - math.log1p(-math.exp(q_log))])
 
     def res_hook(a: float, n0: int) -> Optional[SupEnvelope]:
         if a >= 1.0:
@@ -708,7 +702,7 @@ def _spike() -> WeightSpec:
         rapidly_decreasing=False,
         log_sup_bound=0.0,
         note="w(n) = 1 at powers of two, else 1/n",
-        log_tail_hook=tail_hook,
+        tail_hook=tail_hook,
         minorant_log_c_hook=lambda s: 0.0 if s >= 1.0 else None,
         diverges_beta_hook=lambda beta: beta >= 1.0,
         cont_env_hook=lambda n0: SupEnvelope(max(n0, 1), math.log(4.0), False,
@@ -766,23 +760,17 @@ def _block313() -> WeightSpec:
         parts.append(log_b(j1, beta) + LN2)  # consecutive ratios <= 1/2 from j1
         return _logsumexp(parts)
 
-    def tail_hook(m: int, beta: float) -> float:
-        parts = []
-        if m <= 2:
-            for n in range(m, 3):
-                parts.append((beta - 1.0) * math.log(n))
-            i0, a = 1, 3
-        else:
-            i0, a = _block_index_scalar(m), m
-        parts.append(_log2_sigma(i0) * LN2 + _log_block_powersum(a, 2 ** (i0 + 1), beta))
-        parts.append(tail_from_blocks(i0 + 1, beta))
-        return _logsumexp(parts)
+    def tail_hook(m: int, beta: float) -> tuple[int, float]:
+        start = max(m, 3)
+        i0 = _block_index_scalar(start)
+        own = _log2_sigma(i0) * LN2 + _log_block_powersum(start, 2 ** (i0 + 1), beta)
+        return start, _logsumexp([own, tail_from_blocks(i0 + 1, beta)])
 
     def res_hook(a: float, n0: int) -> Optional[SupEnvelope]:
         if a >= 1.0:
             i0 = max(1, math.ceil(math.log2(2.0 * a)))
             v = 2 ** i0 + 1
-            if v > 10 ** 6:
+            if v > _BRIDGE_CAP:
                 return None
             return SupEnvelope(max(n0, v), a * LN2, False,
                                "block envelope 2^alpha from block i0(alpha)")
@@ -805,7 +793,7 @@ def _block313() -> WeightSpec:
         rapidly_decreasing=True,
         log_sup_bound=0.0,
         note="dyadic blocks, value 2^-(i+(i+1)2^(i+1)) on block i",
-        log_tail_hook=tail_hook,
+        tail_hook=tail_hook,
         diverges_beta_hook=lambda beta: False,
         cont_env_hook=lambda n0: SupEnvelope(max(n0, 3), LN2, False,
                                              "within-block harmonic <= 1 plus cross-block <= 1"),
@@ -838,24 +826,18 @@ def _block413(alpha: float) -> WeightSpec:
             out[big] = log_omega(_block_index_array(n[big]))
         return out
 
-    def tail_hook(m: int, beta: float) -> Optional[float]:
+    def tail_hook(m: int, beta: float) -> Optional[tuple[int, float]]:
         if beta > 1.0:
             return None
-        parts = []
-        if m <= 2:
-            for n in range(m, 3):
-                parts.append((beta - 1.0) * math.log(n))
-            i0, start = 1, 3
-        else:
-            i0, start = _block_index_scalar(m), m
-        parts.append(log_omega(i0) + _log_block_powersum(start, 2 ** (i0 + 1), beta))
+        start = max(m, 3)
+        i0 = _block_index_scalar(start)
+        own = log_omega(i0) + _log_block_powersum(start, 2 ** (i0 + 1), beta)
         # full blocks j >= i0+1: contribution <= 2 j^-a c_j with c_j decreasing
         jf = i0 + 1
         c_log = (beta - 1.0) * (jf * LN2 + math.log1p(2.0 ** (-jf)))
         jsum = _logsumexp([-a * math.log(jf),
                            -math.log(a - 1.0) - (a - 1.0) * math.log(jf)])
-        parts.append(LN2 + c_log + jsum)
-        return _logsumexp(parts)
+        return start, _logsumexp([own, LN2 + c_log + jsum])
 
     def minorant(s: float) -> Optional[float]:
         if s <= 1.0:
@@ -892,7 +874,7 @@ def _block413(alpha: float) -> WeightSpec:
         lambda i: 2 ** i + 1,
         lambda i: (math.log(i) - math.log(a - 1.0)
                    + (a - 1.0) * (math.log(i) - math.log(i + 1))
-                   + i * LN2 - math.log(2.0 ** i + 1.0)),
+                   + i * LN2 - (i * LN2 + math.log1p(2.0 ** -i))),
         True, "averaging quantity grows like i/(alpha-1) along m = 2^i + 1")
 
     return WeightSpec(
@@ -903,7 +885,7 @@ def _block413(alpha: float) -> WeightSpec:
         rapidly_decreasing=False,
         log_sup_bound=0.0,
         note="dyadic blocks, value i^-alpha 2^-(i-1) on block i",
-        log_tail_hook=tail_hook,
+        tail_hook=tail_hook,
         minorant_log_c_hook=minorant,
         diverges_beta_hook=lambda beta: beta > 1.0,
         cont_env_hook=lambda n0: SupEnvelope(max(n0, 3), LN2, False,
@@ -949,7 +931,8 @@ def catalog_families() -> list[dict]:
         hooks = []
         if probe is not None:
             for label, have in [
-                ("tail", probe.log_tail(2, 0.0) is not None or probe.log_tail(2, -1.0) is not None),
+                ("tail", probe._closed_tail(2, 0.0) is not None
+                 or probe._closed_tail(2, -1.0) is not None),
                 ("sup-envelope", probe.cont_env(1) is not None),
                 ("lower-envelope", probe.cont_lower is not None),
                 ("minorant", probe.minorant_log_c(4.0) is not None),
@@ -990,6 +973,8 @@ def custom_weight(wid: str, log_fn: Callable[[int], float], **metadata) -> Weigh
     lifted to an array evaluator by a python loop that keeps the shape.
     Fine for scans, because the engine sub-samples beyond a dense prefix;
     pass ``log_eval_array`` in ``metadata`` to supply a vectorised one.
+    A ``tail_hook`` in ``metadata`` gives ``(start, log_closed)``, a closed
+    form from start alone; ``log_tail`` adds the exact terms below start.
     """
 
     def log_array(n: np.ndarray) -> np.ndarray:

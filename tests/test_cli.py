@@ -136,7 +136,7 @@ PINNED_ANALYZE = [
     ("expbeta:beta=0.5",
      "7bb9c83d18de7593dc1c7ed89ea1a85c5cd72070cc3965d28035f6bb731e5939"),
     ("explog:gamma=2",
-     "ce6683902fc74215bf087c6b5cae029f739c75e9060a2cfb1243562bbb8acda6"),
+     "86f5399ab6c2ea390195a47f1bbbe58844e5d94ddaafb2c5ffc771f54d4e3d8c"),
     ("spike",
      "3508de438fcb454ade8040532ec09087f86a5219ff0d22815ef1779d45b7fce6"),
     ("block313",
@@ -173,6 +173,20 @@ def test_analyze_pinned_bytes(capsys, spec, digest):
             assert verdict["witness"]["kind"] in CERTIFIED_WITNESS_KINDS
         if verdict["kind"] == "Holds":
             assert verdict["certified_bound"] >= verdict["empirical_sup"]
+
+
+@pytest.mark.parametrize("alpha", ["7", "60"])
+def test_block413_large_alpha(capsys, alpha):
+    # the uw witness walk passes block 1024, where 2^i overflows a float
+    code = main(["analyze", "-w", f"block413:alpha={alpha}",
+                 "--horizon", "10000"])
+    assert code == EXIT_OK
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["continuity"]["verdict"]["kind"] == "Holds"
+    assert results["compactness"]["verdict"]["kind"] == "Fails"
+    uw = results["uw"]["verdict"]
+    assert uw["kind"] == "Fails"
+    assert uw["witness"]["kind"] == "analytic-lower-bound"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Weight catalog: evaluation oracles, certified tails, metadata soundness."""
 
 import dataclasses
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -176,6 +178,19 @@ TAIL_CASES = [
     ("block413", {"alpha": 2.0}, 1, 1.0),
     ("block413", {"alpha": 2.0}, 6, 0.5),
     ("loggamma", {"gamma": 2.0}, 2, 0.0),
+    ("expbeta", {"beta": 0.5}, 1, 0.0),
+    ("expbeta", {"beta": 0.5}, 2, 0.0),
+    ("explog", {"gamma": 2.0}, 1, 0.0),
+    ("explog", {"gamma": 2.0}, 2, 0.0),
+    ("explog", {"gamma": 2.0}, 3, 0.0),
+    ("explog", {"gamma": 2.0}, 10, 0.0),
+    ("explog", {"gamma": 2.0}, 100, 0.0),
+    ("explog", {"gamma": 3.0}, 10, 0.0),
+    ("explog", {"gamma": 12.0}, 3, 0.0),
+    ("loggamma", {"gamma": 2.0}, 1, 0.0),
+    ("spike", {}, 2, 0.0),
+    ("block313", {}, 2, 1.0),
+    ("block413", {"alpha": 2.0}, 2, 0.5),
 ]
 
 
@@ -189,6 +204,52 @@ def test_tail_bound_soundness(family, params, m, beta):
     terms = np.exp(w.log_eval(ns) + (beta - 1.0) * np.log(ns.astype(float)))
     partial = float(np.sum(terms))
     assert partial <= bound * (1.0 + 1e-12)
+
+
+# log_tail(m, beta) of these weights before every bridge was summed in
+# WeightSpec.log_tail, as float.hex strings (null: no certified tail)
+LOG_TAIL_TABLE = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "log_tail_table.json").read_text())
+
+
+@pytest.mark.parametrize("spec", sorted(LOG_TAIL_TABLE["log_tail"]))
+def test_tail_hook_contract(spec):
+    """A family's closed form starts at or after m and depends on its start
+    alone, so no hook hides a bridge below the start it returns."""
+    w = parse_weight(spec)
+    for m in LOG_TAIL_TABLE["ms"]:
+        for beta in LOG_TAIL_TABLE["betas"]:
+            found = w.tail_hook(m, beta) if w.tail_hook is not None else None
+            if found is None:
+                continue
+            start, _ = found
+            assert start >= m, (spec, m, beta)
+            assert w.tail_hook(start, beta) == found, (spec, m, beta)
+
+
+@pytest.mark.parametrize("spec", sorted(LOG_TAIL_TABLE["log_tail"]))
+def test_log_tail_table(spec):
+    """Composing every bridge in one place keeps each tail bit for bit, with
+    two exceptions: explog's closed form gained its missing head term, so its
+    tails may only grow, and the m <= 2 rows of spike, block313 and block413
+    now add the bridge to the closed form, which may move the last bit."""
+    w = parse_weight(spec)
+    family = spec.partition(":")[0]
+    rows = LOG_TAIL_TABLE["log_tail"][spec]
+    for m, row in zip(LOG_TAIL_TABLE["ms"], rows):
+        for beta, stored in zip(LOG_TAIL_TABLE["betas"], row):
+            got = w.log_tail(m, beta)
+            where = (spec, m, beta)
+            if stored is None:
+                assert got is None, where
+                continue
+            old = float.fromhex(stored)
+            if family == "explog":
+                assert got >= old, where
+            elif family in ("spike", "block313", "block413") and m <= 2:
+                assert abs(got - old) <= 2.3e-16, where
+            else:
+                assert got.hex() == stored, where
 
 
 def test_tail_bound_exact_value_geom(geom05):

@@ -28,11 +28,22 @@ passes one guard, ``_certify``, which refuses a bound the scan contradicts.
 Compactness is not a separate test: it is the vanishing question on the
 continuity quantity, the same engine asked whether the quantity tends to
 zero rather than whether it stays bounded.
+
+Every suffix sum comes from one streamed kernel, ``_stream_suffix_sums``:
+chunks of indices run down from the horizon, the caller evaluates the
+weight once per chunk, and each row (one term sequence, such as one moment
+exponent) is summed in the log domain.  Rows are independent, order-fixed
+sums, so a chunk's rows are shared between the caller and at most one
+helper thread, and every result is bit-identical whatever the number of
+cores.  Shifted terms that ``exp`` would round to exactly 0.0 (below
+``_EXP_DEAD``) are written as 0.0 without calling it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -75,6 +86,9 @@ DENSE_SCAN_LIMIT = 10**4
 GEOMETRIC_STEP = 1.05
 #: chunk length for streaming suffix sums
 _CHUNK = 1 << 19
+#: exp(x) is exactly 0.0 for every x below -745.1332...; below this bound the
+#: suffix kernel writes the 0.0 itself
+_EXP_DEAD = -746.0
 #: when rapid decay certifies that 1/(n^s w(n)) is unbounded, the witness is
 #: the first scanned value this many times the value at index 1
 DIVERGENCE_FACTOR = 1.0e6
@@ -275,38 +289,70 @@ def scan_indices(horizon: int) -> np.ndarray:
     return np.array(sorted(idx), dtype=np.int64)
 
 
-def _segment_log_sums(lt: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """log of sum(exp(lt[a:b])) for each segment [starts[i], starts[i+1]).
+def _segment_log_sums(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """log of sum(exp(buf[a:b])) for each segment [starts[i], starts[i+1]).
 
     Each segment is shifted by its own maximum before exponentiating, so no
-    dynamic range can overflow or underflow it.  ``lt`` is left untouched;
-    the work happens in one scratch array.
+    dynamic range can overflow or underflow it.  The work happens in ``buf``
+    itself, which is left holding scratch values.  A single segment is
+    shifted by a scalar; several are shifted by a repeated copy of their
+    maxima, the same elementwise subtraction either way.  Shifted terms below
+    ``_EXP_DEAD`` are set to 0.0 without calling ``exp``, which returns
+    exactly 0.0 there; NaN fails the comparison and still goes through
+    ``exp``.  The array keeps its length, so the pairwise summation tree of
+    every segment, and with it every bit of the result, is unchanged.
     """
-    if starts.size == lt.size:  # one term per segment: nothing to reduce
-        return lt
+    if starts.size == buf.size:  # one term per segment: nothing to reduce
+        return buf
     with np.errstate(invalid="ignore", divide="ignore"):
-        shift = np.maximum.reduceat(lt, starts)
+        shift = np.maximum.reduceat(buf, starts)
         shift[~np.isfinite(shift)] = 0.0
-        buf = np.repeat(shift, np.diff(starts, append=lt.size))
-        np.subtract(lt, buf, out=buf)
-        np.exp(buf, out=buf)
+        if starts.size == 1:
+            buf -= shift[0]
+        else:
+            buf -= np.repeat(shift, np.diff(starts, append=buf.size))
+        dead = buf < _EXP_DEAD
+        if dead.any():  # a masked exp costs more when nothing is dead
+            np.exp(buf, out=buf, where=~dead)
+            np.copyto(buf, 0.0, where=dead)
+        else:
+            np.exp(buf, out=buf)
         return np.log(np.add.reduceat(buf, starts)) + shift
 
 
-def _stream_suffix_sums(chunk_terms, horizon: int, targets: np.ndarray,
-                        rows: int) -> np.ndarray:
+def _worker_count(rows: int) -> int:
+    """Threads that share a chunk's rows: the caller plus at most one helper,
+    and no more than the process may run at once."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(2, rows, cpus))
+
+
+def _stream_suffix_sums(evaluate, row_terms, rows: int, horizon: int,
+                        targets: np.ndarray) -> np.ndarray:
     """Suffix log-sums at ascending targets for ``rows`` term sequences.
 
-    ``chunk_terms(ns)`` yields the log-terms of each sequence on the index
-    chunk ``ns`` in turn.  Chunks stream down from the horizon; inside a
-    chunk only the segments between consecutive targets are reduced, and a
-    short log-domain suffix over the segment sums, plus the carry from the
-    chunks above, gives each target.  Returns an array (rows, targets).
+    Chunks of indices stream down from the horizon.  For each chunk the
+    caller runs ``evaluate(ns)`` once; then ``row_terms(r, shared, buf)``
+    writes the log-terms of row r into a chunk-sized scratch ``buf``, and
+    the segments between consecutive targets are reduced in place.  A short
+    log-domain suffix over the segment sums, plus the carry from the chunks
+    above, gives each target.  Returns an array (rows, targets).
+
+    Rows are independent, order-fixed sums, so they are shared between the
+    caller and one helper thread (``_worker_count``), each writing into its
+    own scratch; carries are combined in row order on the caller, and the
+    result does not depend on how many cores ran it.  ``row_terms`` runs on
+    either thread, so it may use numpy only: public functions and
+    ``WeightSpec`` methods belong in ``evaluate``, which stays on the caller.
     """
     out = np.full((rows, targets.size), NEG_INF, dtype=float)
     if horizon < 1 or targets.size == 0:
         return out
     carry = np.full(rows, NEG_INF, dtype=float)
+    workers = _worker_count(rows)
     tmin = max(1, int(targets[0]))
     hi = horizon
     while hi >= tmin:
@@ -318,14 +364,60 @@ def _stream_suffix_sums(chunk_terms, horizon: int, targets: np.ndarray,
         fresh = np.diff(rel, prepend=0) != 0
         starts = np.concatenate(([0], rel[fresh]))
         pos = np.cumsum(fresh)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        for r, lt in enumerate(chunk_terms(ns)):
-            seg = np.logaddexp.accumulate(_segment_log_sums(lt, starts)[::-1])
-            seg = seg[::-1]
+        shared = evaluate(np.arange(lo, hi + 1, dtype=np.int64))
+        # scratch is allocated after evaluation and dropped with it before
+        # the next chunk, so evaluation temporaries and scratch never coexist
+        scratch = [np.empty(hi - lo + 1) for _ in range(workers)]
+        segs = _run_rows(row_terms, rows, shared, starts, scratch)
+        del shared, scratch
+        for r, seg in enumerate(segs):
             out[r, i0:i1] = np.logaddexp(seg[pos], carry[r])
             carry[r] = np.logaddexp(seg[0], carry[r])
         hi = lo - 1
     return out
+
+
+def _run_rows(row_terms, rows: int, shared, starts: np.ndarray,
+              scratch: list) -> list:
+    """Reversed log-domain suffix of every row's segment sums.  Rows are
+    handed out one at a time to the caller and, given a second scratch
+    buffer, to one helper thread that runs under the caller's numpy error
+    state, is joined before this returns, and re-raises its error here."""
+    segs = [None] * rows
+    errors = []
+    next_row = iter(range(rows))
+    lock = threading.Lock()
+    errstate = np.geterr()
+
+    def work(buf):
+        with np.errstate(**errstate):
+            while True:
+                with lock:
+                    r = next(next_row, None)
+                if r is None:
+                    return
+                row_terms(r, shared, buf)
+                seg = _segment_log_sums(buf, starts)
+                segs[r] = np.logaddexp.accumulate(seg[::-1])[::-1]
+
+    def helper(buf):
+        try:
+            work(buf)
+        except BaseException as exc:  # re-raised on the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=helper, args=(buf,), daemon=True)
+               for buf in scratch[1:]]
+    for t in threads:
+        t.start()
+    try:
+        work(scratch[0])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return segs
 
 
 def suffix_log_sums(log_term: Callable[[np.ndarray], np.ndarray], horizon: int,
@@ -340,33 +432,37 @@ def suffix_log_sums(log_term: Callable[[np.ndarray], np.ndarray], horizon: int,
     targets = np.asarray(targets, dtype=np.int64)
     order = np.argsort(targets, kind="stable")
 
-    def chunk_terms(ns):
-        yield np.asarray(log_term(ns), dtype=float)
+    def evaluate(ns):
+        return np.asarray(log_term(ns), dtype=float)
+
+    def row_terms(r, lt, buf):
+        buf[:] = lt
 
     out = np.empty(targets.shape, dtype=float)
-    out[order] = _stream_suffix_sums(chunk_terms, horizon, targets[order], 1)[0]
+    out[order] = _stream_suffix_sums(evaluate, row_terms, 1, horizon,
+                                     targets[order])[0]
     return out
 
 
 def _moment_log_sums(w: WeightSpec, betas, horizon: int) -> np.ndarray:
     """log of sum_{n<=horizon} n^(beta-1) w(n) for every beta at once.
 
-    One streamed pass: log w(n) and log n are evaluated once per chunk and
-    shared by all exponents.
+    One streamed pass: log w(n) and log n are evaluated once per chunk on
+    the caller and shared by all exponents, one row per exponent.
     """
     betas = np.asarray(betas, dtype=float)
 
-    def chunk_terms(ns):
-        lw = np.asarray(w.log_eval(ns), dtype=float)
-        ln = np.log(ns.astype(float))
-        buf = np.empty_like(ln)
-        for beta in betas:
-            np.multiply(ln, beta - 1.0, out=buf)
-            buf += lw
-            yield buf
+    def evaluate(ns):
+        return (np.asarray(w.log_eval(ns), dtype=float),
+                np.log(ns.astype(float)))
 
-    return _stream_suffix_sums(chunk_terms, horizon,
-                               np.array([1], dtype=np.int64), betas.size)[:, 0]
+    def row_terms(r, lw_ln, buf):
+        lw, ln = lw_ln
+        np.multiply(ln, betas[r] - 1.0, out=buf)
+        buf += lw
+
+    return _stream_suffix_sums(evaluate, row_terms, betas.size, horizon,
+                               np.array([1], dtype=np.int64))[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
 """Certified criteria: verdict oracles, brackets, soundness properties."""
 
+import json
 import math
+import pathlib
+import sys
+import threading
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -544,3 +551,212 @@ def test_callers_scan_continuity_once(continuity_scans, capsys, poly2):
     assert continuity_scans[0] == 1
     build_context(poly2, horizon=horizon, m_max=3)
     assert continuity_scans[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# the two-worker moment kernel: bits, threads, memory
+
+MOMENT_TABLE = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "moment_log_sums_table.json")
+    .read_text())
+
+
+@pytest.fixture(params=[1, 2], ids=["workers1", "workers2"])
+def workers(request, monkeypatch):
+    """Forces the number of threads that share a chunk's rows."""
+    monkeypatch.setattr(criteria, "_worker_count",
+                        lambda rows: min(request.param, rows))
+    return request.param
+
+
+@pytest.mark.parametrize("spec", sorted(MOMENT_TABLE["moment_log_sums"]))
+def test_moment_log_sums_table(spec, workers):
+    """Moment sums keep the bits of the one-thread kernel they replace (the
+    stored float.hex table), whatever the number of workers."""
+    w = parse_weight(spec)
+    betas = MOMENT_TABLE["betas"]
+    rows = MOMENT_TABLE["moment_log_sums"][spec]
+    for horizon, row in zip(MOMENT_TABLE["horizons"], rows):
+        got = criteria._moment_log_sums(w, betas, horizon)
+        assert [v.hex() for v in got] == row, (spec, horizon)
+
+
+def _one_thread_segment_log_sums(lt, starts):
+    """The segment kernel as it was before the rows were split between
+    threads: a repeated shift and an exp over every term."""
+    if starts.size == lt.size:  # one term per segment: nothing to reduce
+        return lt
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shift = np.maximum.reduceat(lt, starts)
+        shift[~np.isfinite(shift)] = 0.0
+        buf = np.repeat(shift, np.diff(starts, append=lt.size))
+        np.subtract(lt, buf, out=buf)
+        np.exp(buf, out=buf)
+        return np.log(np.add.reduceat(buf, starts)) + shift
+
+
+_EXP_ZERO_EDGE = -745.1332191019412
+
+
+def _segment_cases():
+    rng = np.random.default_rng(12)
+    edge = _EXP_ZERO_EDGE + np.linspace(-0.5, 0.5, 4097)
+    subnormal = np.linspace(-745.2, -708.0, 5000)
+    specials = np.array([-746.0, np.nextafter(-746.0, 0.0),
+                         np.nextafter(-746.0, -np.inf), -np.inf, -np.inf,
+                         -1e308, -750.0, -745.0, -700.0])
+    one = np.array([0.0])
+    yield "edge", np.concatenate((one, edge)), [0]
+    yield "edge-shifted", np.concatenate((one, edge)) + 300.0, [0]
+    yield "subnormal", np.concatenate((one, subnormal)), [0]
+    yield "specials", np.concatenate((one, specials, edge)), [0]
+    yield "nan", np.concatenate((one, edge, [np.nan], edge)), [0]
+    yield "pos-inf", np.concatenate((one, edge, [np.inf], subnormal)), [0]
+    yield "all-dead", np.full(3000, -np.inf), [0]
+    yield "one-term", np.array([-3.0, -800.0, -np.inf, np.nan, 7.0]), \
+        [0, 1, 2, 3, 4]
+    multi = np.concatenate((one, edge, [-np.inf] * 50, one, subnormal,
+                            [np.nan], one, specials, [-2.0], edge - 400.0))
+    yield "multi", multi, [0, 1, 4098, 4148, 4149, 9149, 9150, 9161, 9162]
+    wide = rng.uniform(-2000.0, 0.0, 1 << 19)
+    wide[rng.integers(0, wide.size, 64)] = -np.inf
+    yield "wide", wide, [0]
+    yield "wide-multi", wide, np.unique(np.concatenate(
+        ([0], rng.integers(1, wide.size, 300))))
+
+
+@pytest.mark.parametrize("name,lt,starts", list(_segment_cases()),
+                         ids=[case[0] for case in _segment_cases()])
+def test_segment_log_sums_matches_one_thread_kernel(name, lt, starts):
+    starts = np.asarray(starts, dtype=np.int64)
+    want = _one_thread_segment_log_sums(lt.copy(), starts)
+    got = criteria._segment_log_sums(lt.copy(), starts)
+    assert got.tobytes() == want.tobytes(), name
+
+
+def test_moment_helper_is_quiet_on_a_finite_support_weight(workers):
+    """Past n = 1000 every term is log 0; the helper thread must not warn
+    where the caller would not, and the sums must match an fsum."""
+    support = 1000
+    finite = custom_weight(
+        "finite", lambda k: -0.5 * math.log(k) if k <= support else -math.inf,
+        log_eval_array=lambda n: np.where(
+            n <= support, -0.5 * np.log(np.maximum(n, 1).astype(float)),
+            -np.inf))
+    betas = [float(b) for b in range(1, 21)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for horizon in (2 ** 19 + 5, 2 ** 20 + 5):
+            got = criteria._moment_log_sums(finite, betas, horizon)
+            for beta, g in zip(betas, got):
+                want = math.log(math.fsum(
+                    k ** (beta - 1.0) / math.sqrt(k)
+                    for k in range(1, support + 1)))
+                assert g == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+def test_stream_helper_keeps_the_caller_error_state(monkeypatch):
+    """numpy's error state is per thread: rows on the helper obey the
+    caller's, so a silenced invalid operation stays silent there too."""
+    monkeypatch.setattr(criteria, "_worker_count", lambda rows: 2)
+    threads = set()
+
+    def row_terms(r, ns, buf):
+        threads.add(threading.current_thread())
+        time.sleep(0.02)  # lets the other thread take a row
+        np.subtract(np.full_like(buf, np.inf), np.inf, out=buf)
+
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("error")
+        _stream(row_terms)
+    assert len(threads) == 2
+
+
+def test_exp_is_zero_below_the_dead_bound():
+    """The kernel writes 0.0 for shifted terms below _EXP_DEAD instead of
+    calling exp; exp agrees there, and is still positive just above."""
+    dead = np.linspace(-3000.0, criteria._EXP_DEAD, 100001)
+    assert not np.exp(dead).any()
+    assert np.exp(np.array([-745.13, -740.0])).all()
+
+
+def _stream(row_terms, rows=6):
+    return criteria._stream_suffix_sums(
+        lambda ns: ns.astype(float), row_terms, rows, 64,
+        np.array([1], dtype=np.int64))
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_stream_errors_reraise_after_the_helper_joins(monkeypatch, failing):
+    monkeypatch.setattr(criteria, "_worker_count", lambda rows: 2)
+    before = threading.active_count()
+
+    def row_terms(r, ns, buf):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (failing == "caller"):
+            raise ValueError(f"row {r} failed on the {failing}")
+        time.sleep(0.02)  # lets the other thread take a row
+        buf[:] = -ns
+
+    with pytest.raises(ValueError, match=failing):
+        _stream(row_terms)
+    assert threading.active_count() == before
+
+
+def test_stream_rows_each_taken_once_under_thread_churn(monkeypatch):
+    """More workers than cores and a tiny switch interval: every row is
+    reduced exactly once and the sums match the one-worker run."""
+    rows = 300
+
+    def row_terms(r, ns, buf):
+        taken.append(r)
+        np.multiply(np.log(ns), -0.5 - r / rows, out=buf)
+
+    monkeypatch.setattr(criteria, "_worker_count", lambda rows: 1)
+    taken = []
+    want = _stream(row_terms, rows)
+    monkeypatch.setattr(criteria, "_worker_count", lambda rows: 4)
+    taken = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _stream(row_terms, rows)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(taken) == list(range(rows))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_stream_helper_calls_no_public_function(monkeypatch, poly2):
+    """perfbench's tracer keeps one span stack for the wrapped public
+    functions and WeightSpec methods, so only the caller may call them."""
+    monkeypatch.setattr(criteria, "_worker_count", lambda rows: 2)
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and "cesaro" in frame.f_code.co_filename:
+            seen.append(frame.f_code.co_qualname)
+
+    threading.setprofile(profile)
+    try:
+        criteria._moment_log_sums(poly2, [float(b) for b in range(1, 21)],
+                                  2 ** 19 + 5)
+    finally:
+        threading.setprofile(None)
+    assert seen, "the helper thread took no row"
+    public = {name for name in seen if not name.startswith("_")}
+    assert public == set()
+
+
+def test_point_spectrum_allocation_peak():
+    """Each worker's scratch row is allocated after log w and log n, so the
+    traced allocation peak of a 20-row pass stays at or below the 20.0 MiB
+    of the one-thread kernel with its repeat buffer."""
+    w = parse_weight("poly:alpha=1.9")
+    tracemalloc.start()
+    try:
+        point_spectrum(w, horizon=10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20.0 * 2 ** 20

@@ -1,6 +1,9 @@
 """Every exported name resolves, so star imports work for each module."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -24,3 +27,17 @@ def test_module_exports_resolve(name):
     namespace: dict = {}
     exec(f"from cesaro.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_cli_import_leaves_thread_pools_out():
+    """The helper thread of the suffix kernel is a plain threading.Thread;
+    importing the CLI must not pull in concurrent.futures."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cesaro.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, cesaro.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -40,6 +40,7 @@ from .criteria import (
     rw_membership,
     rw_memberships,
     s1_estimate,
+    scan_reports,
     sw1_membership,
     t0_estimate,
     uw_quantity,
@@ -100,8 +101,8 @@ __all__ = [
     "Bracket", "CriterionReport", "Verdict", "Witness",
     "compactness_criterion", "continuity_and_compactness",
     "continuity_criterion", "ratio_limsup_test", "rw_membership",
-    "rw_memberships", "s1_estimate", "sw1_membership", "t0_estimate",
-    "uw_quantity",
+    "rw_memberships", "s1_estimate", "scan_reports", "sw1_membership",
+    "t0_estimate", "uw_quantity",
     # sections
     "FiniteSection", "SectionError", "apply_power", "cesaro_section",
     "distance_to_limit_set", "dual_apply", "dual_eigenvector", "eigenvector",

@@ -25,11 +25,10 @@ import numpy as np
 from .weights import WeightError, catalog_families, parse_weight
 from .criteria import (
     DEFAULT_HORIZON,
-    continuity_and_compactness,
     ratio_limsup_test,
     s1_estimate,
+    scan_reports,
     t0_estimate,
-    uw_quantity,
 )
 from . import spectral
 from . import ergodic
@@ -159,12 +158,11 @@ def cmd_analyze(config: RunConfig) -> int:
     """All criterion verdicts for one weight, with cross-consistency checks."""
     w = parse_weight(config.weight)
     horizon = config.horizon
-    cont, comp = continuity_and_compactness(w, horizon=horizon)
+    cont, comp, uw, memberships = scan_reports(
+        w, horizon, [float(m - 1) for m in range(1, config.m_max + 1)])
     ratio = ratio_limsup_test(w, horizon=horizon)
-    uw = uw_quantity(w, horizon=horizon)
     t0 = t0_estimate(w)
     s1 = s1_estimate(w)
-    points = spectral.point_spectrum(w, m_max=config.m_max, horizon=horizon)
     checks = []
     if t0.kind == "bracket" and s1.kind == "bracket":
         ok = t0.lo <= s1.hi + 1e-9
@@ -202,8 +200,8 @@ def cmd_analyze(config: RunConfig) -> int:
             "t0": t0.to_json_dict(),
             "s1": s1.to_json_dict(),
             "point_spectrum": [
-                {"lambda": lam, "verdict": v.to_json_dict()}
-                for lam, v in points
+                {"lambda": 1.0 / m, "verdict": v.to_json_dict()}
+                for m, v in enumerate(memberships, start=1)
             ],
         },
         "consistency": checks,

@@ -29,14 +29,19 @@ Compactness is not a separate test: it is the vanishing question on the
 continuity quantity, the same engine asked whether the quantity tends to
 zero rather than whether it stays bounded.
 
-Every suffix sum comes from one streamed kernel, ``_stream_suffix_sums``:
-chunks of indices run down from the horizon, the caller evaluates the
-weight once per chunk, and each row (one term sequence, such as one moment
-exponent) is summed in the log domain.  Rows are independent, order-fixed
-sums, so a chunk's rows are shared between the caller and at most one
-helper thread, and every result is bit-identical whatever the number of
-cores.  Shifted terms that ``exp`` would round to exactly 0.0 (below
-``_EXP_DEAD``) are written as 0.0 without calling it.
+Every suffix sum is a power row, sum over n >= m of w(n) n^(beta-1): the
+continuity quantity (beta = 0), the tail mass of uw (beta = 1), the
+moments behind the eigenvalues 1/m, the resolvent quantity and
+``suffix_log_sums``.  One streamed kernel, ``_stream_suffix_sums``, sums
+any set of rows of one weight: chunks of indices run down from the
+horizon, the caller evaluates log w and log n once per chunk, and each row
+is summed in the log domain at its own targets.  ``scan_reports`` streams
+the continuity, uw and moment rows of ``analyze`` in that one pass.  Rows
+are independent, order-fixed sums, so a chunk's rows are shared between
+the caller and at most one helper thread, and every result is
+bit-identical whatever the number of cores.  Shifted terms that ``exp``
+would round to exactly 0.0 (below ``_EXP_DEAD``) are written as 0.0
+without calling it.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ __all__ = [
     "uw_quantity",
     "rw_membership",
     "rw_memberships",
+    "scan_reports",
     "t0_estimate",
     "sw1_membership",
     "s1_estimate",
@@ -86,6 +92,8 @@ DENSE_SCAN_LIMIT = 10**4
 GEOMETRIC_STEP = 1.05
 #: chunk length for streaming suffix sums
 _CHUNK = 1 << 19
+#: terms per block when several segments are shifted by their maxima
+_SHIFT_BLOCK = 1 << 15
 #: exp(x) is exactly 0.0 for every x below -745.1332...; below this bound the
 #: suffix kernel writes the 0.0 itself
 _EXP_DEAD = -746.0
@@ -280,12 +288,9 @@ def scan_indices(horizon: int) -> np.ndarray:
     while n < horizon:
         n = min(max(n + 1, int(n * GEOMETRIC_STEP)), horizon)
         idx.add(n)
-    i = 1
-    while (1 << i) - 1 <= horizon:
-        for edge in ((1 << i) - 1, (1 << i), (1 << i) + 1):
-            if 1 <= edge <= horizon:
-                idx.add(edge)
-        i += 1
+    for i in range(1, (horizon + 1).bit_length()):
+        idx.update(edge for edge in ((1 << i) - 1, 1 << i, (1 << i) + 1)
+                   if edge <= horizon)
     return np.array(sorted(idx), dtype=np.int64)
 
 
@@ -296,8 +301,9 @@ def _segment_log_sums(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
     dynamic range can overflow or underflow it.  The work happens in ``buf``
     itself, which is left holding scratch values.  A single segment is
     shifted by a scalar; several are shifted by a repeated copy of their
-    maxima, the same elementwise subtraction either way.  Shifted terms below
-    ``_EXP_DEAD`` are set to 0.0 without calling ``exp``, which returns
+    maxima, built one block of ``_SHIFT_BLOCK`` terms at a time so that it
+    stays small, the same elementwise subtraction either way.  Shifted terms
+    below ``_EXP_DEAD`` are set to 0.0 without calling ``exp``, which returns
     exactly 0.0 there; NaN fails the comparison and still goes through
     ``exp``.  The array keeps its length, so the pairwise summation tree of
     every segment, and with it every bit of the result, is unchanged.
@@ -310,7 +316,12 @@ def _segment_log_sums(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
         if starts.size == 1:
             buf -= shift[0]
         else:
-            buf -= np.repeat(shift, np.diff(starts, append=buf.size))
+            for a in range(0, buf.size, _SHIFT_BLOCK):
+                b = min(a + _SHIFT_BLOCK, buf.size)
+                i0 = np.searchsorted(starts, a, side="right") - 1
+                edges = np.clip(starts[i0:np.searchsorted(starts, b)], a, b)
+                buf[a:b] -= np.repeat(shift[i0:i0 + edges.size],
+                                      np.diff(edges, append=b))
         dead = buf < _EXP_DEAD
         if dead.any():  # a masked exp costs more when nothing is dead
             np.exp(buf, out=buf, where=~dead)
@@ -330,139 +341,134 @@ def _worker_count(rows: int) -> int:
     return max(1, min(2, rows, cpus))
 
 
-def _stream_suffix_sums(evaluate, row_terms, rows: int, horizon: int,
-                        targets: np.ndarray) -> np.ndarray:
-    """Suffix log-sums at ascending targets for ``rows`` term sequences.
+def _stream_suffix_sums(evaluate, row_terms, horizon: int,
+                        targets: list) -> list:
+    """Suffix log-sums of several term sequences (rows), each at its own
+    ascending targets ``targets[r]``.
 
-    Chunks of indices stream down from the horizon.  For each chunk the
-    caller runs ``evaluate(ns)`` once; then ``row_terms(r, shared, buf)``
-    writes the log-terms of row r into a chunk-sized scratch ``buf``, and
-    the segments between consecutive targets are reduced in place.  A short
-    log-domain suffix over the segment sums, plus the carry from the chunks
-    above, gives each target.  Returns an array (rows, targets).
+    Chunks of indices stream down from the horizon to the smallest target
+    of any row.  For each chunk the caller runs ``evaluate(ns)`` once; then
+    ``row_terms(r, shared, buf)`` writes the log-terms of row r into a
+    chunk-sized scratch ``buf``, and the segments between the row's
+    consecutive targets are reduced in place.  A short log-domain suffix
+    over the segment sums, plus the carry from the chunks above, gives each
+    target.  A row sits out the chunks below its smallest target; in the
+    chunk that holds it, the indices below it form one extra segment that
+    no target reads.  Returns one array per row.
 
     Rows are independent, order-fixed sums, so they are shared between the
-    caller and one helper thread (``_worker_count``), each writing into its
-    own scratch; carries are combined in row order on the caller, and the
-    result does not depend on how many cores ran it.  ``row_terms`` runs on
-    either thread, so it may use numpy only: public functions and
-    ``WeightSpec`` methods belong in ``evaluate``, which stays on the caller.
+    caller and one helper thread (``_worker_count``); carries are combined
+    in row order on the caller, so the result does not depend on how many
+    cores ran it.  ``row_terms`` runs on either thread, so it may use numpy
+    only: public functions and ``WeightSpec`` methods belong in
+    ``evaluate``, which stays on the caller.
     """
-    out = np.full((rows, targets.size), NEG_INF, dtype=float)
-    if horizon < 1 or targets.size == 0:
+    out = [np.full(t.size, NEG_INF, dtype=float) for t in targets]
+    firsts = [max(1, int(t[0])) for t in targets if t.size]
+    if horizon < 1 or not firsts:
         return out
-    carry = np.full(rows, NEG_INF, dtype=float)
-    workers = _worker_count(rows)
-    tmin = max(1, int(targets[0]))
+    carry = np.full(len(targets), NEG_INF, dtype=float)
+    tmin = min(firsts)
     hi = horizon
     while hi >= tmin:
         lo = max(tmin, hi - _CHUNK + 1)
-        i0, i1 = np.searchsorted(targets, (lo, hi + 1))
         # segments start at the chunk's first index and at each distinct
         # target; pos maps every target to its segment
-        rel = targets[i0:i1] - lo
-        fresh = np.diff(rel, prepend=0) != 0
-        starts = np.concatenate(([0], rel[fresh]))
-        pos = np.cumsum(fresh)
+        jobs = []
+        for r, t in enumerate(targets):
+            i0, i1 = np.searchsorted(t, (lo, hi + 1))
+            if i1 == 0:  # every target of the row lies above this chunk
+                continue
+            rel = t[i0:i1] - lo
+            fresh = np.diff(rel, prepend=0) != 0
+            jobs.append((r, np.concatenate(([0], rel[fresh])), i0, i1,
+                         np.cumsum(fresh)))
         shared = evaluate(np.arange(lo, hi + 1, dtype=np.int64))
         # scratch is allocated after evaluation and dropped with it before
         # the next chunk, so evaluation temporaries and scratch never coexist
-        scratch = [np.empty(hi - lo + 1) for _ in range(workers)]
-        segs = _run_rows(row_terms, rows, shared, starts, scratch)
+        scratch = [np.empty(hi - lo + 1)
+                   for _ in range(_worker_count(len(jobs)))]
+        segs = _run_rows(row_terms, jobs, shared, scratch)
         del shared, scratch
-        for r, seg in enumerate(segs):
-            out[r, i0:i1] = np.logaddexp(seg[pos], carry[r])
+        for (r, _, i0, i1, pos), seg in zip(jobs, segs):
+            out[r][i0:i1] = np.logaddexp(seg[pos], carry[r])
             carry[r] = np.logaddexp(seg[0], carry[r])
         hi = lo - 1
     return out
 
 
-def _run_rows(row_terms, rows: int, shared, starts: np.ndarray,
-              scratch: list) -> list:
-    """Reversed log-domain suffix of every row's segment sums.  Rows are
-    handed out one at a time to the caller and, given a second scratch
-    buffer, to one helper thread that runs under the caller's numpy error
-    state, is joined before this returns, and re-raises its error here."""
-    segs = [None] * rows
+def _run_rows(row_terms, jobs: list, shared, scratch: list) -> list:
+    """Reversed log-domain suffix of the segment sums of every job (a row
+    and its segment starts first).  Jobs are handed out one at a time to
+    the caller and, given a second scratch buffer, to one helper thread
+    that runs under the caller's numpy error state; the helper is joined
+    before this returns, and the first error of either is re-raised here."""
+    segs = [None] * len(jobs)
     errors = []
-    next_row = iter(range(rows))
+    pending = iter(enumerate(jobs))
     lock = threading.Lock()
     errstate = np.geterr()
 
     def work(buf):
-        with np.errstate(**errstate):
-            while True:
-                with lock:
-                    r = next(next_row, None)
-                if r is None:
-                    return
-                row_terms(r, shared, buf)
-                seg = _segment_log_sums(buf, starts)
-                segs[r] = np.logaddexp.accumulate(seg[::-1])[::-1]
-
-    def helper(buf):
         try:
-            work(buf)
-        except BaseException as exc:  # re-raised on the caller
+            with np.errstate(**errstate):
+                while True:
+                    with lock:
+                        job = next(pending, None)
+                    if job is None:
+                        return
+                    j, (r, starts, *_) = job
+                    row_terms(r, shared, buf)
+                    seg = _segment_log_sums(buf, starts)
+                    segs[j] = np.logaddexp.accumulate(seg[::-1])[::-1]
+        except BaseException as exc:  # re-raised after the join
             errors.append(exc)
 
-    threads = [threading.Thread(target=helper, args=(buf,), daemon=True)
+    threads = [threading.Thread(target=work, args=(buf,), daemon=True)
                for buf in scratch[1:]]
     for t in threads:
         t.start()
-    try:
-        work(scratch[0])
-    finally:
-        for t in threads:
-            t.join()
+    work(scratch[0])
+    for t in threads:
+        t.join()
     if errors:
         raise errors[0]
     return segs
 
 
-def suffix_log_sums(log_term: Callable[[np.ndarray], np.ndarray], horizon: int,
-                    targets: np.ndarray) -> np.ndarray:
-    """log of sum_{n=m}^{horizon} exp(log_term(n)) for each target m.
+def _power_log_sums(w: WeightSpec, rows, horizon: int) -> list:
+    """log of sum_{n=m}^{horizon} n^(beta-1) w(n) for every (beta, targets)
+    row in ``rows`` and every target m of it (ascending), in one pass.
 
-    Targets are positive integers; targets beyond the horizon get -inf
-    (empty suffix).  The sums stay in the log domain with a max shift per
-    segment between targets, so dynamic ranges far beyond float64 cannot
-    corrupt the result, and rounding does not build up index by index.
+    log w(n) and log n are evaluated once per chunk on the caller and
+    shared by every row; each row's terms are ``ln*(beta-1) + lw``, and
+    ``ln`` is the scalar 0.0 when every beta is 1 (ln(n)*0 is +0.0 too).
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    order = np.argsort(targets, kind="stable")
-
-    def evaluate(ns):
-        return np.asarray(log_term(ns), dtype=float)
-
-    def row_terms(r, lt, buf):
-        buf[:] = lt
-
-    out = np.empty(targets.shape, dtype=float)
-    out[order] = _stream_suffix_sums(evaluate, row_terms, 1, horizon,
-                                     targets[order])[0]
-    return out
-
-
-def _moment_log_sums(w: WeightSpec, betas, horizon: int) -> np.ndarray:
-    """log of sum_{n<=horizon} n^(beta-1) w(n) for every beta at once.
-
-    One streamed pass: log w(n) and log n are evaluated once per chunk on
-    the caller and shared by all exponents, one row per exponent.
-    """
-    betas = np.asarray(betas, dtype=float)
+    betas = [float(beta) for beta, _ in rows]
 
     def evaluate(ns):
         return (np.asarray(w.log_eval(ns), dtype=float),
-                np.log(ns.astype(float)))
+                np.log(ns.astype(float)) if set(betas) - {1.0} else 0.0)
 
     def row_terms(r, lw_ln, buf):
         lw, ln = lw_ln
         np.multiply(ln, betas[r] - 1.0, out=buf)
         buf += lw
 
-    return _stream_suffix_sums(evaluate, row_terms, betas.size, horizon,
-                               np.array([1], dtype=np.int64))[:, 0]
+    return _stream_suffix_sums(evaluate, row_terms, horizon, [
+        np.asarray(targets, dtype=np.int64) for _, targets in rows])
+
+
+def suffix_log_sums(w: WeightSpec, beta: float, horizon: int,
+                    targets: np.ndarray) -> np.ndarray:
+    """log of sum_{n=m}^{horizon} n^(beta-1) w(n) for each target m.
+
+    Targets are positive integers in any order; targets beyond the horizon
+    get -inf (empty suffix).  One power row of ``_power_log_sums``.
+    """
+    ordered, where = np.unique(np.asarray(targets, dtype=np.int64),
+                               return_inverse=True)
+    return _power_log_sums(w, [(beta, ordered)], horizon)[0][where]
 
 
 # ---------------------------------------------------------------------------
@@ -500,18 +506,6 @@ class _ScanData:
     bridge_suffix_log: np.ndarray
 
 
-def _inner_log_term(inner: WeightSpec, beta: float):
-    if beta == 1.0:
-        def log_term(ns):
-            return np.asarray(inner.log_eval(ns), dtype=float)
-    else:
-        def log_term(ns):
-            ns = np.asarray(ns)
-            return (np.asarray(inner.log_eval(ns), dtype=float)
-                    + (beta - 1.0) * np.log(ns.astype(float)))
-    return log_term
-
-
 def _bridge_indices(profile: SupProfile, horizon: int) -> np.ndarray:
     """Indices below the envelope start that are certified one by one; none
     when the envelope cannot be used at this horizon."""
@@ -522,27 +516,33 @@ def _bridge_indices(profile: SupProfile, horizon: int) -> np.ndarray:
     return np.arange(1, env.valid_from, dtype=np.int64)
 
 
-def _scan_sup_quantity(profile: SupProfile, horizon: int) -> _ScanData:
-    scan = scan_indices(horizon)
-    starts = scan + profile.start_offset
-    log_term = _inner_log_term(profile.inner, profile.beta)
-    bridge_starts = _bridge_indices(profile, horizon) + profile.start_offset
-    targets = np.union1d(starts, bridge_starts)
-    joint = suffix_log_sums(log_term, horizon, targets)
-    suffix_log = joint[np.searchsorted(targets, starts)]
-    bridge_suffix_log = joint[np.searchsorted(targets, bridge_starts)]
-    den_log = np.asarray(profile.log_denominator(scan), dtype=float)
-    partial_log = suffix_log - den_log
-    partial_log = np.where(np.isnan(partial_log), NEG_INF, partial_log)
-    tail_log = profile.inner.log_tail(horizon + 1, profile.beta)
-    if tail_log is not None and tail_log < float("inf"):
-        closed_log = np.logaddexp(suffix_log, tail_log) - den_log
-        closed_log = np.where(np.isnan(closed_log), NEG_INF, closed_log)
-    else:
-        closed_log = None
-        tail_log = None
-    return _ScanData(scan, partial_log, closed_log, tail_log,
-                     bridge_suffix_log)
+def _scan_sup_quantities(w: WeightSpec, profiles, betas,
+                         horizon: int) -> tuple[list, list]:
+    """One pass over ``w`` for every profile (a power row at its scan and
+    bridge starts) and every moment log sum_{n<=horizon} n^(beta-1) w(n)
+    (a row at target 1).  Returns (one _ScanData per profile, the moment
+    log-sums)."""
+    scan = scan_indices(horizon) if profiles else None
+    bridges = [_bridge_indices(p, horizon) for p in profiles]
+    rows = [(p.beta, np.union1d(scan, bridge) + p.start_offset)
+            for p, bridge in zip(profiles, bridges)]
+    sums = _power_log_sums(w, rows + [(beta, [1]) for beta in betas], horizon)
+    data = []
+    for p, bridge, (_, targets), joint in zip(profiles, bridges, rows, sums):
+        suffix_log = joint[np.searchsorted(targets, scan + p.start_offset)]
+        den_log = np.asarray(p.log_denominator(scan), dtype=float)
+        partial_log = suffix_log - den_log
+        partial_log = np.where(np.isnan(partial_log), NEG_INF, partial_log)
+        tail_log = p.inner.log_tail(horizon + 1, p.beta)
+        if tail_log is not None and tail_log < float("inf"):
+            closed_log = np.logaddexp(suffix_log, tail_log) - den_log
+            closed_log = np.where(np.isnan(closed_log), NEG_INF, closed_log)
+        else:
+            closed_log = None
+            tail_log = None
+        data.append(_ScanData(scan, partial_log, closed_log, tail_log, joint[
+            np.searchsorted(targets, bridge + p.start_offset)]))
+    return data, [float(total[0]) for total in sums[len(profiles):]]
 
 
 def _witness_from_lower(lower: LowerEnvelope, kind: str) -> Witness:
@@ -572,23 +572,15 @@ def _witness_from_lower(lower: LowerEnvelope, kind: str) -> Witness:
             if lg >= target or level > 10**45 or iters >= 160:
                 break
             level *= 2
-        idx = lower.index_at(best_level)
-        lg = lower.log_value_at(best_level)
-        detail = lower.note
-        if detail:
-            detail += "; "
-        detail += "certified lower bound grows without bound along this subsequence"
-        return Witness(int(idx), _exp_clamped_scalar(lg), kind, detail)
-    level = 100
-    if lower.max_index is not None:
-        level = min(level, lower.max_index)
+        level, claim = best_level, ("certified lower bound grows without "
+                                    "bound along this subsequence")
+    else:
+        level = 100 if lower.max_index is None else min(100, lower.max_index)
+        claim = "subsequence stays above a positive certified constant"
     idx = lower.index_at(level)
-    lg = lower.log_value_at(level)
-    detail = lower.note
-    if detail:
-        detail += "; "
-    detail += "subsequence stays above a positive certified constant"
-    return Witness(int(idx), _exp_clamped_scalar(lg), kind, detail)
+    detail = "; ".join(filter(None, (lower.note, claim)))
+    return Witness(int(idx), _exp_clamped_scalar(lower.log_value_at(level)),
+                   kind, detail)
 
 
 def _diverging_series_witness(profile: SupProfile, data: _ScanData) -> Witness:
@@ -713,10 +705,28 @@ def _thin_samples(scan: np.ndarray, log_vals: np.ndarray, cap: int = 400):
 def evaluate_sup_profile(profile: SupProfile, horizon: int,
                          params: Optional[dict] = None) -> CriterionReport:
     """Scan, certify, and package one sup-type criterion."""
+    return _reports(profile.inner, horizon,
+                    [(profile, params, (profile.name,))])[0][0]
+
+
+def _reports(w: WeightSpec, horizon: int, jobs, ts=()) -> tuple[list, list]:
+    """Sup reports and rw memberships of weight ``w`` from one pass.
+
+    Each job is (profile, params, report names); a report named
+    ``compactness`` asks whether the quantity vanishes.  Returns (the
+    reports in job and name order, one membership verdict per t in ts).
+    """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    return _sup_report(profile, _scan_sup_quantity(profile, horizon), horizon,
-                       params)
+    ts = [float(t) for t in ts]
+    data, totals = _scan_sup_quantities(w, [job[0] for job in jobs],
+                                        [t + 1.0 for t in ts], horizon)
+    return ([_sup_report(profile, d, horizon, params, name,
+                         name == "compactness")
+             for (profile, params, names), d in zip(jobs, data)
+             for name in names],
+            [_rw_verdict(w, t, horizon, total)
+             for t, total in zip(ts, totals)])
 
 
 def _sup_report(profile: SupProfile, data: _ScanData, horizon: int,
@@ -754,18 +764,37 @@ def _continuity_profile(v: WeightSpec, w: WeightSpec) -> SupProfile:
     )
 
 
+def _uw_profile(w: WeightSpec) -> SupProfile:
+    def den(ms: np.ndarray) -> np.ndarray:
+        return (np.log(ms.astype(float))
+                + np.asarray(w.log_eval(ms + 1), dtype=float))
+
+    return SupProfile(
+        name="tail_mass_ratio",
+        inner=w,
+        beta=1.0,
+        start_offset=1,
+        log_denominator=den,
+        envelope=w.uw_env(1),
+        lower=w.uw_lower,
+        diverges=w.diverges_beta(1.0),
+        diverges_note="the weight itself is not summable",
+    )
+
+
+def _continuity_job(v: WeightSpec, w: WeightSpec, horizon: int,
+                    names) -> tuple:
+    """The ``continuity`` and ``compactness`` reports of (v, w) named in
+    ``names`` read one quantity: continuity asks for its supremum,
+    compactness whether it vanishes."""
+    return (_continuity_profile(v, w),
+            {"v": v.id, "w": w.id, "horizon": int(horizon)}, names)
+
+
 def _continuity_quantity_reports(v: WeightSpec, w: Optional[WeightSpec],
                                  horizon: int, names) -> list:
-    """The ``continuity`` and ``compactness`` reports of (v, w) named in
-    ``names``, from one scan of the quantity they share: continuity asks
-    for its supremum, compactness whether it vanishes."""
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
-    profile = _continuity_profile(v, v if w is None else w)
-    data = _scan_sup_quantity(profile, horizon)
-    params = {"v": v.id, "w": profile.inner.id, "horizon": int(horizon)}
-    return [_sup_report(profile, data, horizon, params, name,
-                        name == "compactness") for name in names]
+    w = v if w is None else w
+    return _reports(w, horizon, [_continuity_job(v, w, horizon, names)])[0]
 
 
 def continuity_criterion(v: WeightSpec, w: Optional[WeightSpec] = None,
@@ -821,30 +850,20 @@ def ratio_limsup_test(w: WeightSpec,
     log_ratio = (np.asarray(w.log_eval(scan + 1), dtype=float)
                  - np.asarray(w.log_eval(scan), dtype=float))
     params = {"w": w.id, "horizon": int(horizon)}
-    notes: list = []
-    if w.ratio_bound is not None:
-        nfrom, r = w.ratio_bound
-        if 0.0 < r < 1.0 and nfrom < horizon:
-            window_lo = max(nfrom, horizon // 2)
-            win = scan >= window_lo
-            if not np.any(win):
-                win = scan >= nfrom
-            emp = float(np.max(np.exp(log_ratio[win])))
-            notes.append(f"certified: w(n+1)/w(n) <= {r} for all n >= {nfrom}")
-            notes.append("empirical limsup estimate taken over the top of "
-                         "the scan window")
-            verdict = _certify(r, emp, horizon, notes, "ratio bound")
-        else:
-            emp = float(np.max(np.exp(log_ratio[scan >= horizon // 2])))
-            notes.append("declared ratio bound unusable at this horizon")
-            verdict = Verdict.inconclusive(emp, horizon, notes)
+    # the scan ends at horizon - 1, so every window below is nonempty
+    nfrom, r = w.ratio_bound or (horizon, 0.0)
+    if 0.0 < r < 1.0 and nfrom < horizon:
+        win = scan >= max(nfrom, horizon // 2)
+        verdict = _certify(r, float(np.max(np.exp(log_ratio[win]))), horizon, [
+            f"certified: w(n+1)/w(n) <= {r} for all n >= {nfrom}",
+            "empirical limsup estimate taken over the top of the scan window"],
+            "ratio bound")
     else:
-        win = scan >= horizon // 2
-        emp = float(np.max(np.exp(log_ratio[win]))) if np.any(win) else float(
-            np.max(np.exp(log_ratio)))
-        notes.append("no certified ratio bound; the test is only sufficient, "
-                     "so no Fails verdict is possible")
-        verdict = Verdict.inconclusive(emp, horizon, notes)
+        emp = float(np.max(np.exp(log_ratio[scan >= horizon // 2])))
+        verdict = Verdict.inconclusive(emp, horizon, [
+            "declared ratio bound unusable at this horizon" if w.ratio_bound
+            else "no certified ratio bound; the test is only sufficient, so "
+            "no Fails verdict is possible"])
     samples = _thin_samples(scan, log_ratio)
     return CriterionReport("ratio_limsup", params, verdict, samples,
                            int(horizon))
@@ -861,26 +880,20 @@ def uw_quantity(w: WeightSpec,
     A finite certified value bounds the normalized tail mass of the weight
     and feeds the averaging/ergodic layer.
     """
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
-
-    def den(ms: np.ndarray) -> np.ndarray:
-        return (np.log(ms.astype(float))
-                + np.asarray(w.log_eval(ms + 1), dtype=float))
-
-    profile = SupProfile(
-        name="tail_mass_ratio",
-        inner=w,
-        beta=1.0,
-        start_offset=1,
-        log_denominator=den,
-        envelope=w.uw_env(1),
-        lower=w.uw_lower,
-        diverges=w.diverges_beta(1.0),
-        diverges_note="the weight itself is not summable",
-    )
-    return evaluate_sup_profile(profile, horizon,
+    return evaluate_sup_profile(_uw_profile(w), horizon,
                                 {"w": w.id, "horizon": int(horizon)})
+
+
+def scan_reports(w: WeightSpec, horizon: int, ts) -> tuple:
+    """(continuity, compactness, uw, memberships) of one weight from one
+    streamed pass: ``continuity_and_compactness(w)``, ``uw_quantity(w)``
+    and ``rw_memberships(w, ts)`` read suffix sums of the same power row
+    w(n) n^(beta-1), so their rows share log w and the chunks."""
+    reports, memberships = _reports(w, horizon, [
+        _continuity_job(w, w, horizon, ("continuity", "compactness")),
+        (_uw_profile(w), {"w": w.id, "horizon": int(horizon)},
+         ("tail_mass_ratio",))], ts)
+    return (*reports, memberships)
 
 
 # ---------------------------------------------------------------------------
@@ -903,12 +916,7 @@ def rw_memberships(w: WeightSpec, ts,
                    horizon: int = DEFAULT_HORIZON) -> list:
     """``rw_membership`` for every exponent in ``ts``, from one streamed
     pass over the weight."""
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
-    ts = [float(t) for t in ts]
-    totals = _moment_log_sums(w, [t + 1.0 for t in ts], horizon)
-    return [_rw_verdict(w, t, horizon, float(total))
-            for t, total in zip(ts, totals)]
+    return _reports(w, horizon, [], ts)[1]
 
 
 def _rw_verdict(w: WeightSpec, t: float, horizon: int,
@@ -1044,17 +1052,10 @@ def _bisect_boundary(member: Callable[[float], Verdict], ladder, member_side,
                 notes.append("membership undecided inside the bracket; "
                              "stopped tightening early")
                 break
-        member_at_mid = v.is_holds
-        if member_side == "lo":
-            if member_at_mid:
-                lo = mid
-            else:
-                hi = mid
+        if v.is_holds == (member_side == "lo"):
+            lo = mid
         else:
-            if member_at_mid:
-                hi = mid
-            else:
-                lo = mid
+            hi = mid
     inside, outside = ((lo, hi) if member_side == "lo" else (hi, lo))
     return inside, outside, cache, notes
 
@@ -1114,15 +1115,11 @@ def s1_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
         return sw1_membership(w, s, horizon=horizon)
 
     if w.rapidly_decreasing:
-        v = member(ceiling)
-        if v.is_fails:
-            return Bracket("empty", notes=(
-                "certified rapid decay: no polynomial minorant exists, the "
-                "set is empty",))
-        return Bracket("empty", notes=(
-            "certified rapid decay: no polynomial minorant exists, the set "
-            "is empty",
-            "probe at the ceiling did not contradict the metadata",))
+        notes = ("certified rapid decay: no polynomial minorant exists, the "
+                 "set is empty",)
+        if not member(ceiling).is_fails:
+            notes += ("probe at the ceiling did not contradict the metadata",)
+        return Bracket("empty", notes=notes)
     ladder = tuple(x for x in _S_LADDER if x <= ceiling)
     inside, outside, cache, notes = _bisect_boundary(member, ladder, "hi", tol)
     if inside is None:

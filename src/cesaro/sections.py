@@ -428,12 +428,7 @@ def operator_norm_l1w(section: FiniteSection, w: WeightSpec,
             raise SectionError("matrix-free norms exist only for the "
                                "averaging tag")
         targets = np.arange(1, N + 1, dtype=np.int64)
-
-        def log_term(ns: np.ndarray) -> np.ndarray:
-            return (np.asarray(w.log_eval(ns), dtype=float)
-                    - np.log(ns.astype(float)))
-
-        suffix = suffix_log_sums(log_term, N, targets)
+        suffix = suffix_log_sums(w, 0.0, N, targets)
         if closure:
             tail = w.log_tail(N + 1, 0.0)
             if tail is not None and tail < float("inf"):

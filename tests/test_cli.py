@@ -175,6 +175,27 @@ def test_analyze_pinned_bytes(capsys, spec, digest):
             assert verdict["certified_bound"] >= verdict["empirical_sup"]
 
 
+#: at horizon 2^19 + 1 the continuity rows (targets from 1) and the uw row
+#: (targets from 2) run down to index 1 in a second chunk of their own
+PINNED_ANALYZE_CHUNKS = [
+    ("poly:alpha=1.5",
+     "df6162b72c774ea5f5c2704827d14b0d0d208221a908a6edf703da68eaf31b37"),
+    ("block413:alpha=2",
+     "0403d72f5513d082edd280c30d4ffa70ecafaa1d53efd5f62745155a9a2be16a"),
+    ("geom:r=0.5",
+     "951bc718d6f30473c4fb555b5543fcbe4f5261c58369f57ac8f1b35d7a6d1394"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", PINNED_ANALYZE_CHUNKS,
+                         ids=[spec for spec, _ in PINNED_ANALYZE_CHUNKS])
+def test_analyze_pinned_bytes_across_chunks(capsys, spec, digest):
+    assert main(["analyze", "-w", spec, "--horizon", str(2 ** 19 + 1)]) \
+        == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("alpha", ["7", "60"])
 def test_block413_large_alpha(capsys, alpha):
     # the uw witness walk passes block 1024, where 2^i overflows a float

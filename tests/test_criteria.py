@@ -25,6 +25,7 @@ from cesaro.criteria import (
     rw_membership,
     rw_memberships,
     s1_estimate,
+    scan_reports,
     suffix_log_sums,
     sw1_membership,
     t0_estimate,
@@ -399,7 +400,7 @@ def test_suffix_log_sums_matches_direct(poly2):
     def log_term(ns):
         return poly2.log_eval(ns) - np.log(ns.astype(float))
 
-    got = suffix_log_sums(log_term, 10 ** 4, targets)
+    got = suffix_log_sums(poly2, 0.0, 10 ** 4, targets)
     for t, g in zip(targets, got):
         ns = np.arange(t, 10 ** 4 + 1, dtype=np.int64)
         direct = float(np.sum(np.exp(log_term(ns))))
@@ -437,7 +438,7 @@ def test_suffix_log_sums_oracle_block313(block313):
     # a running log-domain accumulation drifts by ~1e-7 over this range
     horizon = 10 ** 6
     targets = np.array([1, 2, 1000, 65536, 806529, 999999], dtype=np.int64)
-    got = suffix_log_sums(block313.log_eval, horizon, targets)
+    got = suffix_log_sums(block313, 1.0, horizon, targets)
     lt = np.asarray(block313.log_eval(
         np.arange(1, horizon + 1, dtype=np.int64)), dtype=float)
     for t, g in zip(targets, got):
@@ -445,11 +446,10 @@ def test_suffix_log_sums_oracle_block313(block313):
 
 
 def test_suffix_log_sums_targets_any_order(poly2):
-    def log_term(ns):
-        return poly2.log_eval(ns) - np.log(ns.astype(float))
-
-    ordered = suffix_log_sums(log_term, 5000, np.array([3, 3, 40, 4000, 6000]))
-    shuffled = suffix_log_sums(log_term, 5000, np.array([4000, 3, 6000, 40, 3]))
+    ordered = suffix_log_sums(poly2, 0.0, 5000,
+                              np.array([3, 3, 40, 4000, 6000]))
+    shuffled = suffix_log_sums(poly2, 0.0, 5000,
+                               np.array([4000, 3, 6000, 40, 3]))
     assert list(shuffled) == [ordered[3], ordered[0], ordered[4], ordered[2],
                               ordered[1]]
     assert ordered[4] == -math.inf
@@ -468,11 +468,19 @@ def test_rw_memberships_match_one_at_a_time(spike, poly2):
                 _fsum_log(lt), abs=1e-12)
 
 
-def test_continuity_and_compactness_match_separate(poly2, block313, geom05):
+@pytest.mark.parametrize("horizon", [10 ** 5, 2 ** 19 + 1])
+def test_continuity_and_compactness_match_separate(poly2, block313, geom05,
+                                                   workers, horizon):
+    """One fused scan equals the reports scanned one at a time, also where
+    the uw row (targets from 2) gets a last chunk of its own."""
+    ts = [-3.0, 0.0, 0.5, 1.0, 2.0, 19.0]
     for w in (poly2, block313, geom05):
-        cont, comp = continuity_and_compactness(w, horizon=10 ** 5)
-        assert cont == continuity_criterion(w, horizon=10 ** 5)
-        assert comp == compactness_criterion(w, horizon=10 ** 5)
+        cont, comp = continuity_and_compactness(w, horizon=horizon)
+        assert cont == continuity_criterion(w, horizon=horizon)
+        assert comp == compactness_criterion(w, horizon=horizon)
+        assert scan_reports(w, horizon, ts) == (
+            cont, comp, uw_quantity(w, horizon),
+            rw_memberships(w, ts, horizon))
 
 
 @pytest.fixture
@@ -493,13 +501,13 @@ def log_eval_terms(monkeypatch):
 def continuity_scans(monkeypatch):
     """Counts the scans of the continuity quantity."""
     counted = [0]
-    original = criteria._scan_sup_quantity
+    original = criteria._scan_sup_quantities
 
-    def scan(profile, horizon):
-        counted[0] += profile.name == "continuity"
-        return original(profile, horizon)
+    def scan(w, profiles, betas, horizon):
+        counted[0] += sum(p.name == "continuity" for p in profiles)
+        return original(w, profiles, betas, horizon)
 
-    monkeypatch.setattr(criteria, "_scan_sup_quantity", scan)
+    monkeypatch.setattr(criteria, "_scan_sup_quantities", scan)
     return counted
 
 
@@ -543,7 +551,8 @@ def test_t0_estimate_matches_probing_one_at_a_time(monkeypatch, spec):
     assert t0_estimate(w) == batched
 
 
-def test_callers_scan_continuity_once(continuity_scans, capsys, poly2):
+def test_callers_scan_continuity_once(continuity_scans, monkeypatch, capsys,
+                                     poly2):
     horizon = 10 ** 4
     assert main(["analyze", "-w", "poly:alpha=2", "--m-max", "3",
                  "--horizon", str(horizon)]) == 0
@@ -551,6 +560,21 @@ def test_callers_scan_continuity_once(continuity_scans, capsys, poly2):
     assert continuity_scans[0] == 1
     build_context(poly2, horizon=horizon, m_max=3)
     assert continuity_scans[0] == 2
+
+    # analyze streams its continuity, uw and m_max moment rows in one pass;
+    # t0 and s1 stream at ESTIMATE_HORIZON, below this horizon
+    streams = []
+    stream = criteria._stream_suffix_sums
+
+    def counted(evaluate, row_terms, horizon, targets):
+        streams.append((horizon, len(targets)))
+        return stream(evaluate, row_terms, horizon, targets)
+
+    monkeypatch.setattr(criteria, "_stream_suffix_sums", counted)
+    assert main(["analyze", "-w", "poly:alpha=2", "--m-max", "3",
+                 "--horizon", "200000"]) == 0
+    capsys.readouterr()
+    assert [rows for h, rows in streams if h == 200000] == [5]
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +601,7 @@ def test_moment_log_sums_table(spec, workers):
     betas = MOMENT_TABLE["betas"]
     rows = MOMENT_TABLE["moment_log_sums"][spec]
     for horizon, row in zip(MOMENT_TABLE["horizons"], rows):
-        got = criteria._moment_log_sums(w, betas, horizon)
+        got = criteria._scan_sup_quantities(w, (), betas, horizon)[1]
         assert [v.hex() for v in got] == row, (spec, horizon)
 
 
@@ -647,7 +671,8 @@ def test_moment_helper_is_quiet_on_a_finite_support_weight(workers):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for horizon in (2 ** 19 + 5, 2 ** 20 + 5):
-            got = criteria._moment_log_sums(finite, betas, horizon)
+            got = criteria._scan_sup_quantities(finite, (), betas,
+                                                horizon)[1]
             for beta, g in zip(betas, got):
                 want = math.log(math.fsum(
                     k ** (beta - 1.0) / math.sqrt(k)
@@ -681,9 +706,9 @@ def test_exp_is_zero_below_the_dead_bound():
 
 
 def _stream(row_terms, rows=6):
-    return criteria._stream_suffix_sums(
-        lambda ns: ns.astype(float), row_terms, rows, 64,
-        np.array([1], dtype=np.int64))
+    return np.array(criteria._stream_suffix_sums(
+        lambda ns: ns.astype(float), row_terms, 64,
+        [np.array([1], dtype=np.int64)] * rows))
 
 
 @pytest.mark.parametrize("failing", ["helper", "caller"])
@@ -739,8 +764,8 @@ def test_stream_helper_calls_no_public_function(monkeypatch, poly2):
 
     threading.setprofile(profile)
     try:
-        criteria._moment_log_sums(poly2, [float(b) for b in range(1, 21)],
-                                  2 ** 19 + 5)
+        criteria._scan_sup_quantities(
+            poly2, (), [float(b) for b in range(1, 21)], 2 ** 19 + 5)
     finally:
         threading.setprofile(None)
     assert seen, "the helper thread took no row"
@@ -756,6 +781,20 @@ def test_point_spectrum_allocation_peak():
     tracemalloc.start()
     try:
         point_spectrum(w, horizon=10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20.0 * 2 ** 20
+
+
+def test_fused_scan_allocation_peak():
+    """The 22-row pass of scan_reports (continuity, uw, 20 moments) keeps
+    the bound of the 20-row moment pass: segment maxima are repeated one
+    block at a time, not over a whole chunk."""
+    w = parse_weight("poly:alpha=1.9")
+    tracemalloc.start()
+    try:
+        scan_reports(w, 10 ** 6, [float(t) for t in range(20)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -455,8 +455,9 @@ def test_cascade_agrees_with_full_scan_reference():
                 decided["Fails"] += 1
                 assert row.label == LABEL_SPECTRUM, (spec, row)
             if row.rule_id == RULE_RESOLVENT and row.label == LABEL_RESOLVENT:
-                data = criteria._scan_sup_quantity(
-                    spectral._resolvent_profile(w, row.alpha), horizon)
+                (data,), _ = criteria._scan_sup_quantities(
+                    w, [spectral._resolvent_profile(w, row.alpha)], (),
+                    horizon)
                 assert row.sup_value >= math.exp(np.max(data.partial_log)), (
                     spec, row)
     assert min(decided.values()) > 0, decided

@@ -4,6 +4,17 @@ Everything operates on the first N coordinates, which triangularity makes
 exact: coordinate n of any iterate depends only on coordinates 1..n of the
 start vector.  Norm truncation is the one honest gap, and it is closed with
 a certified weight-tail bound whenever the weight carries one.
+
+Traces and probes iterate only the weight's float support, the first K
+coordinates, K the last n <= N with float w(n) != 0.0; summable weights
+such as geom underflow to 0.0 after about a thousand indices.  By
+triangularity those K coordinates are exact, and the norms keep their
+bits: the K products sit in a length-N buffer of zeros, which holds the
+same values as the full product w(n)|v_n| (past K it was 0.0 * |v_n| =
++0.0), so np.sum runs the same pairwise tree over the same numbers.  A
+guard falls back to K = N whenever a coordinate past K could be
+non-finite (see ``_orbit_norms``).  The work budget still charges the
+requested M * N.
 """
 
 from __future__ import annotations
@@ -188,6 +199,9 @@ def iterate_trace(w: WeightSpec, x: Sequence, M: int, N: int,
 def _trace(w: WeightSpec, x: Sequence, steps: int, N: int, probe_id: str,
            limit_scalar: Optional[float], auto_limit: bool, mode: str,
            averages: bool) -> IterateTrace:
+    """The records of ``iterate_trace`` (or, with ``averages``, of
+    ``cesaro_averages_trace``) over coordinates 1..N; the orbit itself runs
+    on the weight's float support only (``_orbit_norms``)."""
     if limit_scalar is None and auto_limit:
         limit_scalar = _pick_candidate(w, x)
     arr = _start_vector(x, N, mode)
@@ -203,21 +217,60 @@ def _trace(w: WeightSpec, x: Sequence, steps: int, N: int, probe_id: str,
         else:
             tail_term = (sup_abs + abs(limit_scalar)) * mass
     records = []
-    for m, vals in enumerate(_orbit(arr, mode, steps, averages), start=1):
-        norm = float(np.sum(wvals * np.abs(vals)))
-        residual = None
-        if limit_scalar is not None:
-            residual = float(np.sum(wvals * np.abs(vals - limit_scalar)))
-            if tail_term is not None:
-                residual += tail_term
+    for m, (norm, residual) in enumerate(_orbit_norms(
+            wvals, arr, sup_abs, mode, steps, averages, limit_scalar), 1):
+        if residual is not None and tail_term is not None:
+            residual += tail_term
         records.append((m, norm, residual))
     return IterateTrace(probe_id, tuple(records), limit_scalar, N,
                         tail_term, tuple(notes))
 
 
+def _orbit_norms(wvals: np.ndarray, arr, sup_abs: float, mode: str,
+                 steps: int, averages: bool, limit: Optional[float]):
+    """Yield (norm, residual) for the first ``steps`` iterates of ``arr``
+    or, with ``averages``, for their running averages: the weighted norm
+    sum w(n)|v_n| over n <= N and, when ``limit`` is not None, the same
+    sum of |v_n - limit| (else None).  ``sup_abs`` is max |arr_n|.
+
+    Only the float support is iterated: the first K coordinates, where K
+    is the last n with float w(n) != 0.0.  Triangularity makes coordinates
+    1..K of every iterate and average depend on arr_1..arr_K alone.  The
+    products w(n)|v_n| go into the first K entries of one length-N buffer
+    of zeros, and the sum runs over the whole buffer.  Past K the full
+    computation had 0.0 * |v_n| = +0.0, so the buffer holds the same
+    values as the full-length product and np.sum, with the same pairwise
+    tree over the same length, gives the same bits.
+
+    The guard: that identity needs every v_n past K to be finite, or
+    0.0 * inf would have made NaN (and an exact coordinate too large for
+    a float would have raised).  Partial sums are at most N sup_abs and
+    running sums at most steps * sup_abs, so K = N (the full loop, not a
+    second path) unless twice max(N, steps) * (sup_abs + |limit|) is
+    finite.
+    """
+    N = wvals.size
+    support = np.flatnonzero(wvals)
+    K = int(support[-1]) + 1 if support.size else 1
+    if not math.isfinite(2.0 * max(N, steps)
+                         * (sup_abs + abs(0.0 if limit is None else limit))):
+        K = N
+    buf = np.zeros(N)
+    head, w_head = buf[:K], wvals[:K]
+
+    def total(vals) -> float:
+        np.multiply(w_head, np.abs(vals), out=head)
+        return float(np.sum(buf))
+
+    for vals in _orbit(arr[:K], mode, steps, averages):
+        yield total(vals), None if limit is None else total(vals - limit)
+
+
 def _orbit(arr, mode: str, steps: int, averages: bool):
     """Float coordinates of the first ``steps`` iterates of ``arr`` or, with
-    ``averages``, of their running averages.
+    ``averages``, of their running averages.  Coordinate n depends on
+    arr_1..arr_n only, so a prefix of ``arr`` gives the same prefix of
+    every iterate: ``_orbit_norms`` passes the weight's float support.
 
     Rational mode takes the iterates from the exact kernel
     ``sections.cumulative_means``, held as integers over one common
@@ -390,8 +443,8 @@ def power_bounded_probe(w: WeightSpec, M: int, N: int,
         if start <= 0.0:
             raise ErgodicError(f"probe {probe_id!r} has zero weighted norm")
         arr /= start
-        norms = [float(np.sum(wvals * np.abs(vals)))
-                 for vals in _orbit(arr, "float", M, averages=False)]
+        norms = [norm for norm, _ in _orbit_norms(
+            wvals, arr, float(np.max(np.abs(arr))), "float", M, False, None)]
         traces.append(ProbeTrace(
             probe_id=probe_id,
             sup_ratio=float(max(norms)),

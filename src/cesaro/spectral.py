@@ -23,6 +23,7 @@ import collections.abc
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -103,6 +104,11 @@ _ORIGIN_EVIDENCE = (
                   "always belongs to the spectrum"),)
 _WITNESS_TOP = 4096
 _CLIP = 700.0
+#: below the smallest normal float, |lam|^2 loses bits or underflows to 0;
+#: scaling lam by _RESCALE brings it back (|lam|^2 < _TINY means
+#: |Re lam|, |Im lam| < 2^-511, and the smallest subnormal is 2^-1074)
+_TINY = sys.float_info.min
+_RESCALE = 2.0 ** 600
 
 
 class SpectralError(ValueError):
@@ -110,12 +116,28 @@ class SpectralError(ValueError):
 
 
 def reciprocal_real_part(lam: complex) -> float:
-    """Re(1/lam), computed as Re(lam)/|lam|^2; lam must be nonzero."""
+    """Re(1/lam), computed as Re(lam)/|lam|^2; lam must be nonzero.
+
+    Where |lam|^2 falls below the smallest normal float the quotient is
+    taken after an exact rescale (``_rescaled_alpha``); it is +-inf where
+    Re(1/lam) exceeds the float range.
+    """
     z = complex(lam)
-    d = z.real * z.real + z.imag * z.imag
-    if d == 0.0:
+    if z == 0:
         raise SpectralError("the exponent Re(1/lam) is undefined at lam = 0")
+    d = z.real * z.real + z.imag * z.imag
+    if d < _TINY:
+        return _rescaled_alpha(z.real, z.imag)
     return z.real / d
+
+
+def _rescaled_alpha(re, im):
+    """Re(1/lam) for nonzero lam with |lam|^2 below the smallest normal
+    float, on floats or arrays: lam times 2^600 is exact and has normal
+    squares, and Re(1/lam) = 2^600 Re(1/(2^600 lam))."""
+    r, i = re * _RESCALE, im * _RESCALE
+    with np.errstate(over="ignore"):
+        return r / (r * r + i * i) * _RESCALE
 
 
 def _check_context_args(m_max: int, eps: float) -> None:
@@ -272,6 +294,9 @@ def resolvent_condition(w: WeightSpec, lam: complex,
         raise SpectralError(
             f"lam = {z} lies within {eps} of the excluded candidate set")
     alpha = reciprocal_real_part(z)
+    if not math.isfinite(alpha):
+        raise SpectralError(
+            f"the exponent Re(1/lam) = {alpha} at lam = {z} is not finite")
     profile = _resolvent_profile(w, alpha)
     params = {"lambda_re": z.real, "lambda_im": z.imag, "alpha": alpha}
     return evaluate_sup_profile(profile, horizon, params)
@@ -521,7 +546,9 @@ def _classify_nodes(w: WeightSpec, xs: np.ndarray, ys: np.ndarray,
 
     Rules, in order: candidate-set membership (with point-spectrum
     upgrade), the certified spectral disk, the compactness shortcut (a
-    point claimed by both is a conflict), the resolvent criterion, Unknown.
+    point claimed by both is a conflict), the resolvent criterion (at
+    finite alpha only: a nonzero lam next to 0 can have alpha = +-inf),
+    Unknown.
     The first four are masks, applied to blocks of _NODE_BLOCK points so
     the array temporaries stay small.  The resolvent criterion depends on
     alpha = Re(1/lam) alone, so it runs once per distinct alpha over all
@@ -539,19 +566,21 @@ def _classify_nodes(w: WeightSpec, xs: np.ndarray, ys: np.ndarray,
         i = im[lo:lo + _NODE_BLOCK]
         nonzero = (r != 0.0) | (i != 0.0)
         d2 = r * r + i * i
-        if np.any(nonzero & (d2 == 0.0)):
-            raise SpectralError(
-                "the exponent Re(1/lam) is undefined at lam = 0")
         with np.errstate(divide="ignore", invalid="ignore"):
-            a = alpha[lo:lo + _NODE_BLOCK] = np.where(nonzero, r / d2, np.nan)
+            a = np.where(nonzero, r / d2, np.nan)
+        tiny = nonzero & (d2 < _TINY)
+        if tiny.any():
+            a[tiny] = _rescaled_alpha(r[tiny], i[tiny])
+        alpha[lo:lo + _NODE_BLOCK] = a
         dist, nearest_m = nearest_limit_point(r, i)
         live = dist > ctx.eps
         s_mem, compact = ctx.s1_member, ctx.compactness.verdict.is_holds
         disk_hit = a >= s_mem if s_mem is not None else np.zeros_like(live)
-        # np.select takes the first condition that holds: the rule order
+        # np.select takes the first condition that holds: the rule order;
+        # the resolvent rule reads alpha, so a non-finite one stays Unknown
         rule[lo:lo + _NODE_BLOCK] = np.select(
-            [~live, disk_hit & compact, disk_hit, compact],
-            [_SIGMA0, _CONFLICT, _DISK, _COMPACT], _RESOLVENT)
+            [~live, disk_hit & compact, disk_hit, compact, ~np.isfinite(a)],
+            [_SIGMA0, _CONFLICT, _DISK, _COMPACT, _NONE], _RESOLVENT)
         near.append(lo + np.flatnonzero(~live))
         near_m.append(nearest_m[~live])
     candidates: dict = {}

@@ -372,6 +372,19 @@ def test_iterate_budget_env(capsys, monkeypatch):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("averages", [[], ["--averages"]])
+def test_iterate_budget_counts_requested_work(capsys, monkeypatch, averages):
+    # geom:r=0.5 is 0.0 in float from n = 1075 on, so only that prefix is
+    # iterated, yet the budget still charges M * N
+    argv = ["iterate", "-w", "geom:r=0.5", "--N", "40000", "--M", "100",
+            "--probe", "e1", *averages]
+    monkeypatch.setenv("CESARO_BUDGET", str(100 * 40000 - 1))
+    assert main(argv) == EXIT_BUDGET
+    monkeypatch.setenv("CESARO_BUDGET", str(100 * 40000))
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # run configuration plumbing
 

@@ -4,7 +4,9 @@ Oracles: the first basis vector under the averaging operator has exactly
 computable norms on a geometric weight (closed forms recomputed here), the
 constant vector is a fixed point, and finite-rank identities hold exactly in
 rational mode.  Residual soundness is checked against hand-derived tail
-sums, and expectations are cross-checked with the criteria layer.
+sums, and expectations are cross-checked with the criteria layer.  Traces
+and probes, which iterate only the weight's float support, are compared bit
+for bit with full-length reference loops kept here.
 """
 
 from __future__ import annotations
@@ -15,13 +17,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cesaro import ergodic
 from cesaro.criteria import s1_estimate, uw_quantity
 from cesaro.ergodic import (
     MONOTONE_BURN_IN,
     BudgetError,
     ErgodicError,
     IterateTrace,
+    ProbeTrace,
     cesaro_averages_trace,
     decomposition_project,
     ergodic_identity_check,
@@ -34,6 +39,7 @@ from cesaro.ergodic import (
     work_budget,
 )
 from cesaro.sections import apply_power, kernel_power_entry, weighted_norm
+from cesaro.weights import catalog_weight, parse_weight
 
 
 def basis(k: int, N: int) -> list:
@@ -195,6 +201,218 @@ def test_iterate_trace_pinned_bytes(request, fixture, mode, tracer, digest):
     w = request.getfixturevalue(fixture)
     trace = tracer(w, [1, -2, 3], 25, 60, mode=mode)
     assert hashlib.sha256(trace_to_csv(trace).encode()).hexdigest() == digest
+
+
+#: sha256 of trace_to_csv for the probe (1, -2, 3) at sizes where geom's
+#: and factorial's float weights are 0.0 from n = 1075 and n = 178 on, so
+#: only a short prefix is iterated; poly05 (nonzero throughout) is the
+#: control.  Recorded with every coordinate 1..N iterated.
+PINNED_SUPPORT_TRACES = [
+    ("geom05", "float", iterate_trace, 200, 5000,
+     "ad0a9fad7ffa0fe976550c9b7c3a969b9e054b63767a8dc2df54520c8e1d6649"),
+    ("geom05", "float", cesaro_averages_trace, 200, 5000,
+     "f11b6bbc16478d26482044cadd44bf81760b188827bb1101ba2534d6d03e32f4"),
+    ("factorial1", "rational", cesaro_averages_trace, 25, 2000,
+     "d07cf1896b1b27252c3d397477886b16b63a8aa87b684653f3d4508229415b78"),
+    ("poly05", "float", iterate_trace, 200, 5000,
+     "78a9fa296f05f6b7be4e92145a1a23eb3c1231ef6e1334f99ea29a69300f2b5a"),
+    ("poly05", "float", cesaro_averages_trace, 200, 5000,
+     "db256d307505730592f8d15fb8b12adb6de48d6bb4436f347bb3d9753a447089"),
+]
+
+
+@pytest.fixture(scope="module")
+def factorial1():
+    return catalog_weight("factorial", {"a": 1.0})
+
+
+@pytest.mark.parametrize(
+    "fixture,mode,tracer,M,N,digest", PINNED_SUPPORT_TRACES,
+    ids=[f"{f}-{mode}-{tracer.__name__}"
+         for f, mode, tracer, *_ in PINNED_SUPPORT_TRACES])
+def test_support_trace_pinned_bytes(request, fixture, mode, tracer, M, N,
+                                    digest):
+    w = request.getfixturevalue(fixture)
+    trace = tracer(w, [1, -2, 3], M, N, mode=mode)
+    assert hashlib.sha256(trace_to_csv(trace).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the float support: references that iterate every coordinate 1..N
+
+
+def full_length_trace(w, x, steps, N, probe_id, limit_scalar, auto_limit,
+                      mode, averages):
+    """``ergodic._trace`` as it was before the support cut: the orbit runs
+    on all N coordinates and each norm sums the full product."""
+    if limit_scalar is None and auto_limit:
+        limit_scalar = ergodic._pick_candidate(w, x)
+    arr = ergodic._start_vector(x, N, mode)
+    sup_abs = float(np.max(np.abs(ergodic._as_float(arr)))) if N else 0.0
+    wvals = ergodic._weight_values(w, N)
+    tail_term = None
+    notes = []
+    if limit_scalar is not None:
+        mass = ergodic._tail_mass(w, N)
+        if mass is None:
+            notes.append("no certified weight tail; residuals cover only "
+                         "the first N coordinates")
+        else:
+            tail_term = (sup_abs + abs(limit_scalar)) * mass
+    records = []
+    for m, vals in enumerate(ergodic._orbit(arr, mode, steps, averages),
+                             start=1):
+        norm = float(np.sum(wvals * np.abs(vals)))
+        residual = None
+        if limit_scalar is not None:
+            residual = float(np.sum(wvals * np.abs(vals - limit_scalar)))
+            if tail_term is not None:
+                residual += tail_term
+        records.append((m, norm, residual))
+    return IterateTrace(probe_id, tuple(records), limit_scalar, N,
+                        tail_term, tuple(notes))
+
+
+def full_length_probes(w, M, N, probe_list):
+    """``power_bounded_probe``'s probe loop before the support cut."""
+    wvals = ergodic._weight_values(w, N)
+    traces = []
+    for probe_id, vec in probe_list:
+        arr = np.zeros(N, dtype=float)
+        data = np.asarray([float(v) for v in vec[:N]], dtype=float)
+        arr[:data.size] = data
+        start = float(np.sum(wvals * np.abs(arr)))
+        if start <= 0.0:
+            raise ErgodicError(f"probe {probe_id!r} has zero weighted norm")
+        arr /= start
+        norms = [float(np.sum(wvals * np.abs(vals)))
+                 for vals in ergodic._orbit(arr, "float", M, averages=False)]
+        traces.append(ProbeTrace(
+            probe_id=probe_id,
+            sup_ratio=float(max(norms)),
+            growth_per_step=ergodic._growth_fit(norms),
+            first_norm=norms[0],
+            final_norm=norms[-1],
+        ))
+    return tuple(traces)
+
+
+def float_support(w, N: int) -> int:
+    """The last n <= N with float w(n) != 0.0, or 0."""
+    nonzero = np.flatnonzero(ergodic._weight_values(w, N))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+SUPPORT_SPECS = st.one_of(
+    st.floats(0.05, 0.95, exclude_min=True, exclude_max=True).map(
+        lambda r: f"geom:r={r!r}"),
+    st.sampled_from(["factorial:a=1", "superfact", "spike",
+                     "block413:alpha=2", "poly:alpha=0.5"]))
+
+
+@st.composite
+def support_probes(draw, w, N: int):
+    """(probe id, vector): e1, e_r past the float support (e_N when the
+    support is all of 1..N), seeded random, ones, or 1/w(n) (capped at
+    1e290), whose weighted terms stay large up to the end of the support,
+    so that the order of the norm's sum shows in its bits."""
+    kind = draw(st.sampled_from(["e1", "e_r", "random", "ones", "1/w"]))
+    if kind == "1/w":
+        return kind, (1.0 / np.maximum(ergodic._weight_values(w, N),
+                                       1e-290)).tolist()
+    if kind == "e1":
+        return kind, [1.0]
+    if kind == "e_r":
+        r = draw(st.integers(min(float_support(w, N) + 1, N), N))
+        return f"e{r}", [0.0] * (r - 1) + [1.0]
+    if kind == "random":
+        seed = draw(st.integers(0, 2 ** 16))
+        size = draw(st.integers(1, N))
+        return kind, np.random.default_rng(seed).standard_normal(size).tolist()
+    return kind, [1.0] * N
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), spec=SUPPORT_SPECS,
+       mode=st.sampled_from(["float", "rational"]), averages=st.booleans(),
+       limit=st.sampled_from(["none", "auto", "zero", "x1"]))
+def test_trace_matches_full_length_loop(data, spec, mode, averages, limit):
+    w = parse_weight(spec)
+    N = data.draw(st.integers(1, 300 if mode == "rational" else 2000))
+    M = data.draw(st.integers(1, 6))
+    probe_id, x = data.draw(support_probes(w, N))
+    limit_scalar = {"none": None, "auto": None, "zero": 0.0,
+                    "x1": x[0]}[limit]
+    args = (w, x, M, N, probe_id, limit_scalar, limit == "auto", mode,
+            averages)
+    assert repr(ergodic._trace(*args)) == repr(full_length_trace(*args))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), spec=SUPPORT_SPECS)
+def test_probe_matches_full_length_loop(data, spec):
+    w = parse_weight(spec)
+    N = data.draw(st.integers(1, 2000))
+    M = data.draw(st.integers(1, 6))
+    probes = [data.draw(support_probes(w, N))]
+    try:
+        want = repr(full_length_probes(w, M, N, probes))
+    except ErgodicError as exc:  # a probe with zero weighted norm
+        with pytest.raises(ErgodicError, match=str(exc)):
+            power_bounded_probe(w, M, N, probes=probes)
+        return
+    assert repr(power_bounded_probe(w, M, N, probes=probes).probes) == want
+
+
+def test_support_norms_sum_the_full_length(geom05):
+    # x_n = 2^n keeps the weighted terms of every iterate large up to
+    # n = 1000, next to the end of geom's support (n = 1074); for some
+    # iterates a sum over those 1074 terms alone has other bits than the
+    # sum over all N
+    N, x = 5000, [2.0 ** n for n in range(1, 1001)]
+    K, wvals = float_support(geom05, N), ergodic._weight_values(geom05, N)
+    for averages in (False, True):
+        args = (geom05, x, 20, N, "pow2", None, True, "float", averages)
+        assert repr(ergodic._trace(*args)) == repr(full_length_trace(*args))
+        terms = [wvals * np.abs(v) for v in ergodic._orbit(
+            ergodic._start_vector(x, N, "float"), "float", 20, averages)]
+        assert any(np.sum(t) != np.sum(t[:K]) for t in terms)
+
+
+def test_support_guard_keeps_non_finite_norms(factorial1):
+    # partial sums of 1e306 overflow from n = 180 on, where factorial's
+    # float weight is 0.0: the full loop reads 0.0 * inf = NaN there, and the
+    # guard iterates all N coordinates so the traces keep it
+    N = 1000
+    x = [1e306] * N
+    assert float_support(factorial1, N) < 200
+    with np.errstate(over="ignore", invalid="ignore"):
+        for averages in (False, True):
+            args = (factorial1, x, 5, N, "big", None, True, "float",
+                    averages)
+            trace = ergodic._trace(*args)
+            assert repr(trace) == repr(full_length_trace(*args))
+            assert any(math.isnan(norm) for _, norm, _ in trace.records)
+        # a tiny head normalizes a large tail to inf
+        probes = [("tail", [1e-300] + [0.0] * 498 + [1e300] * 500)]
+        report = power_bounded_probe(factorial1, 5, N, probes=probes)
+        assert repr(report.probes) == repr(
+            full_length_probes(factorial1, 5, N, probes))
+    assert math.isnan(report.probes[0].first_norm)
+
+
+def test_rational_trace_iterates_the_support_only(factorial1, monkeypatch):
+    seen = []
+    original = ergodic.cumulative_means
+
+    def spy(x, steps):
+        seen.append(len(x))
+        return original(x, steps)
+
+    monkeypatch.setattr(ergodic, "cumulative_means", spy)
+    cesaro_averages_trace(factorial1, [1, -2, 3], 25, 2000, mode="rational")
+    K = float_support(factorial1, 2000)
+    assert seen == [K] and K < 200
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,14 @@ import dataclasses
 import functools
 import hashlib
 import math
+import sys
+import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cesaro import criteria, sections, spectral
 from cesaro.criteria import compactness_criterion, s1_estimate
@@ -42,6 +45,7 @@ from cesaro.spectral import (
     build_context,
     classify_point,
     point_spectrum,
+    reciprocal_real_part,
     region_scan,
     resolvent_condition,
     scan_to_csv,
@@ -568,10 +572,74 @@ def small_grids(draw):
 @given(spec=st.sampled_from(REFERENCE_FAMILIES), grid=small_grids())
 @example(spec="superfact", grid=GridSpec(0.0, 1.0, -0.5, 0.5, 5, 3))
 @example(spec="poly:alpha=2", grid=GridSpec(0.0, 1.0, -0.2, 0.2, 5, 3))
+@example(spec="poly:alpha=2",
+         grid=GridSpec(-1.1125369292536007e-308, 0.0, -0.5, 0.5, 1, 3))
 def test_scan_to_csv_matches_per_row_rendering(spec, grid):
     w, ctx = reference_context(spec)
     rows = [classify_point(w, z, ctx) for z in grid.nodes()]
     assert scan_to_csv(region_scan(w, grid, ctx)) == reference_csv(rows)
+
+
+def correctly_rounded(q: Fraction) -> float:
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(re=st.floats(-1e-154, 1e-154), im=st.floats(-1e-154, 1e-154))
+@example(re=-1.1125369292536007e-308, im=0.0)
+@example(re=5e-324, im=0.0)
+@example(re=-5e-324, im=5e-324)
+@example(re=0.0, im=-5e-324)
+@example(re=1e-160, im=1e-170)
+def test_reciprocal_real_part_below_normal_squares(re, im):
+    # |lam|^2 loses bits or underflows here; Re(lam)/|lam|^2 is four
+    # roundings from the exact value, so within 4 ulp of its correctly
+    # rounded float, and +-inf only at the edge of the float range
+    assume((re != 0.0 or im != 0.0) and re * re + im * im < sys.float_info.min)
+    x, y = Fraction(re), Fraction(im)
+    exact = x / (x * x + y * y)
+    got, want = reciprocal_real_part(complex(re, im)), correctly_rounded(exact)
+    if math.isinf(got) or math.isinf(want):
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert abs(exact) >= Fraction(sys.float_info.max) * (
+            1 - Fraction(1, 2 ** 50))
+    else:
+        assert abs(got - want) <= 4 * math.ulp(want)
+
+
+def test_resolvent_condition_rejects_infinite_exponent(poly2):
+    assert reciprocal_real_part(5e-324) == math.inf
+    with pytest.raises(SpectralError, match="not finite"):
+        resolvent_condition(poly2, 5e-324, eps=0.0)
+    with pytest.raises(SpectralError, match="undefined at lam = 0"):
+        reciprocal_real_part(0j)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_FAMILIES)
+def test_subnormal_grid_scan_is_quiet(spec):
+    # with eps = 0 every nonzero node of the grid is off the candidate set,
+    # and off the imaginary axis its alpha is +-inf, which the resolvent
+    # hooks must not see
+    w, ctx = reference_context(spec)
+    ctx = dataclasses.replace(ctx, eps=0.0)
+    grid = GridSpec(-5e-324, 5e-324, -5e-324, 5e-324, 3, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = region_scan(w, grid, ctx)
+        text = scan_to_csv(scan)
+        rows = [classify_point(w, z, ctx) for z in grid.nodes()]
+    assert text == reference_csv(rows)
+    for z, row in zip(grid.nodes(), scan):
+        if z == 0:
+            assert row.rule_id == RULE_SIGMA0
+            continue
+        assert row.alpha == reciprocal_real_part(z)
+        assert math.isinf(row.alpha) or z.real == 0.0
+        if math.isinf(row.alpha):
+            assert row.rule_id != RULE_RESOLVENT
 
 
 def test_scan_to_csv_keeps_signed_zeros(poly2, ctx_poly2):

@@ -757,7 +757,7 @@ def _continuity_profile(v: WeightSpec, w: WeightSpec) -> SupProfile:
         beta=0.0,
         start_offset=0,
         log_denominator=den,
-        envelope=v.cont_env(1) if same else None,
+        envelope=v.cont_env() if same else None,
         lower=v.cont_lower if same else None,
         diverges=w.diverges_beta(0.0),
         diverges_note="sum of weight(n)/n diverges",
@@ -775,7 +775,7 @@ def _uw_profile(w: WeightSpec) -> SupProfile:
         beta=1.0,
         start_offset=1,
         log_denominator=den,
-        envelope=w.uw_env(1),
+        envelope=w.uw_env(),
         lower=w.uw_lower,
         diverges=w.diverges_beta(1.0),
         diverges_note="the weight itself is not summable",

@@ -71,10 +71,12 @@ def work_budget() -> int:
     raw = os.environ.get("CESARO_BUDGET", "")
     if raw:
         try:
-            return max(1, int(float(raw)))
-        except ValueError as exc:
-            raise ErgodicError(f"CESARO_BUDGET is not a number: {raw!r}") \
-                from exc
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ErgodicError(f"CESARO_BUDGET is not a number: {raw!r}")
+        return max(1, int(value))
     return DEFAULT_WORK_BUDGET
 
 
@@ -202,10 +204,11 @@ def _trace(w: WeightSpec, x: Sequence, steps: int, N: int, probe_id: str,
     """The records of ``iterate_trace`` (or, with ``averages``, of
     ``cesaro_averages_trace``) over coordinates 1..N; the orbit itself runs
     on the weight's float support only (``_orbit_norms``)."""
-    if limit_scalar is None and auto_limit:
-        limit_scalar = _pick_candidate(w, x)
     arr = _start_vector(x, N, mode)
-    sup_abs = float(np.max(np.abs(_as_float(arr)))) if N else 0.0
+    floats = _as_float(arr)
+    if limit_scalar is None and auto_limit:
+        limit_scalar = _pick_candidate(w, floats)
+    sup_abs = float(np.max(np.abs(floats))) if N else 0.0
     wvals = _weight_values(w, N)
     tail_term = None
     notes = []
@@ -306,14 +309,25 @@ def _start_vector(x: Sequence, N: int, mode: str):
     if mode != "float":
         raise ErgodicError(f"unknown arithmetic mode {mode!r}")
     arr = np.zeros(N, dtype=float)
-    arr[:min(len(x), N)] = [float(v) for v in x[:N]]
+    arr[:min(len(x), N)] = _as_float(x[:N])
     return arr
 
 
-def _as_float(arr) -> np.ndarray:
-    if isinstance(arr, np.ndarray):
-        return arr
-    return np.asarray([float(v) for v in arr], dtype=float)
+def _as_float(values, what: str = "the start vector") -> np.ndarray:
+    """``values`` as a float array: the one place ``ergodic`` turns caller
+    coordinates into floats.  A coordinate beyond the float range, such as
+    an exact ``Fraction(10**400)``, raises ErgodicError naming it; float
+    infinities and NaN pass through unchanged."""
+    if isinstance(values, np.ndarray) and values.dtype == float:
+        return values
+    out = np.empty(len(values), dtype=float)
+    for i, v in enumerate(values):
+        try:
+            out[i] = float(v)
+        except OverflowError as exc:
+            raise ErgodicError(f"coordinate {i + 1} of {what} is too large "
+                               "for a float") from exc
+    return out
 
 
 def cesaro_averages_trace(w: WeightSpec, x: Sequence, n_max: int, N: int,
@@ -433,11 +447,12 @@ def power_bounded_probe(w: WeightSpec, M: int, N: int,
     probe_list = list(probes) if probes is not None \
         else default_probes(N, seed=seed)
     _check_budget(M * N * max(1, len(probe_list)))
+    starts = [(probe_id, _as_float(vec[:N], f"probe {probe_id!r}"))
+              for probe_id, vec in probe_list]
     wvals = _weight_values(w, N)
     traces = []
-    for probe_id, vec in probe_list:
+    for probe_id, data in starts:
         arr = np.zeros(N, dtype=float)
-        data = np.asarray([float(v) for v in vec[:N]], dtype=float)
         arr[:data.size] = data
         start = float(np.sum(wvals * np.abs(arr)))
         if start <= 0.0:
@@ -516,7 +531,7 @@ def ergodic_identity_check(w: WeightSpec, x: Sequence, n: int, N: int,
                     for v in list(x[:N]) + [0] * max(0, N - len(x)))
         zero = Fraction(0)
     else:
-        cur = tuple(float(v) for v in list(x[:N]) + [0.0] * max(0, N - len(x)))
+        cur = tuple(_start_vector(x, N, "float").tolist())
         zero = 0.0
     powers = [cur]  # T^0 x
     for _ in range(n + 1):
@@ -547,8 +562,7 @@ def ergodic_identity_check(w: WeightSpec, x: Sequence, n: int, N: int,
 
 def _residual_norm(w: WeightSpec, diff: Sequence) -> float:
     wvals = _weight_values(w, len(diff))
-    return float(np.sum(wvals * np.abs(np.asarray(
-        [float(v) for v in diff], dtype=float))))
+    return float(np.sum(wvals * np.abs(_as_float(diff, "the residual"))))
 
 
 def decomposition_project(w: WeightSpec, x: Sequence, N: int) -> tuple:
@@ -565,7 +579,7 @@ def decomposition_project(w: WeightSpec, x: Sequence, N: int) -> tuple:
         raise ErgodicError(
             "the constant vector is not in the space unless the weight is "
             "summable")
-    coords = [float(v) for v in x[:N]] + [0.0] * max(0, N - len(x))
+    coords = _start_vector(x, N, "float").tolist()
     c = coords[0]
     remainder = tuple(v - c for v in coords)
     return c, remainder

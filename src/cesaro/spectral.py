@@ -273,7 +273,7 @@ def _resolvent_profile(w: WeightSpec, alpha: float) -> SupProfile:
         beta=alpha,
         start_offset=1,
         log_denominator=den,
-        envelope=w.res_env(alpha, 1),
+        envelope=w.res_env(alpha),
         diverges=w.diverges_beta(alpha),
         diverges_note="inner series diverges for this exponent; the first "
                       "row already witnesses it",
@@ -379,7 +379,7 @@ def _resolvent_verdicts(w: WeightSpec, alphas: Sequence[float]
         if w.diverges_beta(alpha):
             diverging.append(i)
             continue
-        env = w.res_env(alpha, 1)
+        env = w.res_env(alpha)
         if env is None:
             continue
         v0 = int(env.valid_from)

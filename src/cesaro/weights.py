@@ -6,9 +6,9 @@ Each catalog family ships the analytic facts the criteria engine needs:
 
 * ``log_tail``       -- certified upper bounds for tails  sum_{n>=m} w(n) n^(beta-1):
                         a closed form from the family's start, plus exact terms
-* ``*_env`` hooks    -- certified sup-envelopes for the continuity / resolvent /
-                        averaging quantities beyond a small index prefix
-* ``*_lower`` hooks  -- certified lower envelopes (constant or diverging) used
+* ``*_env``          -- certified sup-envelopes for the continuity / resolvent /
+                        averaging quantities, each from its own ``valid_from``
+* ``*_lower``        -- certified lower envelopes (constant or diverging) used
                         for Fails verdicts
 * ``minorant_log_c`` -- constants c(s) with w(n) >= c(s) n^-s for all n
 * ``diverges_beta``  -- exact knowledge of when sum w(n) n^(beta-1) diverges
@@ -141,10 +141,14 @@ class WeightSpec:
     Only ``id`` and ``log_eval_array`` are mandatory.  The array evaluator
     maps an integer array of indices >= 1 to log w elementwise, keeping the
     shape; it is the one evaluator, and single values are read through it.
-    Hooks are optional; criteria degrade to Inconclusive verdicts when
-    metadata is absent.
+    Metadata is optional; criteria degrade to Inconclusive verdicts when
+    it is absent.
     ``tail_hook(m, beta)`` gives ``(start, log_closed)`` or None: start >= m,
     and log_closed bounds sum_{n>=start} w(n) n^(beta-1) from start alone.
+    Every other ``*_hook`` is a function of s, beta or alpha alone, and
+    ``cont_upper``, ``uw_upper``, ``cont_lower``, ``uw_lower`` are values.
+    A sup envelope holds from its own ``valid_from``; ``cont_env()``,
+    ``uw_env()`` and ``res_env(alpha)`` fall back to the ratio bound's.
     """
 
     id: str
@@ -154,15 +158,14 @@ class WeightSpec:
     is_summable: Optional[bool] = None
     rapidly_decreasing: Optional[bool] = None
     log_sup_bound: Optional[float] = None  # certified: log w(n) <= this for all n
-    note: str = ""
-    # certified hooks (all optional, all log-domain)
+    # certified metadata (all optional, all log-domain)
     tail_hook: Optional[Callable[[int, float], Optional[tuple[int, float]]]] = None
     minorant_log_c_hook: Optional[Callable[[float], Optional[float]]] = None
     diverges_beta_hook: Optional[Callable[[float], Optional[bool]]] = None
-    cont_env_hook: Optional[Callable[[int], Optional[SupEnvelope]]] = None
-    res_env_hook: Optional[Callable[[float, int], Optional[SupEnvelope]]] = None
-    uw_env_hook: Optional[Callable[[int], Optional[SupEnvelope]]] = None
+    res_env_hook: Optional[Callable[[float], Optional[SupEnvelope]]] = None
+    cont_upper: Optional[SupEnvelope] = None
     cont_lower: Optional[LowerEnvelope] = None
+    uw_upper: Optional[SupEnvelope] = None
     uw_lower: Optional[LowerEnvelope] = None
     sw_lower_hook: Optional[Callable[[float], Optional[LowerEnvelope]]] = None
     table_size: Optional[int] = None  # set for table-backed weights
@@ -270,39 +273,32 @@ class WeightSpec:
 
     # -- envelopes ------------------------------------------------------------
 
-    def cont_env(self, n0: int) -> Optional[SupEnvelope]:
-        if self.cont_env_hook is not None:
-            return self.cont_env_hook(n0)
-        if self.ratio_bound is not None:
-            nfrom, r = self.ratio_bound
-            v = max(n0, nfrom)
-            return SupEnvelope(v, -math.log(v) - math.log1p(-r), True,
-                               "geometric-ratio envelope 1/(n(1-r))")
-        return None
+    def cont_env(self) -> Optional[SupEnvelope]:
+        if self.cont_upper is not None:
+            return self.cont_upper
+        return self._ratio_env(0.0, 0, "geometric-ratio envelope 1/(n(1-r))")
 
-    def res_env(self, alpha: float, n0: int) -> Optional[SupEnvelope]:
+    def res_env(self, alpha: float) -> Optional[SupEnvelope]:
         if self.res_env_hook is not None:
-            env = self.res_env_hook(alpha, n0)
+            env = self.res_env_hook(alpha)
             if env is not None:
                 return env
-        if self.ratio_bound is not None:
-            nfrom, r = self.ratio_bound
-            v = max(n0, nfrom)
-            log_s, _ = _geom_power_factor_log(r, alpha)
-            # sum_{j>=1} r^j ((m+j)/m)^(alpha-1) <= sum_{j>=0} r^j (1+j)^(max(alpha-1,0))
-            return SupEnvelope(v, log_s - math.log(v), True,
-                               "geometric-ratio resolvent envelope")
-        return None
+        return self._ratio_env(alpha, 0, "geometric-ratio resolvent envelope")
 
-    def uw_env(self, n0: int) -> Optional[SupEnvelope]:
-        if self.uw_env_hook is not None:
-            return self.uw_env_hook(n0)
-        if self.ratio_bound is not None:
-            nfrom, r = self.ratio_bound
-            v = max(n0, nfrom - 1, 1)
-            return SupEnvelope(v, -math.log(v) - math.log1p(-r), True,
-                               "geometric-ratio averaging envelope 1/(m(1-r))")
-        return None
+    def uw_env(self) -> Optional[SupEnvelope]:
+        if self.uw_upper is not None:
+            return self.uw_upper
+        return self._ratio_env(1.0, 1, "geometric-ratio averaging envelope 1/(m(1-r))")
+
+    def _ratio_env(self, alpha: float, shift: int, note: str) -> Optional[SupEnvelope]:
+        """The ratio bound's envelope at exponent alpha, from max(nfrom - shift, 1):
+        sum_{j>=1} r^j ((m+j)/m)^(alpha-1) <= sum_{j>=0} r^j (1+j)^(max(alpha-1,0))."""
+        if self.ratio_bound is None or not 0.0 < self.ratio_bound[1] < 1.0:
+            return None
+        nfrom, r = self.ratio_bound
+        v = max(nfrom - shift, 1)
+        log_s, _ = _geom_power_factor_log(r, alpha)
+        return SupEnvelope(v, log_s - math.log(v), True, note)
 
     def sw_lower(self, s: float) -> Optional[LowerEnvelope]:
         if self.sw_lower_hook is not None:
@@ -328,25 +324,12 @@ def _poly(alpha: float) -> WeightSpec:
             return None
         return m, _log_pseries_tail(m, delta)
 
-    def cont_env(n0: int) -> SupEnvelope:
-        v = max(n0, 2)
-        # n^a sum_{m>=n} m^-(1+a) <= (n/(n-1))^a / a, decreasing in n
-        return SupEnvelope(v, a * (math.log(v) - math.log(v - 1)) - math.log(a),
-                           False, "power tail envelope")
-
-    def res_env(al: float, n0: int) -> Optional[SupEnvelope]:
+    def res_env(al: float) -> Optional[SupEnvelope]:
         delta = a - al
         if delta <= 0:
             return None
-        return SupEnvelope(max(n0, 1), -math.log(delta), False,
+        return SupEnvelope(1, -math.log(delta), False,
                            "power resolvent envelope 1/(a-alpha)")
-
-    def uw_env(n0: int) -> Optional[SupEnvelope]:
-        if a <= 1:
-            return None
-        v = max(n0, 1)
-        return SupEnvelope(v, a * math.log((v + 1) / v) - math.log(a - 1), False,
-                           "averaging envelope ((m+1)/m)^a/(a-1)")
 
     def sw_low(s: float) -> Optional[LowerEnvelope]:
         if s >= a:
@@ -361,15 +344,17 @@ def _poly(alpha: float) -> WeightSpec:
         is_summable=a > 1,
         rapidly_decreasing=False,
         log_sup_bound=0.0,
-        note="w(n) = n^-alpha",
         tail_hook=tail,
         minorant_log_c_hook=lambda s: 0.0 if s >= a else None,
         diverges_beta_hook=lambda beta: beta >= a,
-        cont_env_hook=cont_env,
         res_env_hook=res_env,
-        uw_env_hook=uw_env,
+        # n^a sum_{m>=n} m^-(1+a) <= (n/(n-1))^a / a, decreasing in n, from n = 2
+        cont_upper=SupEnvelope(2, a * LN2 - math.log(a), False, "power tail envelope"),
         cont_lower=LowerEnvelope(lambda i: i, lambda i: -math.log(a), False,
                                  "integral comparison keeps the quantity >= 1/alpha"),
+        # ((m+1)/m)^a / (a-1) is largest at m = 1
+        uw_upper=SupEnvelope(1, a * LN2 - math.log(a - 1), False,
+                             "averaging envelope ((m+1)/m)^a/(a-1)") if a > 1 else None,
         sw_lower_hook=sw_low,
     )
 
@@ -428,7 +413,6 @@ def _loggamma(gamma: float) -> WeightSpec:
         is_summable=False,
         rapidly_decreasing=False,
         log_sup_bound=-g * math.log(math.log(2.0)),
-        note="w(n) = log(n+1)^-gamma",
         tail_hook=tail,
         minorant_log_c_hook=minorant,
         diverges_beta_hook=diverges,
@@ -479,7 +463,6 @@ def _geom(r: float, beta: float) -> WeightSpec:
         is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=sup_log,
-        note="w(n) = n^beta r^n",
         sw_lower_hook=sw_low,
     )
 
@@ -502,7 +485,6 @@ def _superfact() -> WeightSpec:
         is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=0.0,
-        note="w(n) = n^-n",
         sw_lower_hook=sw_low,
     )
 
@@ -535,7 +517,6 @@ def _factorial(a: float) -> WeightSpec:
         is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=sup_log,
-        note="w(n) = a^n/n!",
         sw_lower_hook=sw_low,
     )
 
@@ -574,16 +555,14 @@ def _expbeta(beta: float) -> WeightSpec:
         return -n.astype(float) ** b
 
     rb = None
-    cont_hook = None
+    cont_upper = None
     tail_hook = None
     if b >= 1.0:
         # increments (n+1)^b - n^b are nondecreasing, so the ratio peaks at n=1
         rb = (1, math.exp(1.0 - 2.0 ** b))
     else:
-        def cont_hook(n0: int) -> SupEnvelope:
-            v = max(n0, 2)
-            val = (float(v) ** b - float(v - 1) ** b) - math.log(b) - b * math.log(v)
-            return SupEnvelope(v, val, True, "integral envelope e^(n^b-(n-1)^b)/(b n^b)")
+        cont_upper = SupEnvelope(2, (2.0 ** b - 1.0) - math.log(b) - b * LN2, True,
+                                 "integral envelope e^(n^b-(n-1)^b)/(b n^b)")
 
         def tail_hook(m: int, beta_q: float) -> Optional[tuple[int, float]]:
             if beta_q != 0.0:
@@ -605,9 +584,8 @@ def _expbeta(beta: float) -> WeightSpec:
         is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=-1.0,
-        note="w(n) = exp(-n^beta)",
-        cont_env_hook=cont_hook,
         tail_hook=tail_hook,
+        cont_upper=cont_upper,
         sw_lower_hook=sw_low,
     )
 
@@ -621,14 +599,8 @@ def _explog(gamma: float) -> WeightSpec:
         return -np.log(n.astype(float)) ** g
 
     n_env = max(4, math.ceil(math.exp(g - 1.0)) + 2)
-
-    def cont_hook(n0: int) -> Optional[SupEnvelope]:
-        v = max(n0, n_env)
-        lt = math.log(v - 1)
-        gprime = g * lt ** (g - 1.0) / (v - 1)
-        val = gprime - math.log(g) - (g - 1.0) * math.log(lt)
-        return SupEnvelope(v, val, True,
-                           "integral envelope e^(dlog^g)/(g log^(g-1)(n-1))")
+    lt_env = math.log(n_env - 1)
+    gprime = g * lt_env ** (g - 1.0) / (n_env - 1)
 
     def tail_hook(m: int, beta_q: float) -> Optional[tuple[int, float]]:
         if beta_q != 0.0:
@@ -652,9 +624,9 @@ def _explog(gamma: float) -> WeightSpec:
         is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=0.0,
-        note="w(n) = exp(-log^gamma n)",
-        cont_env_hook=cont_hook,
         tail_hook=tail_hook,
+        cont_upper=SupEnvelope(n_env, gprime - math.log(g) - (g - 1.0) * math.log(lt_env),
+                               True, "integral envelope e^(dlog^g)/(g log^(g-1)(n-1))"),
         sw_lower_hook=sw_low,
     )
 
@@ -677,14 +649,14 @@ def _spike() -> WeightSpec:
         q_log = (beta - 1.0) * LN2
         return mm, _logsumexp([nonpower, k0 * q_log - math.log1p(-math.exp(q_log))])
 
-    def res_hook(a: float, n0: int) -> Optional[SupEnvelope]:
+    def res_hook(a: float) -> Optional[SupEnvelope]:
         if a >= 1.0:
             return None
         q = 2.0 ** (a - 1.0)
         b1 = 1.0 / (1.0 - a) + q / (1.0 - q)
         bp = 0.5 / (1.0 - a) + q / (2.0 * (1.0 - q))
         bm = 1.0 / (1.0 - a) + 1.0 / (1.0 - q)
-        return SupEnvelope(max(n0, 1), math.log(max(b1, bp, bm)), False,
+        return SupEnvelope(1, math.log(max(b1, bp, bm)), False,
                            "case bounds: start, powers of two, between powers")
 
     def sw_low(s: float) -> Optional[LowerEnvelope]:
@@ -701,13 +673,12 @@ def _spike() -> WeightSpec:
         is_summable=False,
         rapidly_decreasing=False,
         log_sup_bound=0.0,
-        note="w(n) = 1 at powers of two, else 1/n",
         tail_hook=tail_hook,
         minorant_log_c_hook=lambda s: 0.0 if s >= 1.0 else None,
         diverges_beta_hook=lambda beta: beta >= 1.0,
-        cont_env_hook=lambda n0: SupEnvelope(max(n0, 1), math.log(4.0), False,
-                                             "pi^2/6+1 at powers, n/(n-1)+2 between"),
         res_env_hook=res_hook,
+        cont_upper=SupEnvelope(1, math.log(4.0), False,
+                               "pi^2/6+1 at powers, n/(n-1)+2 between"),
         cont_lower=LowerEnvelope(lambda i: 2 ** i + 1,
                                  lambda i: math.log((2 ** i + 1) / 2 ** (i + 1)),
                                  False, "single spike term keeps the quantity above 1/2"),
@@ -725,6 +696,15 @@ def _block_index_scalar(n: int) -> int:
 
 def _block_index_array(n: np.ndarray) -> np.ndarray:
     return np.floor(np.log2(n.astype(float) - 1.0)).astype(np.int64)
+
+
+# the continuity quantity of both block families, from the first block on
+_BLOCK_CONT_UPPER = SupEnvelope(3, LN2, False,
+                                "within-block harmonic <= 1 plus cross-block <= 1")
+_BLOCK_CONT_LOWER = LowerEnvelope(
+    lambda i: 2 ** i + 1,
+    lambda i: math.log(math.log((2.0 ** (i + 1) + 1.0) / (2.0 ** i + 1.0))),
+    False, "own-block harmonic sum stays above log(5/3)")
 
 
 def _log2_sigma(i) -> "np.ndarray | float":
@@ -766,17 +746,17 @@ def _block313() -> WeightSpec:
         own = _log2_sigma(i0) * LN2 + _log_block_powersum(start, 2 ** (i0 + 1), beta)
         return start, _logsumexp([own, tail_from_blocks(i0 + 1, beta)])
 
-    def res_hook(a: float, n0: int) -> Optional[SupEnvelope]:
+    def res_hook(a: float) -> Optional[SupEnvelope]:
         if a >= 1.0:
             i0 = max(1, math.ceil(math.log2(2.0 * a)))
             v = 2 ** i0 + 1
             if v > _BRIDGE_CAP:
                 return None
-            return SupEnvelope(max(n0, v), a * LN2, False,
+            return SupEnvelope(v, a * LN2, False,
                                "block envelope 2^alpha from block i0(alpha)")
         q = 2.0 ** (a - 1.0)
         val = 1.0 + 2.0 ** (max(0.0, -a) + a - 1.0 - 16.0) / (1.0 - q)
-        return SupEnvelope(max(n0, 3), math.log(val), False,
+        return SupEnvelope(3, math.log(val), False,
                            "block envelope 1 + O(2^-16) for alpha < 1")
 
     def sw_low(s: float) -> LowerEnvelope:
@@ -792,18 +772,12 @@ def _block313() -> WeightSpec:
         is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=0.0,
-        note="dyadic blocks, value 2^-(i+(i+1)2^(i+1)) on block i",
         tail_hook=tail_hook,
         diverges_beta_hook=lambda beta: False,
-        cont_env_hook=lambda n0: SupEnvelope(max(n0, 3), LN2, False,
-                                             "within-block harmonic <= 1 plus cross-block <= 1"),
         res_env_hook=res_hook,
-        uw_env_hook=lambda n0: SupEnvelope(max(n0, 2), LN2, False,
-                                           "averaging quantity <= 1 + 2^-15 from m >= 2"),
-        cont_lower=LowerEnvelope(
-            lambda i: 2 ** i + 1,
-            lambda i: math.log(math.log((2.0 ** (i + 1) + 1.0) / (2.0 ** i + 1.0))),
-            False, "own-block harmonic sum stays above log(5/3)"),
+        cont_upper=_BLOCK_CONT_UPPER,
+        cont_lower=_BLOCK_CONT_LOWER,
+        uw_upper=SupEnvelope(2, LN2, False, "averaging quantity <= 1 + 2^-15 from m >= 2"),
         sw_lower_hook=sw_low,
     )
 
@@ -854,12 +828,12 @@ def _block413(alpha: float) -> WeightSpec:
         best = min(g(j) for j in range(1, j0 + 1))
         return min(best, 0.0)  # head n in {1,2} needs c <= 1
 
-    def res_hook(al: float, n0: int) -> Optional[SupEnvelope]:
+    def res_hook(al: float) -> Optional[SupEnvelope]:
         if al >= 1.0:
             return None
         q = 2.0 ** (al - 1.0)
         val = 1.0 + 2.0 ** max(0.0, -al) * q / (1.0 - q)
-        return SupEnvelope(max(n0, 3), math.log(val), False,
+        return SupEnvelope(3, math.log(val), False,
                            "within-block <= 1 plus geometric cross-block sum")
 
     def sw_low(s: float) -> Optional[LowerEnvelope]:
@@ -884,17 +858,12 @@ def _block413(alpha: float) -> WeightSpec:
         is_summable=True,
         rapidly_decreasing=False,
         log_sup_bound=0.0,
-        note="dyadic blocks, value i^-alpha 2^-(i-1) on block i",
         tail_hook=tail_hook,
         minorant_log_c_hook=minorant,
         diverges_beta_hook=lambda beta: beta > 1.0,
-        cont_env_hook=lambda n0: SupEnvelope(max(n0, 3), LN2, False,
-                                             "within-block harmonic <= 1 plus cross-block <= 1"),
         res_env_hook=res_hook,
-        cont_lower=LowerEnvelope(
-            lambda i: 2 ** i + 1,
-            lambda i: math.log(math.log((2.0 ** (i + 1) + 1.0) / (2.0 ** i + 1.0))),
-            False, "own-block harmonic sum stays above log(5/3)"),
+        cont_upper=_BLOCK_CONT_UPPER,
+        cont_lower=_BLOCK_CONT_LOWER,
         uw_lower=uw_low,
         sw_lower_hook=sw_low,
     )
@@ -933,7 +902,7 @@ def catalog_families() -> list[dict]:
             for label, have in [
                 ("tail", probe._closed_tail(2, 0.0) is not None
                  or probe._closed_tail(2, -1.0) is not None),
-                ("sup-envelope", probe.cont_env(1) is not None),
+                ("sup-envelope", probe.cont_env() is not None),
                 ("lower-envelope", probe.cont_lower is not None),
                 ("minorant", probe.minorant_log_c(4.0) is not None),
                 ("ratio", probe.ratio_bound is not None),
@@ -1028,7 +997,6 @@ def load_weight_table(path: str, wid: Optional[str] = None) -> WeightSpec:
         id=wid or f"custom:path={path}",
         log_eval_array=log_array,
         log_sup_bound=float(arr.max()),
-        note=f"table of {size} log-values loaded from {path}",
         table_size=size,
     )
 
@@ -1084,7 +1052,6 @@ class BlockWeightTable:
             is_summable=None,
             rapidly_decreasing=None,
             log_sup_bound=max(head, vals[0]),
-            note="greedy failing block minorant; constant beyond the last block",
             cont_lower=env,
         )
 
@@ -1189,8 +1156,6 @@ def build_compact_minorant(v: WeightSpec) -> WeightSpec:
         is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=head,
-        note="largest minorant with steps u(n+1) <= u(n)/(n+1); "
-             "ratio witness (1, 1/2)",
     )
 
 

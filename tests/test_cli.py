@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cesaro.cli import (
     DEFAULT_GRID,
@@ -24,7 +28,7 @@ from cesaro.cli import (
     _parse_grid,
     main,
 )
-from cesaro.criteria import Bracket
+from cesaro.criteria import PROBE_CEILING, Bracket
 from cesaro.weights import WeightError, parse_weight
 
 FAST = ["--horizon", "100000"]
@@ -211,6 +215,135 @@ def test_block413_large_alpha(capsys, alpha):
 
 
 # ---------------------------------------------------------------------------
+# every catalog input against the closed-form verdict table
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def catalog_inputs(draw):
+    """(spec, params) of one family, its parameters drawn log-uniformly
+    over the documented range so that both ends are reached."""
+    family = draw(st.sampled_from(["poly", "loggamma", "geom", "superfact",
+                                   "factorial", "expbeta", "explog", "spike",
+                                   "block313", "block413"]))
+    if family == "poly":
+        params = {"alpha": draw(_log_uniform(1e-3, 100.0))}
+    elif family == "loggamma":
+        params = {"gamma": draw(_log_uniform(1e-3, 30.0))}
+    elif family == "geom":
+        u = draw(_log_uniform(1e-3, 0.5))
+        r = draw(st.sampled_from([u, 1.0 - u]))
+        beta = draw(st.sampled_from([-1.0, 0.0, 1.0])) \
+            * draw(_log_uniform(1e-4, 5.0))
+        params = {"r": r, "beta": beta}
+    elif family == "factorial":
+        params = {"a": draw(_log_uniform(1e-3, 100.0))}
+    elif family == "expbeta":
+        params = {"beta": draw(_log_uniform(1e-3, 8.0))}
+    elif family == "explog":
+        params = {"gamma": 1.0 + draw(_log_uniform(1e-4, 11.0))}
+    elif family == "block413":
+        params = {"alpha": 1.0 + draw(_log_uniform(1e-4, 59.0))}
+    else:
+        params = {}
+    spec = family + "".join(
+        f"{',' if i else ':'}{k}={v!r}" for i, (k, v) in enumerate(params.items()))
+    return spec, params
+
+
+def _closed_form(spec: str, params: dict) -> dict:
+    """The family's verdicts from elementary series tests on its formula:
+    continuity, compactness, t0, s1 (None for the empty set) and whether
+    1/m is an eigenvalue."""
+    family = spec.partition(":")[0]
+    if family == "poly":
+        a = params["alpha"]
+        return dict(cont="Holds", comp="Fails", t0=a - 1.0, s1=a,
+                    eigen=lambda m: m < a)
+    if family == "loggamma":
+        return dict(cont="Fails", comp="Fails", t0=-1.0, s1=0.0,
+                    eigen=lambda m: False)
+    if family == "spike":
+        return dict(cont="Holds", comp="Fails", t0=0.0, s1=1.0,
+                    eigen=lambda m: False)
+    if family == "block413":
+        return dict(cont="Holds", comp="Fails", t0=0.0, s1=1.0,
+                    eigen=lambda m: m == 1)
+    # block313: the own-block harmonic sum stays above log(5/3), so the
+    # continuity quantity does not vanish; its double-exponential decay
+    # outruns every power, as for the five rapidly decaying families
+    return dict(cont="Holds", comp="Fails" if family == "block313" else "Holds",
+                t0=math.inf, s1=None, eigen=lambda m: True)
+
+
+def _contradictions(where: str, results: dict, table: dict) -> list:
+    """Each certified verdict in ``results`` that the table rules out;
+    Inconclusive verdicts and uncertified endpoints contradict nothing."""
+    bad = []
+    slack = 1e-9
+    for name, key in (("continuity", "cont"), ("compactness", "comp")):
+        kind = results[name]["verdict"]["kind"]
+        if kind in ("Holds", "Fails") and kind != table[key]:
+            bad.append(f"{where} {name} {kind}, expected {table[key]}")
+    t0 = results.get("t0")
+    if t0 is not None:
+        want = table["t0"]
+        if t0["kind"] == "bracket":
+            if t0["lo"] > want + slack or (
+                    t0["hi"] is not None and t0["hi"] < want - slack):
+                bad.append(f"{where} t0 in [{t0['lo']}, {t0['hi']}], "
+                           f"expected {want}")
+        elif t0["kind"] == "infinite" and want < PROBE_CEILING:
+            bad.append(f"{where} t0 infinite, expected {want}")
+        elif t0["kind"] == "empty":
+            bad.append(f"{where} t0 empty, expected {want}")
+    s1, want = results["s1"], table["s1"]
+    if s1["kind"] == "empty" and want is not None:
+        bad.append(f"{where} s1 empty, expected {want}")
+    elif s1["kind"] == "bracket":
+        if want is None or (s1["hi"] is not None and s1["hi"] < want - slack) \
+                or (s1["lo"] is not None and s1["lo"] > want + slack):
+            bad.append(f"{where} s1 in [{s1['lo']}, {s1['hi']}], "
+                       f"expected {want}")
+    for m, row in enumerate(results.get("point_spectrum", ()), start=1):
+        kind = row["verdict"]["kind"]
+        if kind in ("Holds", "Fails") and (kind == "Holds") != table["eigen"](m):
+            bad.append(f"{where} 1/{m} membership {kind}")
+    return bad
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(catalog_inputs())
+def test_every_catalog_input_works(drawn):
+    """Each family's documented parameters, toward both ends of their
+    range, run ``analyze``, ``spectrum`` and ``iterate`` to a documented
+    exit code (0, 3 or 4; an exception is the undocumented exit 1), and
+    no certified verdict contradicts the closed-form table."""
+    spec, params = drawn
+    table = _closed_form(spec, params)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out"
+        code = main(["analyze", "-w", spec, "--horizon", "10000",
+                     "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_BUDGET, EXIT_CONFLICT), spec
+        bad = _contradictions("analyze", json.loads(out.read_text())["results"],
+                              table)
+        code = main(["spectrum", "-w", spec, "--horizon", "10000",
+                     "--grid=-0.2,1.2,-0.7,0.7,12,12", "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_BUDGET, EXIT_CONFLICT), spec
+        bad += _contradictions(
+            "spectrum", json.loads(out.with_suffix(".json").read_text())
+            ["context"], table)
+        code = main(["iterate", "-w", spec, "--N", "200", "--M", "20",
+                     "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_BUDGET, EXIT_CONFLICT), spec
+    assert not bad, (spec, bad)
+
+
+# ---------------------------------------------------------------------------
 # spectrum
 
 
@@ -365,11 +498,18 @@ def test_geom_small_positive_beta(capsys, beta):
     capsys.readouterr()
 
 
-def test_iterate_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("CESARO_BUDGET", "1000")
+@pytest.mark.parametrize("raw", ["1000", "inf", "-inf", "1e400", "nan",
+                                 "abc"])
+def test_iterate_budget_env(capsys, monkeypatch, raw):
+    """A finite budget is enforced; anything else is a parse error."""
+    monkeypatch.setenv("CESARO_BUDGET", raw)
     code = main(["iterate", "-w", "geom:r=0.5", "--N", "100", "--M", "100",
                  "--probe", "e1"])
-    assert code == EXIT_BUDGET
+    if raw == "1000":
+        assert code == EXIT_BUDGET
+    else:
+        assert code == EXIT_PARSE
+        assert "CESARO_BUDGET is not a number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("averages", [[], ["--averages"]])

@@ -415,6 +415,27 @@ def test_rational_trace_iterates_the_support_only(factorial1, monkeypatch):
     assert seen == [K] and K < 200
 
 
+_BEYOND_FLOAT = [Fraction(10 ** 400)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: iterate_trace(w, _BEYOND_FLOAT, 2, 10, mode="rational"),
+    lambda w: cesaro_averages_trace(w, _BEYOND_FLOAT, 2, 10, mode="rational"),
+    lambda w: power_bounded_probe(w, 2, 10, probes=[("big", _BEYOND_FLOAT)]),
+    lambda w: decomposition_project(w, _BEYOND_FLOAT, 10),
+    lambda w: ergodic_identity_check(w, _BEYOND_FLOAT, 2, 10),
+], ids=["iterate", "averages", "probe", "decomposition", "identity-float"])
+def test_exact_input_beyond_float_range_is_rejected(geom05, call):
+    """A start coordinate too large for a float is an ErgodicError that
+    names it, not an OverflowError from deep inside a trace."""
+    with pytest.raises(ErgodicError, match="coordinate 1 of .* too large "
+                       "for a float"):
+        call(geom05)
+    # the exact identities never leave the rationals, so they still run
+    assert ergodic_identity_check(geom05, _BEYOND_FLOAT, 2, 10,
+                                  mode="rational") == (0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # exact identities
 

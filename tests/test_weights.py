@@ -147,6 +147,10 @@ def test_custom_weight_metadata():
     assert w.log_eval(3) == -3.0
     assert w.ratio_bound == (1, 0.5)
     assert w.log_tail(1, 1.0) is not None
+    # a ratio bound of 1 or more certifies nothing: no envelope, no crash
+    flat = custom_weight("flat", lambda n: 0.0, ratio_bound=(1, 1.0))
+    assert (flat.cont_env(), flat.uw_env(), flat.res_env(0.5)) == (None,) * 3
+    assert continuity_criterion(flat, horizon=100).verdict.is_inconclusive
 
 
 def test_catalog_families_listing():
@@ -250,6 +254,92 @@ def test_log_tail_table(spec):
                 assert abs(got - old) <= 2.3e-16, where
             else:
                 assert got.hex() == stored, where
+
+
+
+# cont_env(), uw_env() and res_env(alpha) of the LOG_TAIL_TABLE weights and
+# one constructed weight, recorded before the envelopes dropped their unused
+# start argument: [valid_from, log_sup float.hex, vanishes, note] or null
+ENVELOPE_TABLE = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "envelope_table.json").read_text())
+
+
+def _table_weight(key):
+    if key.startswith("compactmin("):
+        return build_compact_minorant(parse_weight(key[len("compactmin("):-1]))
+    return parse_weight(key)
+
+
+def _envelopes(w):
+    """{"cont": env, "uw": env, "res": [env per table alpha]}"""
+    return {"cont": w.cont_env(), "uw": w.uw_env(),
+            "res": [w.res_env(a) for a in ENVELOPE_TABLE["alphas"]]}
+
+
+def _entry(env):
+    if env is None:
+        return None
+    return [env.valid_from, env.log_sup.hex(), env.vanishes, env.note]
+
+
+@pytest.mark.parametrize("key", sorted(ENVELOPE_TABLE["envelopes"]))
+def test_envelope_table(key):
+    """Every certified sup envelope keeps its start, bound, flag and note
+    bit for bit."""
+    got = _envelopes(_table_weight(key))
+    stored = ENVELOPE_TABLE["envelopes"][key]
+    assert _entry(got["cont"]) == stored["cont"], key
+    assert _entry(got["uw"]) == stored["uw"], key
+    for alpha, env, row in zip(ENVELOPE_TABLE["alphas"], got["res"],
+                               stored["res"]):
+        assert _entry(env) == row, (key, alpha)
+
+
+_ENV_TOP = 10 ** 4  # largest m checked
+_ENV_SUM_TOP = 4 * 10 ** 4  # partial sums run through this index
+
+
+def test_envelopes_dominate_partial_sums():
+    """Each declared sup envelope bounds the partial sums, through n = 4e4,
+    of its quantity at every m from its start to 1e4 (log domain):
+
+    * continuity  sum_{n>=m} w(n)/n / w(m);
+    * uw          sum_{n>m} w(n) / (m w(m+1));
+    * resolvent   sum_{n>m} w(n) n^(alpha-1) / (m^alpha w(m)).
+    """
+    ns = np.arange(1, _ENV_SUM_TOP + 1, dtype=np.int64)
+    ln = np.log(ns.astype(float))
+    ms = np.arange(1, _ENV_TOP + 1)
+    checked = 0
+    for key in sorted(ENVELOPE_TABLE["envelopes"]):
+        w = _table_weight(key)
+        lw = np.asarray(w.log_eval(ns), dtype=float)
+
+        def suffix(beta):
+            # suffix[k] = log sum_{n >= k+1} w(n) n^(beta-1)
+            terms = lw + (beta - 1.0) * ln
+            return np.logaddexp.accumulate(terms[::-1])[::-1]
+
+        envs = _envelopes(w)
+        quantities = [(envs["cont"], suffix(0.0)[ms - 1] - lw[ms - 1]),
+                      (envs["uw"], suffix(1.0)[ms] - ln[ms - 1] - lw[ms])]
+        quantities += [(env, suffix(a)[ms] - a * ln[ms - 1] - lw[ms - 1])
+                       for a, env in zip(ENVELOPE_TABLE["alphas"], envs["res"])]
+        for env, log_q in quantities:
+            if env is None or env.valid_from > _ENV_TOP:
+                continue
+            checked += 1
+            worst = float(np.max(log_q[env.valid_from - 1:]))
+            assert worst <= env.log_sup + 1e-9, (key, env)
+    assert checked >= 150
+
+
+def test_custom_weight_rejects_the_old_envelope_hooks():
+    """The continuity and averaging envelopes are values now; a hook written
+    to the old contract fails loudly."""
+    with pytest.raises(TypeError):
+        custom_weight("mine", lambda n: -float(n),
+                      cont_env_hook=lambda n0: None)
 
 
 def test_tail_bound_exact_value_geom(geom05):

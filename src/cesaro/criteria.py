@@ -46,6 +46,7 @@ without calling it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -277,9 +278,11 @@ class Bracket:
 # scan grid and streaming suffix sums
 
 
+@functools.lru_cache(maxsize=8)
 def scan_indices(horizon: int) -> np.ndarray:
     """Deterministic scan grid: dense head, geometric spacing, and the
-    power-of-two edges where block-structured weights peak."""
+    power-of-two edges where block-structured weights peak.  Each horizon's
+    grid is built once and shared read-only."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     dense_top = min(horizon, DENSE_SCAN_LIMIT)
@@ -291,7 +294,9 @@ def scan_indices(horizon: int) -> np.ndarray:
     for i in range(1, (horizon + 1).bit_length()):
         idx.update(edge for edge in ((1 << i) - 1, 1 << i, (1 << i) + 1)
                    if edge <= horizon)
-    return np.array(sorted(idx), dtype=np.int64)
+    grid = np.array(sorted(idx), dtype=np.int64)
+    grid.setflags(write=False)
+    return grid
 
 
 def _segment_log_sums(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -436,19 +441,32 @@ def _run_rows(row_terms, jobs: list, shared, scratch: list) -> list:
     return segs
 
 
-def _power_log_sums(w: WeightSpec, rows, horizon: int) -> list:
+def _power_log_sums(w: WeightSpec, rows, horizon: int,
+                    memo: Optional[dict] = None) -> list:
     """log of sum_{n=m}^{horizon} n^(beta-1) w(n) for every (beta, targets)
     row in ``rows`` and every target m of it (ascending), in one pass.
 
     log w(n) and log n are evaluated once per chunk on the caller and
     shared by every row; each row's terms are ``ln*(beta-1) + lw``, and
     ``ln`` is the scalar 0.0 when every beta is 1 (ln(n)*0 is +0.0 too).
+    A caller that streams the same chunk of ``w`` again passes one ``memo``
+    dict to each pass: it keeps the last chunk's (lw, ln), keyed by the
+    chunk's (lo, hi), so at most one chunk is ever held.
     """
     betas = [float(beta) for beta, _ in rows]
+    with_ln = memo is not None or bool(set(betas) - {1.0})
 
     def evaluate(ns):
-        return (np.asarray(w.log_eval(ns), dtype=float),
-                np.log(ns.astype(float)) if set(betas) - {1.0} else 0.0)
+        key = (int(ns[0]), int(ns[-1]))
+        if memo:
+            if key in memo:
+                return memo[key]
+            memo.clear()  # drop the last chunk before evaluating this one
+        lw_ln = (np.asarray(w.log_eval(ns), dtype=float),
+                 np.log(ns.astype(float)) if with_ln else 0.0)
+        if memo is not None:
+            memo[key] = lw_ln
+        return lw_ln
 
     def row_terms(r, lw_ln, buf):
         lw, ln = lw_ln
@@ -516,17 +534,18 @@ def _bridge_indices(profile: SupProfile, horizon: int) -> np.ndarray:
     return np.arange(1, env.valid_from, dtype=np.int64)
 
 
-def _scan_sup_quantities(w: WeightSpec, profiles, betas,
-                         horizon: int) -> tuple[list, list]:
+def _scan_sup_quantities(w: WeightSpec, profiles, betas, horizon: int,
+                         memo: Optional[dict] = None) -> tuple[list, list]:
     """One pass over ``w`` for every profile (a power row at its scan and
     bridge starts) and every moment log sum_{n<=horizon} n^(beta-1) w(n)
     (a row at target 1).  Returns (one _ScanData per profile, the moment
-    log-sums)."""
+    log-sums).  ``memo`` is ``_power_log_sums``'s."""
     scan = scan_indices(horizon) if profiles else None
     bridges = [_bridge_indices(p, horizon) for p in profiles]
     rows = [(p.beta, np.union1d(scan, bridge) + p.start_offset)
             for p, bridge in zip(profiles, bridges)]
-    sums = _power_log_sums(w, rows + [(beta, [1]) for beta in betas], horizon)
+    sums = _power_log_sums(w, rows + [(beta, [1]) for beta in betas], horizon,
+                           memo)
     data = []
     for p, bridge, (_, targets), joint in zip(profiles, bridges, rows, sums):
         suffix_log = joint[np.searchsorted(targets, scan + p.start_offset)]
@@ -709,18 +728,20 @@ def evaluate_sup_profile(profile: SupProfile, horizon: int,
                     [(profile, params, (profile.name,))])[0][0]
 
 
-def _reports(w: WeightSpec, horizon: int, jobs, ts=()) -> tuple[list, list]:
+def _reports(w: WeightSpec, horizon: int, jobs, ts=(),
+             memo: Optional[dict] = None) -> tuple[list, list]:
     """Sup reports and rw memberships of weight ``w`` from one pass.
 
     Each job is (profile, params, report names); a report named
     ``compactness`` asks whether the quantity vanishes.  Returns (the
     reports in job and name order, one membership verdict per t in ts).
+    ``memo`` is ``_power_log_sums``'s.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     ts = [float(t) for t in ts]
     data, totals = _scan_sup_quantities(w, [job[0] for job in jobs],
-                                        [t + 1.0 for t in ts], horizon)
+                                        [t + 1.0 for t in ts], horizon, memo)
     return ([_sup_report(profile, d, horizon, params, name,
                          name == "compactness")
              for (profile, params, names), d in zip(jobs, data)
@@ -955,11 +976,23 @@ def sw1_membership(w: WeightSpec, s: float,
     envelope or, for certified rapidly decreasing weights, from the decay
     class itself.
     """
+    return _sw1_verdict(w, s, horizon, *_sw1_scan(w, horizon))
+
+
+def _sw1_scan(w: WeightSpec, horizon: int) -> tuple:
+    """(scan grid, log n, log w(n)) at the scan indices of ``horizon``: what
+    every sw1 verdict at this horizon reads of the weight."""
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     scan = scan_indices(horizon)
-    log_g = (-s * np.log(scan.astype(float))
-             - np.asarray(w.log_eval(scan), dtype=float))
+    return (scan, np.log(scan.astype(float)),
+            np.asarray(w.log_eval(scan), dtype=float))
+
+
+def _sw1_verdict(w: WeightSpec, s: float, horizon: int, scan: np.ndarray,
+                 log_n: np.ndarray, log_w: np.ndarray) -> Verdict:
+    """The ``sw1_membership`` verdict at exponent s from ``_sw1_scan``."""
+    log_g = -s * log_n - log_w
     emp = float(np.max(_exp_clamped(log_g)))
 
     log_c = w.minorant_log_c(s)
@@ -1070,11 +1103,17 @@ def t0_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
     non-member.  Certified rapidly decreasing weights make the set every
     exponent (``infinite``); any other weight is ``infinite`` only when the
     probe at the ceiling itself is a certified member.  The whole ladder is
-    probed in one pass over the weight; only the bisection midpoints are
-    probed one at a time.
+    probed in one pass over the weight and each bisection midpoint in
+    another; every pass reads the log w and log n that the first one
+    evaluated.
     """
+    memo: dict = {}
+
+    def members(ts) -> list:
+        return _reports(w, horizon, [], ts, memo)[1]
+
     def member(t: float) -> Verdict:
-        return rw_membership(w, t, horizon=horizon)
+        return members((t,))[0]
 
     if w.rapidly_decreasing:
         notes = ["certified rapid decay: every exponent is summable"]
@@ -1082,7 +1121,7 @@ def t0_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
             notes.append(f"verified membership at the probe ceiling {ceiling}")
         return Bracket("infinite", notes=tuple(notes))
     ladder = tuple(x for x in _T_LADDER if x < ceiling) + (ceiling,)
-    ladder_verdicts = dict(zip(ladder, rw_memberships(w, ladder, horizon)))
+    ladder_verdicts = dict(zip(ladder, members(ladder)))
     inside, outside, cache, notes = _bisect_boundary(member, ladder, "lo", tol,
                                                      ladder_verdicts)
     if inside is None:
@@ -1109,10 +1148,14 @@ def s1_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
     """Bracket the infimum of the exponents s with sup 1/(n^s w(n)) finite.
 
     The set is upward closed, so the bracket's high endpoint is a certified
-    member.  Certified rapidly decreasing weights make the set empty.
+    member.  Certified rapidly decreasing weights make the set empty.  The
+    weight is evaluated once, at the scan indices; each probe is array
+    arithmetic on those values.
     """
+    grid = _sw1_scan(w, horizon)
+
     def member(s: float) -> Verdict:
-        return sw1_membership(w, s, horizon=horizon)
+        return _sw1_verdict(w, s, horizon, *grid)
 
     if w.rapidly_decreasing:
         notes = ("certified rapid decay: no polynomial minorant exists, the "

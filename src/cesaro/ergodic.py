@@ -303,8 +303,7 @@ def _orbit(arr, mode: str, steps: int, averages: bool):
 
 def _start_vector(x: Sequence, N: int, mode: str):
     if mode == "rational":
-        vals = [Fraction(v) if not isinstance(v, Fraction) else v
-                for v in x[:N]]
+        vals = _as_fractions(x[:N])
         return vals + [Fraction(0)] * (N - len(vals))
     if mode != "float":
         raise ErgodicError(f"unknown arithmetic mode {mode!r}")
@@ -327,6 +326,20 @@ def _as_float(values, what: str = "the start vector") -> np.ndarray:
         except OverflowError as exc:
             raise ErgodicError(f"coordinate {i + 1} of {what} is too large "
                                "for a float") from exc
+    return out
+
+
+def _as_fractions(values) -> list:
+    """``values`` as exact Fractions: the one place ``ergodic`` turns caller
+    coordinates into rationals.  A coordinate with no exact value, such as
+    a float infinity or NaN, raises ErgodicError naming it."""
+    out = []
+    for i, v in enumerate(values):
+        try:
+            out.append(v if isinstance(v, Fraction) else Fraction(v))
+        except (OverflowError, ValueError) as exc:
+            raise ErgodicError(f"coordinate {i + 1} of the start vector has "
+                               f"no exact rational value: {exc}") from exc
     return out
 
 
@@ -527,8 +540,7 @@ def ergodic_identity_check(w: WeightSpec, x: Sequence, n: int, N: int,
         raise ErgodicError("n and N must be >= 1")
     _check_budget((n + 1) * N)
     if mode == "rational":
-        cur = tuple(Fraction(v) if not isinstance(v, Fraction) else v
-                    for v in list(x[:N]) + [0] * max(0, N - len(x)))
+        cur = tuple(_as_fractions(list(x[:N]) + [0] * max(0, N - len(x))))
         zero = Fraction(0)
     else:
         cur = tuple(_start_vector(x, N, "float").tolist())

@@ -503,9 +503,9 @@ def continuity_scans(monkeypatch):
     counted = [0]
     original = criteria._scan_sup_quantities
 
-    def scan(w, profiles, betas, horizon):
+    def scan(w, profiles, *rest):
         counted[0] += sum(p.name == "continuity" for p in profiles)
-        return original(w, profiles, betas, horizon)
+        return original(w, profiles, *rest)
 
     monkeypatch.setattr(criteria, "_scan_sup_quantities", scan)
     return counted
@@ -520,35 +520,97 @@ def test_point_spectrum_one_pass_over_the_weight(log_eval_terms, spec):
     assert log_eval_terms[0] <= 1.1 * horizon
 
 
-def test_t0_estimate_probes_the_ladder_in_one_pass(monkeypatch,
-                                                  log_eval_terms, poly2):
-    horizon = criteria.ESTIMATE_HORIZON
-    single = criteria.rw_membership
-    terms_at_first_midpoint = []
-
-    def midpoint(w, t, horizon=criteria.DEFAULT_HORIZON):
-        assert t not in criteria._T_LADDER
-        if not terms_at_first_midpoint:
-            terms_at_first_midpoint.append(log_eval_terms[0])
-        return single(w, t, horizon)
-
-    monkeypatch.setattr(criteria, "rw_membership", midpoint)
-    t0_estimate(poly2)
-    assert terms_at_first_midpoint
-    assert terms_at_first_midpoint[0] <= 1.1 * horizon
+ESTIMATE_SPECS = [("poly", {"alpha": 2.0}), ("spike", {}),
+                  ("block413", {"alpha": 2.0})]
 
 
-@pytest.mark.parametrize("spec", [("poly", {"alpha": 2.0}),
-                                  ("loggamma", {"gamma": 2.0}), ("spike", {}),
-                                  ("block413", {"alpha": 2.0}),
-                                  ("superfact", {})])
-def test_t0_estimate_matches_probing_one_at_a_time(monkeypatch, spec):
+def test_t0_estimate_probes_the_ladder_in_one_pass(log_eval_terms):
+    """The ladder pass and every bisection midpoint of t0 read one
+    evaluation of the weight over 1..ESTIMATE_HORIZON."""
+    for spec in ESTIMATE_SPECS:
+        log_eval_terms[0] = 0
+        b = t0_estimate(catalog_weight(*spec))
+        assert b.kind == "bracket" and b.tol <= criteria.BISECTION_TOL, spec
+        assert log_eval_terms[0] <= 1.1 * criteria.ESTIMATE_HORIZON, spec
+
+
+def test_s1_estimate_evaluates_the_scan_once(log_eval_terms):
+    """Every s1 probe reads one evaluation of the weight at the scan
+    indices of ESTIMATE_HORIZON."""
+    scan_terms = len(criteria.scan_indices(criteria.ESTIMATE_HORIZON))
+    for spec in ESTIMATE_SPECS:
+        log_eval_terms[0] = 0
+        b = s1_estimate(catalog_weight(*spec))
+        assert b.kind == "bracket" and b.tol <= criteria.BISECTION_TOL, spec
+        assert log_eval_terms[0] <= 1.1 * scan_terms, spec
+
+
+def _assert_probed_one_at_a_time(b, member, ladder, side):
+    """``b`` has the endpoints and verdicts of the ladder walk and
+    bisection with every exponent probed on its own through ``member``."""
+    inside, outside, cache, notes = criteria._bisect_boundary(
+        member, ladder, side, criteria.BISECTION_TOL)
+    if inside is None:  # an inconclusive bracket names no endpoint
+        outside = None
+    got = (b.lo, b.hi, b.lo_verdict, b.hi_verdict)
+    if side == "hi":
+        got = (got[1], got[0], got[3], got[2])
+    assert got == (inside, outside, cache.get(inside), cache.get(outside))
+    assert set(notes) <= set(b.notes)
+
+
+ONE_AT_A_TIME_SPECS = [("poly", {"alpha": 2.0}), ("loggamma", {"gamma": 2.0}),
+                       ("spike", {}), ("block413", {"alpha": 2.0}),
+                       ("superfact", {})]
+
+
+@pytest.mark.parametrize("spec", ONE_AT_A_TIME_SPECS)
+def test_t0_estimate_matches_probing_one_at_a_time(spec):
     w = catalog_weight(*spec)
-    batched = t0_estimate(w)
-    many = criteria.rw_memberships
-    monkeypatch.setattr(criteria, "rw_memberships", lambda w, ts, horizon: [
-        many(w, (t,), horizon)[0] for t in ts])
-    assert t0_estimate(w) == batched
+    ceiling = criteria.PROBE_CEILING
+
+    def member(t):
+        return rw_membership(w, t, criteria.ESTIMATE_HORIZON)
+
+    b = t0_estimate(w)
+    if w.rapidly_decreasing:
+        assert b.kind == "infinite"
+        assert (f"verified membership at the probe ceiling {ceiling}"
+                in b.notes) == member(ceiling).is_holds
+        return
+    ladder = tuple(x for x in criteria._T_LADDER if x < ceiling) + (ceiling,)
+    _assert_probed_one_at_a_time(b, member, ladder, "lo")
+
+
+@pytest.mark.parametrize("spec", ONE_AT_A_TIME_SPECS)
+def test_s1_estimate_matches_probing_one_at_a_time(spec):
+    w = catalog_weight(*spec)
+    ceiling = criteria.PROBE_CEILING
+
+    def member(s):
+        return sw1_membership(w, s, criteria.ESTIMATE_HORIZON)
+
+    b = s1_estimate(w)
+    if w.rapidly_decreasing:
+        assert b.kind == "empty"
+        assert ("probe at the ceiling did not contradict the metadata"
+                in b.notes) == (not member(ceiling).is_fails)
+        return
+    ladder = tuple(x for x in criteria._S_LADDER if x <= ceiling)
+    _assert_probed_one_at_a_time(b, member, ladder, "hi")
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 17, 10 ** 4, 10 ** 4 + 1, 10 ** 5,
+                                     2 ** 19 + 1, 10 ** 6])
+def test_scan_indices_is_a_shared_read_only_grid(horizon):
+    grid = criteria.scan_indices(horizon)
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 0
+    fresh = criteria.scan_indices.__wrapped__(horizon)
+    assert grid.dtype == fresh.dtype == np.int64
+    assert grid.tobytes() == fresh.tobytes()
+    assert criteria.scan_indices(horizon) is grid
 
 
 def test_callers_scan_continuity_once(continuity_scans, monkeypatch, capsys,

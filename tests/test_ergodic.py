@@ -436,6 +436,21 @@ def test_exact_input_beyond_float_range_is_rejected(geom05, call):
                                   mode="rational") == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda w, x: iterate_trace(w, x, 2, 10, mode="rational"),
+    lambda w, x: ergodic_identity_check(w, x, 2, 10, mode="rational"),
+], ids=["iterate", "identity"])
+def test_non_finite_exact_start_is_rejected(geom05, call, value):
+    """Exact arithmetic has no infinity or NaN: such a start coordinate is
+    an ErgodicError that names it, not a bare OverflowError or ValueError
+    from the Fraction constructor."""
+    with pytest.raises(ErgodicError, match="coordinate 2 of the start "
+                       "vector has no exact rational value"):
+        call(geom05, [1.0, value, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # exact identities
 

@@ -46,7 +46,6 @@ without calling it.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -278,11 +277,9 @@ class Bracket:
 # scan grid and streaming suffix sums
 
 
-@functools.lru_cache(maxsize=8)
 def scan_indices(horizon: int) -> np.ndarray:
     """Deterministic scan grid: dense head, geometric spacing, and the
-    power-of-two edges where block-structured weights peak.  Each horizon's
-    grid is built once and shared read-only."""
+    power-of-two edges where block-structured weights peak."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     dense_top = min(horizon, DENSE_SCAN_LIMIT)
@@ -294,9 +291,7 @@ def scan_indices(horizon: int) -> np.ndarray:
     for i in range(1, (horizon + 1).bit_length()):
         idx.update(edge for edge in ((1 << i) - 1, 1 << i, (1 << i) + 1)
                    if edge <= horizon)
-    grid = np.array(sorted(idx), dtype=np.int64)
-    grid.setflags(write=False)
-    return grid
+    return np.array(sorted(idx), dtype=np.int64)
 
 
 def _segment_log_sums(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -449,24 +444,21 @@ def _power_log_sums(w: WeightSpec, rows, horizon: int,
     log w(n) and log n are evaluated once per chunk on the caller and
     shared by every row; each row's terms are ``ln*(beta-1) + lw``, and
     ``ln`` is the scalar 0.0 when every beta is 1 (ln(n)*0 is +0.0 too).
-    A caller that streams the same chunk of ``w`` again passes one ``memo``
-    dict to each pass: it keeps the last chunk's (lw, ln), keyed by the
-    chunk's (lo, hi), so at most one chunk is ever held.
+    ``memo`` holds the last chunk's (lw, ln) under the chunk's (lo, hi); a
+    caller that passes the same dict to every pass over ``w`` evaluates a
+    single-chunk horizon once.
     """
     betas = [float(beta) for beta, _ in rows]
     with_ln = memo is not None or bool(set(betas) - {1.0})
+    memo = {} if memo is None else memo
 
     def evaluate(ns):
         key = (int(ns[0]), int(ns[-1]))
-        if memo:
-            if key in memo:
-                return memo[key]
-            memo.clear()  # drop the last chunk before evaluating this one
-        lw_ln = (np.asarray(w.log_eval(ns), dtype=float),
-                 np.log(ns.astype(float)) if with_ln else 0.0)
-        if memo is not None:
-            memo[key] = lw_ln
-        return lw_ln
+        if key not in memo:
+            memo.clear()  # hold one chunk at a time
+            memo[key] = (np.asarray(w.log_eval(ns), dtype=float),
+                         np.log(ns.astype(float)) if with_ln else 0.0)
+        return memo[key]
 
     def row_terms(r, lw_ln, buf):
         lw, ln = lw_ln
@@ -534,18 +526,17 @@ def _bridge_indices(profile: SupProfile, horizon: int) -> np.ndarray:
     return np.arange(1, env.valid_from, dtype=np.int64)
 
 
-def _scan_sup_quantities(w: WeightSpec, profiles, betas, horizon: int,
-                         memo: Optional[dict] = None) -> tuple[list, list]:
+def _scan_sup_quantities(w: WeightSpec, profiles, betas,
+                         horizon: int) -> tuple[list, list]:
     """One pass over ``w`` for every profile (a power row at its scan and
     bridge starts) and every moment log sum_{n<=horizon} n^(beta-1) w(n)
     (a row at target 1).  Returns (one _ScanData per profile, the moment
-    log-sums).  ``memo`` is ``_power_log_sums``'s."""
+    log-sums)."""
     scan = scan_indices(horizon) if profiles else None
     bridges = [_bridge_indices(p, horizon) for p in profiles]
     rows = [(p.beta, np.union1d(scan, bridge) + p.start_offset)
             for p, bridge in zip(profiles, bridges)]
-    sums = _power_log_sums(w, rows + [(beta, [1]) for beta in betas], horizon,
-                           memo)
+    sums = _power_log_sums(w, rows + [(beta, [1]) for beta in betas], horizon)
     data = []
     for p, bridge, (_, targets), joint in zip(profiles, bridges, rows, sums):
         suffix_log = joint[np.searchsorted(targets, scan + p.start_offset)]
@@ -728,20 +719,18 @@ def evaluate_sup_profile(profile: SupProfile, horizon: int,
                     [(profile, params, (profile.name,))])[0][0]
 
 
-def _reports(w: WeightSpec, horizon: int, jobs, ts=(),
-             memo: Optional[dict] = None) -> tuple[list, list]:
+def _reports(w: WeightSpec, horizon: int, jobs, ts=()) -> tuple[list, list]:
     """Sup reports and rw memberships of weight ``w`` from one pass.
 
     Each job is (profile, params, report names); a report named
     ``compactness`` asks whether the quantity vanishes.  Returns (the
     reports in job and name order, one membership verdict per t in ts).
-    ``memo`` is ``_power_log_sums``'s.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     ts = [float(t) for t in ts]
     data, totals = _scan_sup_quantities(w, [job[0] for job in jobs],
-                                        [t + 1.0 for t in ts], horizon, memo)
+                                        [t + 1.0 for t in ts], horizon)
     return ([_sup_report(profile, d, horizon, params, name,
                          name == "compactness")
              for (profile, params, names), d in zip(jobs, data)
@@ -937,7 +926,19 @@ def rw_memberships(w: WeightSpec, ts,
                    horizon: int = DEFAULT_HORIZON) -> list:
     """``rw_membership`` for every exponent in ``ts``, from one streamed
     pass over the weight."""
-    return _reports(w, horizon, [], ts)[1]
+    return _rw_verdicts(w, ts, horizon)
+
+
+def _rw_verdicts(w: WeightSpec, ts, horizon: int,
+                 memo: Optional[dict] = None) -> list:
+    """``rw_memberships``; a caller that probes ``w`` again passes one
+    ``memo`` (``_power_log_sums``') to every probe."""
+    if horizon < 2:
+        raise ValueError("horizon must be >= 2")
+    ts = [float(t) for t in ts]
+    sums = _power_log_sums(w, [(t + 1.0, [1]) for t in ts], horizon, memo)
+    return [_rw_verdict(w, t, horizon, float(total[0]))
+            for t, total in zip(ts, sums)]
 
 
 def _rw_verdict(w: WeightSpec, t: float, horizon: int,
@@ -1109,11 +1110,8 @@ def t0_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
     """
     memo: dict = {}
 
-    def members(ts) -> list:
-        return _reports(w, horizon, [], ts, memo)[1]
-
     def member(t: float) -> Verdict:
-        return members((t,))[0]
+        return _rw_verdicts(w, (t,), horizon, memo)[0]
 
     if w.rapidly_decreasing:
         notes = ["certified rapid decay: every exponent is summable"]
@@ -1121,7 +1119,7 @@ def t0_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
             notes.append(f"verified membership at the probe ceiling {ceiling}")
         return Bracket("infinite", notes=tuple(notes))
     ladder = tuple(x for x in _T_LADDER if x < ceiling) + (ceiling,)
-    ladder_verdicts = dict(zip(ladder, members(ladder)))
+    ladder_verdicts = dict(zip(ladder, _rw_verdicts(w, ladder, horizon, memo)))
     inside, outside, cache, notes = _bisect_boundary(member, ladder, "lo", tol,
                                                      ladder_verdicts)
     if inside is None:

@@ -503,9 +503,9 @@ def continuity_scans(monkeypatch):
     counted = [0]
     original = criteria._scan_sup_quantities
 
-    def scan(w, profiles, *rest):
+    def scan(w, profiles, betas, horizon):
         counted[0] += sum(p.name == "continuity" for p in profiles)
-        return original(w, profiles, *rest)
+        return original(w, profiles, betas, horizon)
 
     monkeypatch.setattr(criteria, "_scan_sup_quantities", scan)
     return counted
@@ -600,17 +600,27 @@ def test_s1_estimate_matches_probing_one_at_a_time(spec):
     _assert_probed_one_at_a_time(b, member, ladder, "hi")
 
 
-@pytest.mark.parametrize("horizon", [1, 2, 17, 10 ** 4, 10 ** 4 + 1, 10 ** 5,
-                                     2 ** 19 + 1, 10 ** 6])
-def test_scan_indices_is_a_shared_read_only_grid(horizon):
-    grid = criteria.scan_indices(horizon)
-    assert not grid.flags.writeable
-    with pytest.raises(ValueError):
-        grid[0] = 0
-    fresh = criteria.scan_indices.__wrapped__(horizon)
-    assert grid.dtype == fresh.dtype == np.int64
-    assert grid.tobytes() == fresh.tobytes()
-    assert criteria.scan_indices(horizon) is grid
+@pytest.mark.parametrize("spec", [("poly", {"alpha": 2.0}),
+                                  ("block413", {"alpha": 2.0})])
+def test_t0_estimate_over_several_chunks(monkeypatch, log_eval_terms, spec):
+    """Above one chunk each pass evaluates every chunk again, holding one at
+    a time, and the bracket is still that of probing one at a time."""
+    monkeypatch.setattr(criteria, "_CHUNK", 1000)
+    w = catalog_weight(*spec)
+    horizon = 3500
+    b = t0_estimate(w, horizon=horizon)
+    assert b.kind == "bracket"
+    assert log_eval_terms[0] > 2 * horizon
+    ladder = tuple(x for x in criteria._T_LADDER
+                   if x < criteria.PROBE_CEILING) + (criteria.PROBE_CEILING,)
+    _assert_probed_one_at_a_time(
+        b, lambda t: rw_membership(w, t, horizon), ladder, "lo")
+
+
+@pytest.mark.parametrize("estimate", [t0_estimate, s1_estimate])
+def test_estimates_need_a_horizon_of_two(estimate, poly2):
+    with pytest.raises(ValueError, match="horizon must be >= 2"):
+        estimate(poly2, horizon=1)
 
 
 def test_callers_scan_continuity_once(continuity_scans, monkeypatch, capsys,

@@ -30,6 +30,7 @@ from .criteria import (
     scan_reports,
     t0_estimate,
 )
+from .sections import SIGMA_PROXIMITY_EPS
 from . import spectral
 from . import ergodic
 
@@ -57,7 +58,6 @@ EXIT_CONFLICT = 4
 DEFAULT_SECTION_N = 2000
 DEFAULT_ITERATES_M = 2000
 DEFAULT_GRID = (-0.2, 1.2, -0.7, 0.7, 200, 200)
-DEFAULT_EPS = 1e-9
 DEFAULT_POINT_M_MAX = 20
 
 
@@ -76,7 +76,7 @@ class RunConfig:
     seed: int = 0
     probe: str = "e1"
     m_max: int = DEFAULT_POINT_M_MAX
-    eps: float = DEFAULT_EPS
+    eps: float = SIGMA_PROXIMITY_EPS
     averages: bool = False
     family: Optional[str] = None
 
@@ -325,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="re0,re1,im0,im1,nx,ny "
                         "(default -0.2,1.2,-0.7,0.7,200,200)")
     p.add_argument("--m-max", type=int, default=DEFAULT_POINT_M_MAX)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS,
+    p.add_argument("--eps", type=float, default=SIGMA_PROXIMITY_EPS,
                    help="exclusion radius around the limit set")
 
     p = sub.add_parser("iterate", help="trace iterates of a probe vector")

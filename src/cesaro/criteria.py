@@ -252,10 +252,6 @@ class Bracket:
     notes: tuple = ()
 
     @property
-    def resolved(self) -> bool:
-        return self.kind in ("bracket", "infinite", "empty")
-
-    @property
     def point(self) -> Optional[float]:
         """The certified-membership endpoint (None unless kind == 'bracket')."""
         if self.kind != "bracket":
@@ -442,14 +438,12 @@ def _power_log_sums(w: WeightSpec, rows, horizon: int,
     row in ``rows`` and every target m of it (ascending), in one pass.
 
     log w(n) and log n are evaluated once per chunk on the caller and
-    shared by every row; each row's terms are ``ln*(beta-1) + lw``, and
-    ``ln`` is the scalar 0.0 when every beta is 1 (ln(n)*0 is +0.0 too).
+    shared by every row; each row's terms are ``ln*(beta-1) + lw``.
     ``memo`` holds the last chunk's (lw, ln) under the chunk's (lo, hi); a
     caller that passes the same dict to every pass over ``w`` evaluates a
     single-chunk horizon once.
     """
     betas = [float(beta) for beta, _ in rows]
-    with_ln = memo is not None or bool(set(betas) - {1.0})
     memo = {} if memo is None else memo
 
     def evaluate(ns):
@@ -457,7 +451,7 @@ def _power_log_sums(w: WeightSpec, rows, horizon: int,
         if key not in memo:
             memo.clear()  # hold one chunk at a time
             memo[key] = (np.asarray(w.log_eval(ns), dtype=float),
-                         np.log(ns.astype(float)) if with_ln else 0.0)
+                         np.log(ns.astype(float)))
         return memo[key]
 
     def row_terms(r, lw_ln, buf):
@@ -755,11 +749,9 @@ def _sup_report(profile: SupProfile, data: _ScanData, horizon: int,
 # continuity and compactness
 
 
-def _continuity_profile(v: WeightSpec, w: WeightSpec) -> SupProfile:
-    same = v is w or v.id == w.id
-
+def _continuity_profile(w: WeightSpec) -> SupProfile:
     def den(ms: np.ndarray) -> np.ndarray:
-        return np.asarray(v.log_eval(ms), dtype=float)
+        return np.asarray(w.log_eval(ms), dtype=float)
 
     return SupProfile(
         name="continuity",
@@ -767,8 +759,8 @@ def _continuity_profile(v: WeightSpec, w: WeightSpec) -> SupProfile:
         beta=0.0,
         start_offset=0,
         log_denominator=den,
-        envelope=v.cont_env() if same else None,
-        lower=v.cont_lower if same else None,
+        envelope=w.cont_env(),
+        lower=w.cont_lower,
         diverges=w.diverges_beta(0.0),
         diverges_note="sum of weight(n)/n diverges",
     )
@@ -792,54 +784,48 @@ def _uw_profile(w: WeightSpec) -> SupProfile:
     )
 
 
-def _continuity_job(v: WeightSpec, w: WeightSpec, horizon: int,
-                    names) -> tuple:
-    """The ``continuity`` and ``compactness`` reports of (v, w) named in
-    ``names`` read one quantity: continuity asks for its supremum,
-    compactness whether it vanishes."""
-    return (_continuity_profile(v, w),
-            {"v": v.id, "w": w.id, "horizon": int(horizon)}, names)
+def _continuity_job(w: WeightSpec, horizon: int, names) -> tuple:
+    """The ``_reports`` job of the ``continuity`` and ``compactness``
+    reports named in ``names``: both read one quantity, continuity asks for
+    its supremum, compactness whether it vanishes."""
+    return (_continuity_profile(w),
+            {"v": w.id, "w": w.id, "horizon": int(horizon)}, names)
 
 
-def _continuity_quantity_reports(v: WeightSpec, w: Optional[WeightSpec],
-                                 horizon: int, names) -> list:
-    w = v if w is None else w
-    return _reports(w, horizon, [_continuity_job(v, w, horizon, names)])[0]
-
-
-def continuity_criterion(v: WeightSpec, w: Optional[WeightSpec] = None,
+def continuity_criterion(w: WeightSpec,
                          horizon: int = DEFAULT_HORIZON) -> CriterionReport:
-    """Certify sup over n of (1/v(n)) * sum_{m>=n} w(m)/m.
+    """Certify sup over n of (1/w(n)) * sum_{m>=n} w(m)/m.
 
     Holds means the averaging operator maps the w-weighted summable space
-    boundedly into the v-weighted one, and the certified bound dominates its
-    operator norm.  With one argument, v = w.
+    boundedly into itself, and the certified bound dominates its operator
+    norm.
     """
-    return _continuity_quantity_reports(v, w, horizon, ("continuity",))[0]
+    return _reports(w, horizon, [_continuity_job(w, horizon,
+                                                 ("continuity",))])[0][0]
 
 
-def compactness_criterion(v: WeightSpec, w: Optional[WeightSpec] = None,
+def compactness_criterion(w: WeightSpec,
                           horizon: int = DEFAULT_HORIZON) -> CriterionReport:
-    """Certify that (1/v(n)) * sum_{m>=n} w(m)/m tends to zero.
+    """Certify that (1/w(n)) * sum_{m>=n} w(m)/m tends to zero.
 
     This is the continuity quantity asked the vanishing question.  Holds
     requires a certified vanishing envelope; Fails requires either a
     certified positive lower bound along a subsequence or outright divergence.
     """
-    return _continuity_quantity_reports(v, w, horizon, ("compactness",))[0]
+    return _reports(w, horizon, [_continuity_job(w, horizon,
+                                                 ("compactness",))])[0][0]
 
 
 def continuity_and_compactness(
-        v: WeightSpec, w: Optional[WeightSpec] = None,
-        horizon: int = DEFAULT_HORIZON) -> tuple[CriterionReport,
-                                                 CriterionReport]:
-    """The continuity and compactness reports of (v, w) from one scan.
+        w: WeightSpec, horizon: int = DEFAULT_HORIZON) -> tuple[
+            CriterionReport, CriterionReport]:
+    """The continuity and compactness reports of w from one scan.
 
     Both criteria read the same quantity, so callers that need both should
     use this instead of scanning it twice.
     """
-    return tuple(_continuity_quantity_reports(
-        v, w, horizon, ("continuity", "compactness")))
+    return tuple(_reports(w, horizon, [_continuity_job(
+        w, horizon, ("continuity", "compactness"))])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +886,7 @@ def scan_reports(w: WeightSpec, horizon: int, ts) -> tuple:
     and ``rw_memberships(w, ts)`` read suffix sums of the same power row
     w(n) n^(beta-1), so their rows share log w and the chunks."""
     reports, memberships = _reports(w, horizon, [
-        _continuity_job(w, w, horizon, ("continuity", "compactness")),
+        _continuity_job(w, horizon, ("continuity", "compactness")),
         (_uw_profile(w), {"w": w.id, "horizon": int(horizon)},
          ("tail_mass_ratio",))], ts)
     return (*reports, memberships)
@@ -1094,19 +1080,18 @@ def _bisect_boundary(member: Callable[[float], Verdict], ladder, member_side,
     return inside, outside, cache, notes
 
 
-def t0_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
-                horizon: int = ESTIMATE_HORIZON,
-                ceiling: float = PROBE_CEILING) -> Bracket:
+def t0_estimate(w: WeightSpec, *,
+                horizon: int = ESTIMATE_HORIZON) -> Bracket:
     """Bracket the supremum of the exponents t with sum n^t w(n) finite.
 
     The set is downward closed, so the bracket's low endpoint is a certified
     member and the high endpoint, when one was found, a certified
     non-member.  Certified rapidly decreasing weights make the set every
     exponent (``infinite``); any other weight is ``infinite`` only when the
-    probe at the ceiling itself is a certified member.  The whole ladder is
-    probed in one pass over the weight and each bisection midpoint in
-    another; every pass reads the log w and log n that the first one
-    evaluated.
+    probe at ``PROBE_CEILING`` itself is a certified member.  Bisection
+    stops at width ``BISECTION_TOL``.  The whole ladder is probed in one
+    pass over the weight and each bisection midpoint in another; every pass
+    reads the log w and log n that the first one evaluated.
     """
     memo: dict = {}
 
@@ -1115,21 +1100,24 @@ def t0_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
 
     if w.rapidly_decreasing:
         notes = ["certified rapid decay: every exponent is summable"]
-        if member(ceiling).is_holds:
-            notes.append(f"verified membership at the probe ceiling {ceiling}")
+        if member(PROBE_CEILING).is_holds:
+            notes.append("verified membership at the probe ceiling "
+                         f"{PROBE_CEILING}")
         return Bracket("infinite", notes=tuple(notes))
-    ladder = tuple(x for x in _T_LADDER if x < ceiling) + (ceiling,)
+    ladder = tuple(x for x in _T_LADDER if x < PROBE_CEILING) + (
+        PROBE_CEILING,)
     ladder_verdicts = dict(zip(ladder, _rw_verdicts(w, ladder, horizon, memo)))
-    inside, outside, cache, notes = _bisect_boundary(member, ladder, "lo", tol,
+    inside, outside, cache, notes = _bisect_boundary(member, ladder, "lo",
+                                                     BISECTION_TOL,
                                                      ladder_verdicts)
     if inside is None:
         return Bracket("inconclusive", notes=tuple(
             notes + ["no certified member found on the probe ladder"]))
-    if inside == ceiling:
+    if inside == PROBE_CEILING:
         return Bracket("infinite", lo=inside, member_side="lo",
                        lo_verdict=cache.get(inside), notes=tuple(
                            notes + [f"membership holds at every probe up to "
-                                    f"{ceiling}"]))
+                                    f"{PROBE_CEILING}"]))
     if outside is None:
         return Bracket("bracket", lo=inside, hi=None, member_side="lo",
                        lo_verdict=cache.get(inside), notes=tuple(
@@ -1140,15 +1128,16 @@ def t0_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
                    tol=outside - inside, notes=tuple(notes))
 
 
-def s1_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
-                horizon: int = ESTIMATE_HORIZON,
-                ceiling: float = PROBE_CEILING) -> Bracket:
+def s1_estimate(w: WeightSpec, *,
+                horizon: int = ESTIMATE_HORIZON) -> Bracket:
     """Bracket the infimum of the exponents s with sup 1/(n^s w(n)) finite.
 
     The set is upward closed, so the bracket's high endpoint is a certified
     member.  Certified rapidly decreasing weights make the set empty.  The
-    weight is evaluated once, at the scan indices; each probe is array
-    arithmetic on those values.
+    ladder stops at ``PROBE_CEILING`` and bisection at width
+    ``BISECTION_TOL``, as for ``t0_estimate``.  The weight is evaluated
+    once, at the scan indices; each probe is array arithmetic on those
+    values.
     """
     grid = _sw1_scan(w, horizon)
 
@@ -1158,11 +1147,12 @@ def s1_estimate(w: WeightSpec, *, tol: float = BISECTION_TOL,
     if w.rapidly_decreasing:
         notes = ("certified rapid decay: no polynomial minorant exists, the "
                  "set is empty",)
-        if not member(ceiling).is_fails:
+        if not member(PROBE_CEILING).is_fails:
             notes += ("probe at the ceiling did not contradict the metadata",)
         return Bracket("empty", notes=notes)
-    ladder = tuple(x for x in _S_LADDER if x <= ceiling)
-    inside, outside, cache, notes = _bisect_boundary(member, ladder, "hi", tol)
+    ladder = tuple(x for x in _S_LADDER if x <= PROBE_CEILING)
+    inside, outside, cache, notes = _bisect_boundary(member, ladder, "hi",
+                                                     BISECTION_TOL)
     if inside is None:
         return Bracket("inconclusive", notes=tuple(
             notes + ["no certified member found on the probe ladder"]))

@@ -110,12 +110,13 @@ def _tail_mass(w: WeightSpec, N: int) -> Optional[float]:
     return math.exp(min(tail, 700.0))
 
 
-def weight_l1_bound(w: WeightSpec, head: int = 4096) -> Optional[float]:
-    """Certified upper bound on the full weight sum, if the tail closes."""
-    mass = _tail_mass(w, head)
+def weight_l1_bound(w: WeightSpec) -> Optional[float]:
+    """Certified upper bound on the full weight sum, if the tail closes:
+    the first 4096 terms summed, plus the certified tail beyond."""
+    mass = _tail_mass(w, 4096)
     if mass is None:
         return None
-    return float(np.sum(_weight_values(w, head))) + mass
+    return float(np.sum(_weight_values(w, 4096))) + mass
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +429,19 @@ def _growth_fit(norms: Sequence[float]) -> float:
     return math.exp(slope)
 
 
-def default_probes(N: int, count_basis: int = 8, random_count: int = 2,
-                   seed: int = 0, support: int = 16) -> list:
-    """Basis vectors e_1..e_8 plus seeded random finitely supported probes."""
+def default_probes(N: int, seed: int = 0) -> list:
+    """Basis vectors e_1..e_8 (those with index <= N) plus two seeded
+    random probes, every probe supported on the first min(N, 16)
+    coordinates."""
     probes = []
-    for r in range(1, count_basis + 1):
-        if r <= N:
-            vec = np.zeros(min(N, max(r, support)), dtype=float)
-            vec[r - 1] = 1.0
-            probes.append((f"e{r}", vec))
+    for r in range(1, min(8, N) + 1):
+        vec = np.zeros(min(N, 16), dtype=float)
+        vec[r - 1] = 1.0
+        probes.append((f"e{r}", vec))
     rng = np.random.default_rng(seed)
-    for j in range(random_count):
-        vec = rng.standard_normal(min(support, N))
-        probes.append((f"random{j}:seed={seed}", vec))
+    for j in range(2):
+        probes.append((f"random{j}:seed={seed}",
+                       rng.standard_normal(min(16, N))))
     return probes
 
 

@@ -118,26 +118,31 @@ class SpectralError(ValueError):
 def reciprocal_real_part(lam: complex) -> float:
     """Re(1/lam), computed as Re(lam)/|lam|^2; lam must be nonzero.
 
-    Where |lam|^2 falls below the smallest normal float the quotient is
-    taken after an exact rescale (``_rescaled_alpha``); it is +-inf where
-    Re(1/lam) exceeds the float range.
+    The one-point case of ``_alphas``, the cascade's own computation.
     """
     z = complex(lam)
     if z == 0:
         raise SpectralError("the exponent Re(1/lam) is undefined at lam = 0")
-    d = z.real * z.real + z.imag * z.imag
-    if d < _TINY:
-        return _rescaled_alpha(z.real, z.imag)
-    return z.real / d
+    return float(_alphas(np.array([z.real]), np.array([z.imag]))[0])
 
 
-def _rescaled_alpha(re, im):
-    """Re(1/lam) for nonzero lam with |lam|^2 below the smallest normal
-    float, on floats or arrays: lam times 2^600 is exact and has normal
-    squares, and Re(1/lam) = 2^600 Re(1/(2^600 lam))."""
-    r, i = re * _RESCALE, im * _RESCALE
-    with np.errstate(over="ignore"):
-        return r / (r * r + i * i) * _RESCALE
+def _alphas(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Re(1/lam) = Re(lam)/|lam|^2 for lam = re + i*im, NaN at lam = 0.
+
+    Where |lam|^2 falls below the smallest normal float, lam is first
+    scaled by 2^600, which is exact and gives normal squares, and
+    Re(1/lam) = 2^600 Re(1/(2^600 lam)); the result is +-inf where
+    Re(1/lam) exceeds the float range.
+    """
+    nonzero = (re != 0.0) | (im != 0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d2 = re * re + im * im
+        a = np.where(nonzero, re / d2, np.nan)
+        tiny = nonzero & (d2 < _TINY)
+        if tiny.any():
+            r, i = re[tiny] * _RESCALE, im[tiny] * _RESCALE
+            a[tiny] = r / (r * r + i * i) * _RESCALE
+    return a
 
 
 def _check_context_args(m_max: int, eps: float) -> None:
@@ -207,11 +212,6 @@ class SpectralContext:
         """((m, Verdict), ...) for m = 1..m_max."""
         return tuple((m, verdict) for m, (_, verdict) in enumerate(
             point_spectrum(self.weight, self.m_max, self.horizon), start=1))
-
-    @property
-    def s1_member(self) -> Optional[float]:
-        """A certified member of the boundary-exponent set, if one exists."""
-        return self.s1.point
 
     def point_verdict(self, m: int) -> Optional[Verdict]:
         for mm, verdict in self.points:
@@ -443,22 +443,23 @@ class GridScan(collections.abc.Sequence):
     Node k is ``xs[k % nx] + 1j * ys[k // nx]``, row-major over im then re.
     Per node: ``alpha`` (NaN where the row's alpha is None, at points
     within eps of 0), ``rule`` and ``label`` codes (indices into ``RULES``
-    and ``LABELS``) and ``group``, the node's row of the resolvent
-    ``table`` (-1 for nodes the resolvent rule did not decide).  Nodes
-    within eps of the candidate set keep their evidence in ``candidates``.
+    and ``LABELS``), ``group``, the node's row of the resolvent ``table``
+    (-1 for nodes the resolvent rule did not decide), and ``sup``, the
+    row's sup_value (``_has_sup`` says which rules give one).  Nodes within
+    eps of the candidate set keep their evidence in ``candidates``.
 
     Read as a sequence it is the list of SpectralClassification rows; a
     row, and its Verdict, is built only when it is read.
     """
 
-    __slots__ = ("xs", "ys", "alpha", "rule", "label", "group", "table",
-                 "candidates", "context", "_verdicts")
+    __slots__ = ("xs", "ys", "alpha", "rule", "label", "group", "sup",
+                 "table", "candidates", "context", "_verdicts")
 
-    def __init__(self, xs, ys, alpha, rule, label, group, table, candidates,
-                 context):
+    def __init__(self, xs, ys, alpha, rule, label, group, sup, table,
+                 candidates, context):
         self.xs, self.ys = xs, ys
-        self.alpha, self.rule, self.label, self.group = (alpha, rule, label,
-                                                         group)
+        self.alpha, self.rule, self.label, self.group, self.sup = (
+            alpha, rule, label, group, sup)
         self.table, self.candidates, self.context = table, candidates, context
         self._verdicts: dict = {}
 
@@ -475,34 +476,29 @@ class GridScan(collections.abc.Sequence):
             raise IndexError("grid scan index out of range")
         lam = complex(self.xs[k % self.xs.size], self.ys[k // self.xs.size])
         a = float(self.alpha[k])
-        a = None if math.isnan(a) else a
-        rule, label = RULES[self.rule[k]], LABELS[self.label[k]]
+        rule = RULES[self.rule[k]]
+        return SpectralClassification(
+            lam, None if math.isnan(a) else a, LABELS[self.label[k]], rule,
+            float(self.sup[k]) if _has_sup(self.rule[k]) else None,
+            self._evidence(k, rule))
+
+    def _evidence(self, k: int, rule: str) -> tuple:
         ctx = self.context
         if k in self.candidates:
-            return SpectralClassification(lam, a, label, rule, 0.0,
-                                          self.candidates[k])
+            return self.candidates[k]
         if rule == RULE_DISK:
-            return SpectralClassification(lam, a, label, rule, a,
-                                          ((RULE_DISK, ctx.s1),))
+            return ((RULE_DISK, ctx.s1),)
         compact = ctx.compactness.verdict
         if rule == RULE_COMPACT:
-            return SpectralClassification(lam, a, label, rule,
-                                          compact.certified_bound,
-                                          ((RULE_COMPACT, compact),))
+            return ((RULE_COMPACT, compact),)
         if rule == RULE_CONFLICT:
-            return SpectralClassification(lam, a, label, rule, None, (
-                (RULE_DISK, ctx.s1), (RULE_COMPACT, compact),
-                (RULE_CONFLICT,
-                 "a compact operator admits no spectrum off the candidate "
-                 "set, yet the disk certificate claims this point; the "
-                 "context reports are inconsistent")))
-        g = int(self.group[k])
-        verdict = self._verdict(g)
-        if verdict is None:
-            return SpectralClassification(lam, a, label, rule)
-        return SpectralClassification(lam, a, label, rule,
-                                      float(self.table.sup[g]),
-                                      ((RULE_RESOLVENT, verdict),))
+            return ((RULE_DISK, ctx.s1), (RULE_COMPACT, compact),
+                    (RULE_CONFLICT,
+                     "a compact operator admits no spectrum off the candidate "
+                     "set, yet the disk certificate claims this point; the "
+                     "context reports are inconsistent"))
+        verdict = self._verdict(int(self.group[k]))
+        return () if verdict is None else ((RULE_RESOLVENT, verdict),)
 
     def _verdict(self, g: int) -> Optional[Verdict]:
         if g < 0:
@@ -535,6 +531,12 @@ class GridScan(collections.abc.Sequence):
         return _counts(self.rule, RULES)
 
 
+def _has_sup(rule):
+    """Whether a node of this rule code carries a sup_value: every rule but
+    the conflict and the unclassified one."""
+    return (rule != _CONFLICT) & (rule != _NONE)
+
+
 def _counts(codes: np.ndarray, names: tuple) -> dict:
     counts = np.bincount(codes, minlength=len(names)).tolist()
     return {name: c for name, c in zip(names, counts) if c}
@@ -564,17 +566,10 @@ def _classify_nodes(w: WeightSpec, xs: np.ndarray, ys: np.ndarray,
     for lo in range(0, re.size, _NODE_BLOCK):
         r = re[lo:lo + _NODE_BLOCK]
         i = im[lo:lo + _NODE_BLOCK]
-        nonzero = (r != 0.0) | (i != 0.0)
-        d2 = r * r + i * i
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(nonzero, r / d2, np.nan)
-        tiny = nonzero & (d2 < _TINY)
-        if tiny.any():
-            a[tiny] = _rescaled_alpha(r[tiny], i[tiny])
-        alpha[lo:lo + _NODE_BLOCK] = a
+        a = alpha[lo:lo + _NODE_BLOCK] = _alphas(r, i)
         dist, nearest_m = nearest_limit_point(r, i)
         live = dist > ctx.eps
-        s_mem, compact = ctx.s1_member, ctx.compactness.verdict.is_holds
+        s_mem, compact = ctx.s1.point, ctx.compactness.verdict.is_holds
         disk_hit = a >= s_mem if s_mem is not None else np.zeros_like(live)
         # np.select takes the first condition that holds: the rule order;
         # the resolvent rule reads alpha, so a non-finite one stays Unknown
@@ -602,7 +597,17 @@ def _classify_nodes(w: WeightSpec, xs: np.ndarray, ys: np.ndarray,
     rule[idx[~decided]] = _NONE
     label = _RULE_LABEL[rule]
     label[idx[kind == _FAILS]] = _L_SPECTRUM
-    return GridScan(xs, ys, alpha, rule, label, group, table, candidates, ctx)
+    # sup_value by rule: 0 on the candidate set, alpha in the disk, the
+    # compactness bound, or the resolvent table's bound
+    sup = np.zeros(re.size)
+    disk, compact = rule == _DISK, rule == _COMPACT
+    sup[disk] = alpha[disk]
+    if compact.any():
+        sup[compact] = ctx.compactness.verdict.certified_bound
+    decided = group >= 0
+    sup[decided] = table.sup[group[decided]]
+    return GridScan(xs, ys, alpha, rule, label, group, sup, table, candidates,
+                    ctx)
 
 
 def classify_point(w: WeightSpec, lam: complex,
@@ -695,21 +700,11 @@ def scan_to_csv(scan: GridScan) -> str:
     """Render a scan as CSV with a fixed header and row order.
 
     The rows are joined from strings made once per grid column value, per
-    grid row value and per distinct alpha or sup_value.  A node's
-    sup_value follows its rule: 0 on the candidate set, alpha in the disk,
-    the compactness bound, or the resolvent table's bound.
+    grid row value and per distinct alpha or sup_value.
     """
     rule, nx = scan.rule, scan.xs.size
-    sup = np.zeros(len(scan))
-    disk, compact = rule == _DISK, rule == _COMPACT
-    sup[disk] = scan.alpha[disk]
-    if compact.any():
-        sup[compact] = scan.context.compactness.verdict.certified_bound
-    resolvent = rule == _RESOLVENT
-    sup[resolvent] = scan.table.sup[scan.group[resolvent]]
     alpha_col, sup_col = _repr_columns(
-        (scan.alpha, ~np.isnan(scan.alpha)),
-        (sup, (rule != _CONFLICT) & (rule != _NONE)))
+        (scan.alpha, ~np.isnan(scan.alpha)), (scan.sup, _has_sup(rule)))
     outcome = np.array([f"{label},{r}" for label in LABELS for r in RULES],
                        dtype=object)
     rows = map(",".join, zip(

@@ -914,14 +914,14 @@ def catalog_families() -> list[dict]:
     return out
 
 
-def catalog_weight(family: str, params: Optional[dict] = None, **kw) -> WeightSpec:
-    """Build a catalog weight; raises WeightError for unknown family/params."""
+def catalog_weight(family: str, params: Optional[dict] = None) -> WeightSpec:
+    """Build a catalog weight from a {name: value} dict; raises WeightError
+    for an unknown family or parameter."""
     if family not in _FAMILY_BUILDERS:
         raise WeightError(f"unknown weight family {family!r}")
     builder, names, _ = _FAMILY_BUILDERS[family]
     given = dict(_FAMILY_DEFAULTS.get(family, {}))
     given.update(params or {})
-    given.update(kw)
     extra = set(given) - set(names)
     if extra:
         raise WeightError(f"{family}: unexpected parameter(s) {sorted(extra)}")
@@ -953,8 +953,9 @@ def custom_weight(wid: str, log_fn: Callable[[int], float], **metadata) -> Weigh
     return WeightSpec(id=wid, **metadata)
 
 
-def load_weight_table(path: str, wid: Optional[str] = None) -> WeightSpec:
-    """Load a custom weight from a two-column text table ``n ln_w``.
+def load_weight_table(path: str) -> WeightSpec:
+    """Load a custom weight, id ``custom:path=PATH``, from a two-column
+    text table ``n ln_w``.
 
     Indices must be 1, 2, 3, ... with no gaps, and every ``ln_w`` must be
     finite.  Evaluation beyond the table raises, so callers clamp their
@@ -994,7 +995,7 @@ def load_weight_table(path: str, wid: Optional[str] = None) -> WeightSpec:
         return arr[n.astype(np.int64) - 1]
 
     return WeightSpec(
-        id=wid or f"custom:path={path}",
+        id=f"custom:path={path}",
         log_eval_array=log_array,
         log_sup_bound=float(arr.max()),
         table_size=size,
@@ -1056,14 +1057,14 @@ class BlockWeightTable:
         )
 
 
-def build_failing_minorant(v: WeightSpec, horizon: int = 10 ** 6,
-                           decay_threshold: float = 1e-3) -> BlockWeightTable:
+def build_failing_minorant(v: WeightSpec,
+                           horizon: int = 10 ** 6) -> BlockWeightTable:
     """Greedy block minorant on which the averaging operator cannot act.
 
     Walks phi(n) = min_{k<=n} v(k) and closes block j at the smallest index
     making the block harmonic sum exceed j.  Raises WeightError when fewer
     than two blocks complete inside the horizon or when v shows no decay
-    (running min never falls below ``decay_threshold``).
+    (running min never falls below 0.001).
     """
     if horizon < 8:
         raise WeightError("horizon too small for block construction")
@@ -1105,10 +1106,9 @@ def build_failing_minorant(v: WeightSpec, horizon: int = 10 ** 6,
         raise WeightError(
             f"fewer than two blocks completed by horizon {horizon}; "
             "increase the horizon")
-    if last_phi > math.log(decay_threshold):
-        raise WeightError(
-            "no decay detected: running min of v stayed above "
-            f"{decay_threshold:g} up to the horizon")
+    if last_phi > math.log(1e-3):
+        raise WeightError("no decay detected: running min of v stayed above "
+                          "0.001 up to the horizon")
     return BlockWeightTable(
         source_id=v.id,
         breakpoints=tuple(breakpoints),

@@ -1013,10 +1013,11 @@ def _sw1_verdict(w: WeightSpec, s: float, horizon: int, scan: np.ndarray,
         emp, horizon, ("no certificate in either direction at this horizon",))
 
 
+#: the probe ladders of t0 and s1; both end at the probe ceiling
 _T_LADDER = (-64.0, -16.0, -4.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5,
-             2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+             2.0, 4.0, 8.0, 16.0, 32.0, PROBE_CEILING)
 _S_LADDER = (-8.0, -4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0,
-             8.0, 16.0, 32.0, 64.0)
+             8.0, 16.0, 32.0, PROBE_CEILING)
 
 
 def _bisect_boundary(member: Callable[[float], Verdict], ladder, member_side,
@@ -1080,8 +1081,7 @@ def _bisect_boundary(member: Callable[[float], Verdict], ladder, member_side,
     return inside, outside, cache, notes
 
 
-def t0_estimate(w: WeightSpec, *,
-                horizon: int = ESTIMATE_HORIZON) -> Bracket:
+def t0_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
     """Bracket the supremum of the exponents t with sum n^t w(n) finite.
 
     The set is downward closed, so the bracket's low endpoint is a certified
@@ -1104,12 +1104,10 @@ def t0_estimate(w: WeightSpec, *,
             notes.append("verified membership at the probe ceiling "
                          f"{PROBE_CEILING}")
         return Bracket("infinite", notes=tuple(notes))
-    ladder = tuple(x for x in _T_LADDER if x < PROBE_CEILING) + (
-        PROBE_CEILING,)
-    ladder_verdicts = dict(zip(ladder, _rw_verdicts(w, ladder, horizon, memo)))
-    inside, outside, cache, notes = _bisect_boundary(member, ladder, "lo",
-                                                     BISECTION_TOL,
-                                                     ladder_verdicts)
+    ladder_verdicts = _rw_verdicts(w, _T_LADDER, horizon, memo)
+    inside, outside, cache, notes = _bisect_boundary(
+        member, _T_LADDER, "lo", BISECTION_TOL,
+        dict(zip(_T_LADDER, ladder_verdicts)))
     if inside is None:
         return Bracket("inconclusive", notes=tuple(
             notes + ["no certified member found on the probe ladder"]))
@@ -1128,8 +1126,7 @@ def t0_estimate(w: WeightSpec, *,
                    tol=outside - inside, notes=tuple(notes))
 
 
-def s1_estimate(w: WeightSpec, *,
-                horizon: int = ESTIMATE_HORIZON) -> Bracket:
+def s1_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
     """Bracket the infimum of the exponents s with sup 1/(n^s w(n)) finite.
 
     The set is upward closed, so the bracket's high endpoint is a certified
@@ -1150,9 +1147,8 @@ def s1_estimate(w: WeightSpec, *,
         if not member(PROBE_CEILING).is_fails:
             notes += ("probe at the ceiling did not contradict the metadata",)
         return Bracket("empty", notes=notes)
-    ladder = tuple(x for x in _S_LADDER if x <= PROBE_CEILING)
-    inside, outside, cache, notes = _bisect_boundary(member, ladder, "hi",
-                                                     BISECTION_TOL)
+    inside, outside, cache, notes = _bisect_boundary(
+        member, _S_LADDER, "hi", BISECTION_TOL)
     if inside is None:
         return Bracket("inconclusive", notes=tuple(
             notes + ["no certified member found on the probe ladder"]))

@@ -433,15 +433,16 @@ def default_probes(N: int, seed: int = 0) -> list:
     """Basis vectors e_1..e_8 (those with index <= N) plus two seeded
     random probes, every probe supported on the first min(N, 16)
     coordinates."""
+    support = min(N, 16)
     probes = []
     for r in range(1, min(8, N) + 1):
-        vec = np.zeros(min(N, 16), dtype=float)
+        vec = np.zeros(support, dtype=float)
         vec[r - 1] = 1.0
         probes.append((f"e{r}", vec))
     rng = np.random.default_rng(seed)
     for j in range(2):
         probes.append((f"random{j}:seed={seed}",
-                       rng.standard_normal(min(16, N))))
+                       rng.standard_normal(support)))
     return probes
 
 

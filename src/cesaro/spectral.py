@@ -7,7 +7,9 @@ compactness shortcut (compact operators have no spectrum off the candidate
 set), and finally the resolvent sup-criterion, decided from the weight's
 certified envelopes and divergence flags.  Every label is backed by
 evidence from the criteria layer; when certificates disagree the
-classification degrades to Unknown instead of picking a side.
+classification degrades to Unknown instead of picking a side.  The
+cascade describes the spectrum of a bounded operator, so it runs only
+when continuity Holds; otherwise every point is Unknown.
 
 The cascade runs over arrays of points: each rule is a mask, and since the
 resolvent criterion depends only on alpha = Re(1/lam), it is decided once
@@ -97,6 +99,8 @@ _L_POINT, _L_SPECTRUM, _L_RESOLVENT, _L_UNKNOWN = range(4)
 #: the label of each rule; the resolvent rule's Fails nodes are Spectrum
 _RULE_LABEL = np.array([_L_SPECTRUM, _L_POINT, _L_SPECTRUM, _L_RESOLVENT,
                         _L_RESOLVENT, _L_UNKNOWN, _L_UNKNOWN], dtype=np.int8)
+#: whether the nodes of each rule carry a sup_value
+_RULE_HAS_SUP = np.array([r not in (RULE_CONFLICT, RULE_NONE) for r in RULES])
 #: the resolvent rule's certificate kinds, per distinct alpha
 _NO_CERT, _HOLDS, _FAILS = range(3)
 _ORIGIN_EVIDENCE = (
@@ -445,8 +449,10 @@ class GridScan(collections.abc.Sequence):
     within eps of 0), ``rule`` and ``label`` codes (indices into ``RULES``
     and ``LABELS``), ``group``, the node's row of the resolvent ``table``
     (-1 for nodes the resolvent rule did not decide), and ``sup``, the
-    row's sup_value (``_has_sup`` says which rules give one).  Nodes within
-    eps of the candidate set keep their evidence in ``candidates``.
+    row's sup_value where ``_RULE_HAS_SUP`` gives it one.  Nodes within eps
+    of the candidate set keep their evidence in ``candidates``.  When the
+    context's continuity is not Holds, every row is unclassified and its
+    evidence is that continuity verdict.
 
     Read as a sequence it is the list of SpectralClassification rows; a
     row, and its Verdict, is built only when it is read.
@@ -479,11 +485,13 @@ class GridScan(collections.abc.Sequence):
         rule = RULES[self.rule[k]]
         return SpectralClassification(
             lam, None if math.isnan(a) else a, LABELS[self.label[k]], rule,
-            float(self.sup[k]) if _has_sup(self.rule[k]) else None,
+            float(self.sup[k]) if _RULE_HAS_SUP[self.rule[k]] else None,
             self._evidence(k, rule))
 
     def _evidence(self, k: int, rule: str) -> tuple:
         ctx = self.context
+        if not ctx.continuity.verdict.is_holds:
+            return (("continuity", ctx.continuity.verdict),)
         if k in self.candidates:
             return self.candidates[k]
         if rule == RULE_DISK:
@@ -531,12 +539,6 @@ class GridScan(collections.abc.Sequence):
         return _counts(self.rule, RULES)
 
 
-def _has_sup(rule):
-    """Whether a node of this rule code carries a sup_value: every rule but
-    the conflict and the unclassified one."""
-    return (rule != _CONFLICT) & (rule != _NONE)
-
-
 def _counts(codes: np.ndarray, names: tuple) -> dict:
     counts = np.bincount(codes, minlength=len(names)).tolist()
     return {name: c for name, c in zip(names, counts) if c}
@@ -554,12 +556,19 @@ def _classify_nodes(w: WeightSpec, xs: np.ndarray, ys: np.ndarray,
     The first four are masks, applied to blocks of _NODE_BLOCK points so
     the array temporaries stay small.  The resolvent criterion depends on
     alpha = Re(1/lam) alone, so it runs once per distinct alpha over all
-    points it receives, from envelope certificates.  With no nodes the
-    context is not read.
+    points it receives, from envelope certificates.  Every rule describes
+    a bounded operator: unless the context's continuity Holds, every node
+    is unclassified and Unknown, with no sup_value.  A context built for
+    another weight raises SpectralError; with no nodes the context is not
+    read.
     """
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise SpectralError("points to classify must be finite")
+    if ctx is not None and ctx.weight.id != w.id:
+        raise SpectralError(f"the context was built for {ctx.weight.id!r}, "
+                            f"not for {w.id!r}")
     re, im = np.tile(xs, ys.size), np.repeat(ys, xs.size)
+    bounded = re.size > 0 and ctx.continuity.verdict.is_holds
     alpha = np.empty(re.size)
     rule = np.empty(re.size, dtype=np.int8)
     near, near_m = [], []  # the nodes within eps of the candidate set
@@ -575,7 +584,8 @@ def _classify_nodes(w: WeightSpec, xs: np.ndarray, ys: np.ndarray,
         # the resolvent rule reads alpha, so a non-finite one stays Unknown
         rule[lo:lo + _NODE_BLOCK] = np.select(
             [~live, disk_hit & compact, disk_hit, compact, ~np.isfinite(a)],
-            [_SIGMA0, _CONFLICT, _DISK, _COMPACT, _NONE], _RESOLVENT)
+            [_SIGMA0, _CONFLICT, _DISK, _COMPACT, _NONE],
+            _RESOLVENT) if bounded else _NONE
         near.append(lo + np.flatnonzero(~live))
         near_m.append(nearest_m[~live])
     candidates: dict = {}
@@ -584,8 +594,9 @@ def _classify_nodes(w: WeightSpec, xs: np.ndarray, ys: np.ndarray,
                         np.concatenate(near_m).tolist()):
             if abs(complex(re[k], im[k])) <= ctx.eps:
                 alpha[k] = np.nan
-                candidates[k] = _ORIGIN_EVIDENCE
-            else:
+                if bounded:
+                    candidates[k] = _ORIGIN_EVIDENCE
+            elif bounded:
                 rule[k], candidates[k] = _candidate_outcome(m, ctx)
     idx = np.flatnonzero(rule == _RESOLVENT)
     distinct, group_of = np.unique(alpha[idx], return_inverse=True)
@@ -604,8 +615,8 @@ def _classify_nodes(w: WeightSpec, xs: np.ndarray, ys: np.ndarray,
     sup[disk] = alpha[disk]
     if compact.any():
         sup[compact] = ctx.compactness.verdict.certified_bound
-    decided = group >= 0
-    sup[decided] = table.sup[group[decided]]
+    grouped = group >= 0
+    sup[grouped] = table.sup[group[grouped]]
     return GridScan(xs, ys, alpha, rule, label, group, sup, table, candidates,
                     ctx)
 
@@ -617,9 +628,11 @@ def classify_point(w: WeightSpec, lam: complex,
 
     Rules, in order: candidate-set membership (with point-spectrum
     upgrade), the certified spectral disk, the compactness shortcut, the
-    resolvent criterion from envelope certificates, Unknown.  This is the
-    one-node case of the scan ``region_scan`` runs; the full-scan report
-    at one point is ``resolvent_condition``.
+    resolvent criterion from envelope certificates, Unknown; every point
+    is Unknown unless continuity Holds.  ``context`` must be built for
+    ``w`` (SpectralError otherwise).  This is the one-node case of the
+    scan ``region_scan`` runs; the full-scan report at one point is
+    ``resolvent_condition``.
     """
     ctx = context if context is not None else build_context(w)
     z = complex(lam)
@@ -665,7 +678,9 @@ def region_scan(w: WeightSpec, grid: GridSpec,
     distinct alpha = Re(1/lam), and the eigenvalue points scanned on first
     use (only nodes within eps of the candidate set need them).  The output
     order is a pure function of the grid, never of evaluation order.
-    Empty grids give an empty scan, without building a context.
+    Every node is Unknown unless continuity Holds, and ``context`` must be
+    built for ``w`` (SpectralError otherwise).  Empty grids give an empty
+    scan, without building a context.
     """
     if grid.nx < 0 or grid.ny < 0:
         raise SpectralError("grid resolution must be non-negative")
@@ -704,7 +719,7 @@ def scan_to_csv(scan: GridScan) -> str:
     """
     rule, nx = scan.rule, scan.xs.size
     alpha_col, sup_col = _repr_columns(
-        (scan.alpha, ~np.isnan(scan.alpha)), (scan.sup, _has_sup(rule)))
+        (scan.alpha, ~np.isnan(scan.alpha)), (scan.sup, _RULE_HAS_SUP[rule]))
     outcome = np.array([f"{label},{r}" for label in LABELS for r in RULES],
                        dtype=object)
     rows = map(",".join, zip(

@@ -177,6 +177,44 @@ def test_classify_conflicting_certificates(geom05, ctx_geom, ctx_poly2):
     assert RULE_DISK in rules and RULE_COMPACT in rules
 
 
+def test_context_of_another_weight_is_rejected(poly2, geom05, ctx_geom):
+    # geom's context would label this point by compactness, where poly's
+    # own context certifies it in the spectrum
+    with pytest.raises(SpectralError, match="context was built for"):
+        classify_point(poly2, 0.3 + 0.1j, ctx_geom)
+    with pytest.raises(SpectralError, match="context was built for"):
+        region_scan(poly2, GridSpec(0.2, 0.8, -0.1, 0.1, 3, 3), ctx_geom)
+    assert classify_point(geom05, 0.3 + 0.1j, ctx_geom).rule_id == RULE_COMPACT
+
+
+def test_unbounded_operator_gets_no_label(monkeypatch):
+    # continuity Fails for loggamma:gamma=1.5 while s1's bracket starts at
+    # 0: the disk would claim nearly the whole right half-plane
+    w = parse_weight("loggamma:gamma=1.5")
+    ctx = build_context(w, horizon=10 ** 4)
+    assert ctx.continuity.verdict.is_fails and ctx.s1.point is not None
+    handed = []
+    original = spectral._resolvent_verdicts
+
+    def counted(w, alphas):
+        handed.extend(alphas)
+        return original(w, alphas)
+
+    monkeypatch.setattr(spectral, "_resolvent_verdicts", counted)
+    grid = GridSpec(-0.2, 1.2, -0.7, 0.7, 20, 20)
+    scan = region_scan(w, grid, ctx)
+    assert handed == []
+    assert scan.rule_counts() == {RULE_NONE: 400}
+    assert scan.label_counts() == {LABEL_UNKNOWN: 400}
+    assert "points" not in vars(ctx)  # no eigenvalue scan for 1/m nodes
+    for row in (scan[0], classify_point(w, 0.5, ctx),
+                classify_point(w, 0, ctx)):
+        assert row.sup_value is None
+        assert row.evidence == (("continuity", ctx.continuity.verdict),)
+    assert {line.rsplit(",", 1)[1]
+            for line in scan_to_csv(scan).splitlines()[1:]} == {""}
+
+
 @pytest.mark.parametrize("lam", [0.6 + 0.3j, -0.4 + 0.25j, 0.25 + 0.2j,
                                  0.9 + 0.55j])
 def test_classification_conjugate_symmetry(poly2, ctx_poly2, lam):
@@ -359,8 +397,9 @@ PINNED_SCANS = [
      "a7b5991ba82e651ec3f7b170a60e0d908e46328c7ddcb73a6fb4157341b58d32"),
     ("spike", PINNED_GRID,
      "00b43e66701d43fb3fad92543306aff9d1724864862ce64b0358a7d73ea055c3"),
+    # continuity Fails, so every node is unclassified and Unknown
     ("loggamma:gamma=2", PINNED_GRID,
-     "c5d6978710d51e6d54b11ead5cb38db03c86be4d3a548376aedf21f40273def8"),
+     "6ace766f4b546ec8cfac84df4d3710fb730d59c0146e3af585233f67ab6b3287"),
     ("block413:alpha=2", PINNED_GRID,
      "f6d09cb2ce1bad16aa2e3f47dd994700e9791fb9be09fb84163e936e2a9ec81d"),
     ("block313", PINNED_GRID,
@@ -436,15 +475,23 @@ REFERENCE_FAMILIES = ["poly:alpha=2", "loggamma:gamma=1",
 def test_cascade_agrees_with_full_scan_reference():
     """resolvent_condition, the one-point full-scan report, is the
     reference: where it certifies, the cascade's label agrees, and every
-    resolvent-rule bound dominates the exact partial sums of the scan."""
+    resolvent-rule bound dominates the exact partial sums of the scan.
+    Without continuity Holds there is no bounded operator, and every
+    label is Unknown."""
     horizon = 10 ** 4
     grid = GridSpec(-0.2, 1.2, -0.7, 0.7, 9, 9)
     decided = {"Holds": 0, "Fails": 0}
+    unbounded = []
     for spec in REFERENCE_FAMILIES:
         w = parse_weight(spec)
         ctx = build_context(w, horizon=horizon)
+        rows = region_scan(w, grid, ctx)
+        if not ctx.continuity.verdict.is_holds:
+            assert rows.label_counts() == {LABEL_UNKNOWN: len(rows)}, spec
+            unbounded.append(spec)
+            continue
         reference = {}
-        for row in region_scan(w, grid, ctx):
+        for row in rows:
             if row.rule_id in (RULE_SIGMA0, RULE_POINT):
                 continue
             if row.alpha not in reference:
@@ -465,6 +512,7 @@ def test_cascade_agrees_with_full_scan_reference():
                 assert row.sup_value >= math.exp(np.max(data.partial_log)), (
                     spec, row)
     assert min(decided.values()) > 0, decided
+    assert unbounded == ["loggamma:gamma=1"]
 
 
 @pytest.mark.parametrize("kwargs", [{"eps": -1.0}, {"eps": float("nan")},
@@ -634,7 +682,8 @@ def test_subnormal_grid_scan_is_quiet(spec):
     assert text == reference_csv(rows)
     for z, row in zip(grid.nodes(), scan):
         if z == 0:
-            assert row.rule_id == RULE_SIGMA0
+            assert row.rule_id == (RULE_SIGMA0 if ctx.continuity.verdict
+                                   .is_holds else RULE_NONE)
             continue
         assert row.alpha == reciprocal_real_part(z)
         assert math.isinf(row.alpha) or z.real == 0.0

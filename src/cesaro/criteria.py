@@ -239,15 +239,15 @@ class Bracket:
     for every exponent, or up to the probe ceiling), ``empty`` (certified
     empty set), or ``inconclusive``.  ``member_side`` says which endpoint
     carries certified membership: ``lo`` for downward-closed sets, ``hi``
-    for upward-closed.
+    for upward-closed.  ``tol`` is hi - lo when both endpoints are
+    certified.  ``_boundary`` builds every ``bracket``, ``inconclusive``
+    and ceiling ``infinite``.
     """
 
     kind: str
     lo: Optional[float] = None
     hi: Optional[float] = None
     member_side: Optional[str] = None
-    lo_verdict: Optional[Verdict] = None
-    hi_verdict: Optional[Verdict] = None
     tol: Optional[float] = None
     notes: tuple = ()
 
@@ -1020,15 +1020,19 @@ _S_LADDER = (-8.0, -4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0,
              8.0, 16.0, 32.0, PROBE_CEILING)
 
 
-def _bisect_boundary(member: Callable[[float], Verdict], ladder, member_side,
-                     tol: float, cache: Optional[dict] = None
-                     ) -> tuple[Optional[float], Optional[float], dict, list]:
-    """Shared ladder walk + bisection for one-sided exponent sets.
+def _boundary(member: Callable[[float], Verdict], ladder, member_side: str,
+              cache: Optional[dict] = None) -> Bracket:
+    """The one search for the boundary of a one-sided exponent set.
 
-    Returns (inside, outside, verdict_cache, notes); inside is the certified
-    member endpoint, outside the certified non-member endpoint, either may be
-    None when the ladder never found one.  ``cache`` may arrive prefilled
-    with verdicts (the ladder's, say); ``member`` runs only for the rest.
+    ``member_side`` is ``lo`` for a downward-closed set and ``hi`` for an
+    upward-closed one.  The ladder is walked first; between its outermost
+    certified member and innermost certified non-member, bisection runs to
+    width ``BISECTION_TOL`` (at most 200 steps), retrying an Inconclusive
+    midpoint at 3/8 and 5/8 of the bracket.  The result is ``inconclusive``
+    without a member, ``infinite`` for a downward-closed set that holds at
+    ``PROBE_CEILING``, a member-only ``bracket`` without a non-member, and
+    otherwise the full bracket.  ``cache`` may arrive prefilled with
+    verdicts (the ladder's, say); ``member`` runs only for the rest.
     """
     cache = {} if cache is None else cache
 
@@ -1037,6 +1041,7 @@ def _bisect_boundary(member: Callable[[float], Verdict], ladder, member_side,
             cache[x] = member(x)
         return cache[x]
 
+    down = member_side == "lo"
     notes: list = []
     inside = None
     outside = None
@@ -1044,41 +1049,47 @@ def _bisect_boundary(member: Callable[[float], Verdict], ladder, member_side,
         v = probe(x)
         if v.is_holds:
             inside = x if inside is None else (
-                max(inside, x) if member_side == "lo" else min(inside, x))
+                max(inside, x) if down else min(inside, x))
         elif v.is_fails:
             outside = x if outside is None else (
-                min(outside, x) if member_side == "lo" else max(outside, x))
-    if inside is None or outside is None:
-        return inside, outside, cache, notes
-    lo, hi = ((inside, outside) if member_side == "lo"
-              else (outside, inside))
-    if lo >= hi:
+                min(outside, x) if down else max(outside, x))
+    lo, hi = (inside, outside) if down else (outside, inside)
+    if inside is not None and outside is not None and lo >= hi:
         notes.append("membership verdicts are inconsistent across the "
                      "ladder; metadata conflict")
-        return None, None, cache, notes
-    iters = 0
-    while hi - lo > tol and iters < 200:
-        iters += 1
-        mid = 0.5 * (lo + hi)
-        v = probe(mid)
-        if v.is_inconclusive:
-            moved = False
-            for frac in (0.375, 0.625):
-                alt = lo + frac * (hi - lo)
-                va = probe(alt)
-                if not va.is_inconclusive:
-                    mid, v, moved = alt, va, True
+        inside = None
+    elif inside is not None and outside is not None:
+        iters = 0
+        while hi - lo > BISECTION_TOL and iters < 200:
+            iters += 1
+            for mid in (0.5 * (lo + hi), lo + 0.375 * (hi - lo),
+                        lo + 0.625 * (hi - lo)):
+                v = probe(mid)
+                if not v.is_inconclusive:
                     break
-            if not moved:
+            else:
                 notes.append("membership undecided inside the bracket; "
                              "stopped tightening early")
                 break
-        if v.is_holds == (member_side == "lo"):
-            lo = mid
-        else:
-            hi = mid
-    inside, outside = ((lo, hi) if member_side == "lo" else (hi, lo))
-    return inside, outside, cache, notes
+            if v.is_holds == down:
+                lo = mid
+            else:
+                hi = mid
+    if inside is None:
+        return Bracket("inconclusive", notes=tuple(
+            notes + ["no certified member found on the probe ladder"]))
+    if down and lo == PROBE_CEILING:
+        return Bracket("infinite", lo=lo, member_side="lo", notes=tuple(
+            notes + [f"membership holds at every probe up to "
+                     f"{PROBE_CEILING}"]))
+    if outside is None:
+        return Bracket("bracket", lo=lo, hi=hi, member_side=member_side,
+                       notes=tuple(notes + [
+                           "no certified non-member found "
+                           f"{'above' if down else 'below'}; "
+                           "only the member endpoint is certified"]))
+    return Bracket("bracket", lo=lo, hi=hi, member_side=member_side,
+                   tol=hi - lo, notes=tuple(notes))
 
 
 def t0_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
@@ -1087,11 +1098,11 @@ def t0_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
     The set is downward closed, so the bracket's low endpoint is a certified
     member and the high endpoint, when one was found, a certified
     non-member.  Certified rapidly decreasing weights make the set every
-    exponent (``infinite``); any other weight is ``infinite`` only when the
-    probe at ``PROBE_CEILING`` itself is a certified member.  Bisection
-    stops at width ``BISECTION_TOL``.  The whole ladder is probed in one
-    pass over the weight and each bisection midpoint in another; every pass
-    reads the log w and log n that the first one evaluated.
+    exponent (``infinite``); any other weight goes to ``_boundary``, which
+    gives ``infinite`` only when the probe at ``PROBE_CEILING`` itself is a
+    certified member.  The whole ladder is probed in one pass over the
+    weight and each bisection midpoint in another; every pass reads the
+    log w and log n that the first one evaluated.
     """
     memo: dict = {}
 
@@ -1105,36 +1116,18 @@ def t0_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
                          f"{PROBE_CEILING}")
         return Bracket("infinite", notes=tuple(notes))
     ladder_verdicts = _rw_verdicts(w, _T_LADDER, horizon, memo)
-    inside, outside, cache, notes = _bisect_boundary(
-        member, _T_LADDER, "lo", BISECTION_TOL,
-        dict(zip(_T_LADDER, ladder_verdicts)))
-    if inside is None:
-        return Bracket("inconclusive", notes=tuple(
-            notes + ["no certified member found on the probe ladder"]))
-    if inside == PROBE_CEILING:
-        return Bracket("infinite", lo=inside, member_side="lo",
-                       lo_verdict=cache.get(inside), notes=tuple(
-                           notes + [f"membership holds at every probe up to "
-                                    f"{PROBE_CEILING}"]))
-    if outside is None:
-        return Bracket("bracket", lo=inside, hi=None, member_side="lo",
-                       lo_verdict=cache.get(inside), notes=tuple(
-                           notes + ["no certified non-member found above; "
-                                    "only the member endpoint is certified"]))
-    return Bracket("bracket", lo=inside, hi=outside, member_side="lo",
-                   lo_verdict=cache.get(inside), hi_verdict=cache.get(outside),
-                   tol=outside - inside, notes=tuple(notes))
+    return _boundary(member, _T_LADDER, "lo",
+                     dict(zip(_T_LADDER, ladder_verdicts)))
 
 
 def s1_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
     """Bracket the infimum of the exponents s with sup 1/(n^s w(n)) finite.
 
     The set is upward closed, so the bracket's high endpoint is a certified
-    member.  Certified rapidly decreasing weights make the set empty.  The
-    ladder stops at ``PROBE_CEILING`` and bisection at width
-    ``BISECTION_TOL``, as for ``t0_estimate``.  The weight is evaluated
-    once, at the scan indices; each probe is array arithmetic on those
-    values.
+    member.  Certified rapidly decreasing weights make the set empty; any
+    other weight goes to ``_boundary``, as for ``t0_estimate``.  The weight
+    is evaluated once, at the scan indices; each probe is array arithmetic
+    on those values.
     """
     grid = _sw1_scan(w, horizon)
 
@@ -1147,16 +1140,4 @@ def s1_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
         if not member(PROBE_CEILING).is_fails:
             notes += ("probe at the ceiling did not contradict the metadata",)
         return Bracket("empty", notes=notes)
-    inside, outside, cache, notes = _bisect_boundary(
-        member, _S_LADDER, "hi", BISECTION_TOL)
-    if inside is None:
-        return Bracket("inconclusive", notes=tuple(
-            notes + ["no certified member found on the probe ladder"]))
-    if outside is None:
-        return Bracket("bracket", lo=None, hi=inside, member_side="hi",
-                       hi_verdict=cache.get(inside), notes=tuple(
-                           notes + ["no certified non-member found below; "
-                                    "only the member endpoint is certified"]))
-    return Bracket("bracket", lo=outside, hi=inside, member_side="hi",
-                   lo_verdict=cache.get(outside), hi_verdict=cache.get(inside),
-                   tol=inside - outside, notes=tuple(notes))
+    return _boundary(member, _S_LADDER, "hi")

@@ -174,22 +174,6 @@ class SpectralClassification:
     sup_value: Optional[float] = None
     evidence: tuple = ()
 
-    def to_json_dict(self) -> dict:
-        ev = []
-        for rule, payload in self.evidence:
-            if hasattr(payload, "to_json_dict"):
-                ev.append({"rule": rule, "detail": payload.to_json_dict()})
-            else:
-                ev.append({"rule": rule, "detail": str(payload)})
-        return {
-            "lambda": {"re": self.lam.real, "im": self.lam.imag},
-            "alpha": self.alpha,
-            "label": self.label,
-            "rule_id": self.rule_id,
-            "sup_value": self.sup_value,
-            "evidence": ev,
-        }
-
 
 @dataclass(frozen=True)
 class SpectralContext:
@@ -213,15 +197,9 @@ class SpectralContext:
 
     @functools.cached_property
     def points(self) -> tuple:
-        """((m, Verdict), ...) for m = 1..m_max."""
-        return tuple((m, verdict) for m, (_, verdict) in enumerate(
-            point_spectrum(self.weight, self.m_max, self.horizon), start=1))
-
-    def point_verdict(self, m: int) -> Optional[Verdict]:
-        for mm, verdict in self.points:
-            if mm == m:
-                return verdict
-        return None
+        """The verdict of 1/m at index m - 1, for m = 1..m_max."""
+        return tuple(verdict for _, verdict in point_spectrum(
+            self.weight, self.m_max, self.horizon))
 
 
 def point_spectrum(w: WeightSpec, m_max: int = 20,
@@ -430,7 +408,7 @@ def _resolvent_verdict(kind: int, sup: float) -> Optional[Verdict]:
 
 def _candidate_outcome(m: int, ctx: SpectralContext) -> tuple:
     """(rule code, evidence) of a node within eps of 1/m."""
-    verdict = ctx.point_verdict(m)
+    verdict = ctx.points[m - 1] if m <= ctx.m_max else None
     if verdict is not None and verdict.is_holds:
         return _POINT, ((RULE_POINT, verdict),)
     evidence = [(RULE_SIGMA0,

@@ -155,7 +155,6 @@ class WeightSpec:
     log_eval_array: Callable[[np.ndarray], np.ndarray]
     decreasing_from: Optional[int] = None
     ratio_bound: Optional[tuple[int, float]] = None
-    is_summable: Optional[bool] = None
     rapidly_decreasing: Optional[bool] = None
     log_sup_bound: Optional[float] = None  # certified: log w(n) <= this for all n
     # certified metadata (all optional, all log-domain)
@@ -255,21 +254,30 @@ class WeightSpec:
         return None
 
     def diverges_beta(self, beta: float) -> Optional[bool]:
-        """True when sum_{n>=n0} w(n) n^(beta-1) certifiably diverges (any n0).
+        """True when sum_{n>=n0} w(n) n^(beta-1) certifiably diverges (any n0),
+        False when it certifiably converges, None when nothing decides.
 
         The family's divergence hook is asked first: a minorant constant
         can cost far more to build than the hook's closed-form answer.
+        Certified rapid decay makes every such series converge.
         """
         if self.diverges_beta_hook is not None:
             v = self.diverges_beta_hook(beta)
             if v is not None:
                 return v
+        if self.rapidly_decreasing:
+            return False
         if self.minorant_log_c(beta) is not None:
             # terms >= c n^(beta-1-beta) = c / n: harmonic divergence
             return True
         if self._closed_tail(max(self.decreasing_from or 1, 1), beta) is not None:
             return False
         return None
+
+    @property
+    def is_summable(self) -> bool:
+        """sum w(n) is certified finite."""
+        return self.diverges_beta(1.0) is False
 
     # -- envelopes ------------------------------------------------------------
 
@@ -341,7 +349,6 @@ def _poly(alpha: float) -> WeightSpec:
         id=f"poly:alpha={alpha:g}",
         log_eval_array=log_array,
         decreasing_from=1,
-        is_summable=a > 1,
         rapidly_decreasing=False,
         log_sup_bound=0.0,
         tail_hook=tail,
@@ -410,7 +417,6 @@ def _loggamma(gamma: float) -> WeightSpec:
         id=f"loggamma:gamma={gamma:g}",
         log_eval_array=log_array,
         decreasing_from=1,
-        is_summable=False,
         rapidly_decreasing=False,
         log_sup_bound=-g * math.log(math.log(2.0)),
         tail_hook=tail,
@@ -460,7 +466,6 @@ def _geom(r: float, beta: float) -> WeightSpec:
         log_eval_array=log_array,
         decreasing_from=dec,
         ratio_bound=rb,
-        is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=sup_log,
         sw_lower_hook=sw_low,
@@ -482,7 +487,6 @@ def _superfact() -> WeightSpec:
         log_eval_array=log_array,
         decreasing_from=1,
         ratio_bound=(1, 0.25),  # (n/(n+1))^n / (n+1) <= 1/4 from n = 1
-        is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=0.0,
         sw_lower_hook=sw_low,
@@ -514,7 +518,6 @@ def _factorial(a: float) -> WeightSpec:
         log_eval_array=log_array,
         decreasing_from=max(1, math.ceil(av - 1.0)),
         ratio_bound=rb,
-        is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=sup_log,
         sw_lower_hook=sw_low,
@@ -581,7 +584,6 @@ def _expbeta(beta: float) -> WeightSpec:
         log_eval_array=log_array,
         decreasing_from=1,
         ratio_bound=rb,
-        is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=-1.0,
         tail_hook=tail_hook,
@@ -621,7 +623,6 @@ def _explog(gamma: float) -> WeightSpec:
         id=f"explog:gamma={gamma:g}",
         log_eval_array=log_array,
         decreasing_from=1,
-        is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=0.0,
         tail_hook=tail_hook,
@@ -670,7 +671,6 @@ def _spike() -> WeightSpec:
         id="spike",
         log_eval_array=log_array,
         decreasing_from=None,
-        is_summable=False,
         rapidly_decreasing=False,
         log_sup_bound=0.0,
         tail_hook=tail_hook,
@@ -769,7 +769,6 @@ def _block313() -> WeightSpec:
         id="block313",
         log_eval_array=log_array,
         decreasing_from=1,
-        is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=0.0,
         tail_hook=tail_hook,
@@ -855,7 +854,6 @@ def _block413(alpha: float) -> WeightSpec:
         id=f"block413:alpha={alpha:g}",
         log_eval_array=log_array,
         decreasing_from=1,
-        is_summable=True,
         rapidly_decreasing=False,
         log_sup_bound=0.0,
         tail_hook=tail_hook,
@@ -1050,7 +1048,6 @@ class BlockWeightTable:
             id=f"blockmin({self.source_id})",
             log_eval_array=log_array,
             decreasing_from=1,
-            is_summable=None,
             rapidly_decreasing=None,
             log_sup_bound=max(head, vals[0]),
             cont_lower=env,
@@ -1078,7 +1075,6 @@ def build_failing_minorant(v: WeightSpec,
     chunk = 65536
     n = 2
     last_phi = phi
-    pending_start = 2
     while n <= horizon:
         stop = min(horizon, n + chunk - 1)
         ns = np.arange(n, stop + 1, dtype=np.int64)
@@ -1153,7 +1149,6 @@ def build_compact_minorant(v: WeightSpec) -> WeightSpec:
         log_eval_array=log_array,
         decreasing_from=1,
         ratio_bound=(1, 0.5),
-        is_summable=True,
         rapidly_decreasing=True,
         log_sup_bound=head,
     )

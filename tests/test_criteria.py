@@ -15,8 +15,8 @@ import pytest
 from cesaro import criteria
 from cesaro.cli import main
 from cesaro.spectral import build_context, point_spectrum
-from cesaro.weights import (WeightSpec, catalog_weight, custom_weight,
-                            parse_weight)
+from cesaro.weights import (WeightSpec, _log_pseries_tail, catalog_weight,
+                            custom_weight, parse_weight)
 from cesaro.criteria import (
     compactness_criterion,
     continuity_and_compactness,
@@ -150,7 +150,7 @@ def test_ratio_alternating_holds():
     """Ratios alternate 1/4, 1/2; the certified limsup bound is 1/2."""
     w = custom_weight(
         "alternating", lambda n: -(n + n // 2) * math.log(2.0),
-        ratio_bound=(1, 0.5), is_summable=True)
+        ratio_bound=(1, 0.5))
     ratios = [math.exp(w.log_eval(n + 1) - w.log_eval(n))
               for n in range(1, 40)]
     assert max(ratios) == pytest.approx(0.5)
@@ -546,17 +546,9 @@ def test_s1_estimate_evaluates_the_scan_once(log_eval_terms):
 
 
 def _assert_probed_one_at_a_time(b, member, ladder, side):
-    """``b`` has the endpoints and verdicts of the ladder walk and
-    bisection with every exponent probed on its own through ``member``."""
-    inside, outside, cache, notes = criteria._bisect_boundary(
-        member, ladder, side, criteria.BISECTION_TOL)
-    if inside is None:  # an inconclusive bracket names no endpoint
-        outside = None
-    got = (b.lo, b.hi, b.lo_verdict, b.hi_verdict)
-    if side == "hi":
-        got = (got[1], got[0], got[3], got[2])
-    assert got == (inside, outside, cache.get(inside), cache.get(outside))
-    assert set(notes) <= set(b.notes)
+    """``b`` is the Bracket of the ladder walk and bisection with every
+    exponent probed on its own through ``member``."""
+    assert b == criteria._boundary(member, ladder, side)
 
 
 ONE_AT_A_TIME_SPECS = [("poly", {"alpha": 2.0}), ("loggamma", {"gamma": 2.0}),
@@ -598,6 +590,71 @@ def test_s1_estimate_matches_probing_one_at_a_time(spec):
         return
     ladder = tuple(x for x in criteria._S_LADDER if x <= ceiling)
     _assert_probed_one_at_a_time(b, member, ladder, "hi")
+
+
+def _log_n2(n):
+    return -2.0 * math.log(n)
+
+
+def _n2_tail_below(limit):
+    """A tail hook for w = n^-2 that answers only for beta < limit."""
+    return lambda m, beta: ((m, _log_pseries_tail(m, 2.0 - beta))
+                            if beta < limit else None)
+
+
+_STOPPED = "membership undecided inside the bracket; stopped tightening early"
+_NO_MEMBER = "no certified member found on the probe ladder"
+
+
+def _bracket_json(kind, lo=None, hi=None, side=None, tol=None, notes=()):
+    return {"kind": kind, "lo": lo, "hi": hi, "member_side": side,
+            "tol": tol, "notes": list(notes)}
+
+
+#: (estimator, weight, Bracket JSON at horizon 1000) for the packaging
+#: branches the catalog never reaches; recorded before the boundary search
+#: had one home
+BOUNDARY_CASES = {
+    "band": ("t0", lambda: custom_weight(
+        "band", _log_n2, tail_hook=_n2_tail_below(1.5),
+        diverges_beta_hook=lambda beta: True if beta >= 2.0 else None),
+        _bracket_json("bracket", 0.375, 1.0, "lo", 0.625, [_STOPPED])),
+    "incons": ("t0", lambda: custom_weight(
+        "incons", _log_n2,
+        tail_hook=lambda m, beta: (m, 0.0) if beta >= 2.0 else None,
+        diverges_beta_hook=lambda beta: True if beta < 1.0 else None),
+        _bracket_json("inconclusive", notes=[
+            "membership verdicts are inconsistent across the ladder; "
+            "metadata conflict", _NO_MEMBER])),
+    "bare-t0": ("t0", lambda: custom_weight("bare", _log_n2),
+                _bracket_json("inconclusive", notes=[_NO_MEMBER])),
+    "bare-s1": ("s1", lambda: custom_weight("bare", _log_n2),
+                _bracket_json("inconclusive", notes=[_NO_MEMBER])),
+    "geo": ("t0", lambda: custom_weight(
+        "geo", lambda n: -float(n), ratio_bound=(1, math.exp(-1.0))),
+        _bracket_json("infinite", 64.0, None, "lo", notes=[
+            "membership holds at every probe up to 64.0"])),
+    "flat": ("s1", lambda: custom_weight(
+        "flat", lambda n: 0.0, minorant_log_c_hook=lambda s: 0.0),
+        _bracket_json("bracket", None, 0.0, "hi", notes=[
+            "no certified non-member found below; only the member endpoint "
+            "is certified"])),
+    "half": ("t0", lambda: custom_weight(
+        "half", _log_n2, tail_hook=_n2_tail_below(1.0)),
+        _bracket_json("bracket", -0.5, None, "lo", notes=[
+            "no certified non-member found above; only the member endpoint "
+            "is certified"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_boundary_packaging_is_pinned(case):
+    """Each way a ladder walk and bisection can end packs into the same
+    Bracket: an Inconclusive midpoint, an inconsistent ladder, no member,
+    membership up to the ceiling and a member with no non-member."""
+    estimator, make, expected = BOUNDARY_CASES[case]
+    estimate = t0_estimate if estimator == "t0" else s1_estimate
+    assert estimate(make(), horizon=1000).to_json_dict() == expected
 
 
 @pytest.mark.parametrize("spec", [("poly", {"alpha": 2.0}),

@@ -142,8 +142,7 @@ def test_parse_custom_grammar(tmp_path):
 
 
 def test_custom_weight_metadata():
-    w = custom_weight("mine", lambda n: -float(n), ratio_bound=(1, 0.5),
-                      is_summable=True)
+    w = custom_weight("mine", lambda n: -float(n), ratio_bound=(1, 0.5))
     assert w.log_eval(3) == -3.0
     assert w.ratio_bound == (1, 0.5)
     assert w.log_tail(1, 1.0) is not None

@@ -1092,6 +1092,15 @@ def _boundary(member: Callable[[float], Verdict], ladder, member_side: str,
                    tol=hi - lo, notes=tuple(notes))
 
 
+def _table_horizon(w: WeightSpec, horizon: int) -> tuple[int, tuple]:
+    """(horizon, notes): an estimate horizon cut to a table's last row,
+    with a note when it was cut."""
+    if w.table_size is None or horizon <= w.table_size:
+        return horizon, ()
+    return w.table_size, (f"estimate horizon {horizon} clamped to the "
+                          f"table's last row {w.table_size}",)
+
+
 def t0_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
     """Bracket the supremum of the exponents t with sum n^t w(n) finite.
 
@@ -1102,22 +1111,25 @@ def t0_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
     gives ``infinite`` only when the probe at ``PROBE_CEILING`` itself is a
     certified member.  The whole ladder is probed in one pass over the
     weight and each bisection midpoint in another; every pass reads the
-    log w and log n that the first one evaluated.
+    log w and log n that the first one evaluated.  A table-backed weight
+    is probed only up to its last row.
     """
+    horizon, notes = _table_horizon(w, horizon)
     memo: dict = {}
 
     def member(t: float) -> Verdict:
         return _rw_verdicts(w, (t,), horizon, memo)[0]
 
     if w.rapidly_decreasing:
-        notes = ["certified rapid decay: every exponent is summable"]
+        notes += ("certified rapid decay: every exponent is summable",)
         if member(PROBE_CEILING).is_holds:
-            notes.append("verified membership at the probe ceiling "
-                         f"{PROBE_CEILING}")
-        return Bracket("infinite", notes=tuple(notes))
+            notes += ("verified membership at the probe ceiling "
+                      f"{PROBE_CEILING}",)
+        return Bracket("infinite", notes=notes)
     ladder_verdicts = _rw_verdicts(w, _T_LADDER, horizon, memo)
-    return _boundary(member, _T_LADDER, "lo",
-                     dict(zip(_T_LADDER, ladder_verdicts)))
+    b = _boundary(member, _T_LADDER, "lo",
+                  dict(zip(_T_LADDER, ladder_verdicts)))
+    return replace(b, notes=notes + b.notes)
 
 
 def s1_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
@@ -1127,17 +1139,20 @@ def s1_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
     member.  Certified rapidly decreasing weights make the set empty; any
     other weight goes to ``_boundary``, as for ``t0_estimate``.  The weight
     is evaluated once, at the scan indices; each probe is array arithmetic
-    on those values.
+    on those values.  A table-backed weight is scanned only up to its last
+    row.
     """
+    horizon, notes = _table_horizon(w, horizon)
     grid = _sw1_scan(w, horizon)
 
     def member(s: float) -> Verdict:
         return _sw1_verdict(w, s, horizon, *grid)
 
     if w.rapidly_decreasing:
-        notes = ("certified rapid decay: no polynomial minorant exists, the "
-                 "set is empty",)
+        notes += ("certified rapid decay: no polynomial minorant exists, the "
+                  "set is empty",)
         if not member(PROBE_CEILING).is_fails:
             notes += ("probe at the ceiling did not contradict the metadata",)
         return Bracket("empty", notes=notes)
-    return _boundary(member, _S_LADDER, "hi")
+    b = _boundary(member, _S_LADDER, "hi")
+    return replace(b, notes=notes + b.notes)

@@ -957,7 +957,9 @@ def load_weight_table(path: str) -> WeightSpec:
 
     Indices must be 1, 2, 3, ... with no gaps, and every ``ln_w`` must be
     finite.  Evaluation beyond the table raises, so callers clamp their
-    horizons to the table length.
+    horizons to the table length.  A table certifies nothing past its last
+    row, so it declares no metadata, not even a sup: its maximum bounds w
+    only up to the last row.
     """
     ns: list[int] = []
     logs: list[float] = []
@@ -995,7 +997,6 @@ def load_weight_table(path: str) -> WeightSpec:
     return WeightSpec(
         id=f"custom:path={path}",
         log_eval_array=log_array,
-        log_sup_bound=float(arr.max()),
         table_size=size,
     )
 

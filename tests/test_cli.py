@@ -214,6 +214,46 @@ def test_block413_large_alpha(capsys, alpha):
     assert uw["witness"]["kind"] == "analytic-lower-bound"
 
 
+@pytest.fixture
+def table_2000(tmp_path):
+    """A 2000-row table of ln w = -2 ln n."""
+    path = tmp_path / "w.txt"
+    path.write_text("".join(f"{n} {-2.0 * math.log(n)!r}\n"
+                            for n in range(1, 2001)))
+    return f"custom:path={path}"
+
+
+@pytest.mark.parametrize("horizon", ["1999", "500", "100"])
+def test_analyze_table_estimates_stop_at_the_last_row(capsys, table_2000,
+                                                       horizon):
+    assert main(["analyze", "-w", table_2000, "--horizon", horizon]) \
+        == EXIT_OK
+    out = capsys.readouterr().out
+    results = json.loads(out)["results"]
+    clamp = ("estimate horizon 100000 clamped to the table's last row "
+             "2000")
+    assert results["t0"]["notes"][0] == clamp
+    assert results["s1"]["notes"][0] == clamp
+    # a table certifies nothing past its last row
+    assert '"Holds"' not in out
+
+
+def test_analyze_table_horizon_past_the_last_row(capsys, table_2000):
+    # uw reads w(n + 1), so analyze's own horizon must stay below the
+    # last row
+    assert main(["analyze", "-w", table_2000, "--horizon", "2000"]) \
+        == EXIT_PARSE
+    assert "index 2001" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", ["1000", "2000"])
+def test_spectrum_table_estimates_stop_at_the_last_row(capsys, table_2000,
+                                                        horizon):
+    assert main(["spectrum", "-w", table_2000, "--horizon", horizon,
+                 "--grid=-0.2,1.2,-0.7,0.7,12,12"]) == EXIT_OK
+    assert "Holds" not in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # every catalog input against the closed-form verdict table
 

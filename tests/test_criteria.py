@@ -15,8 +15,9 @@ import pytest
 from cesaro import criteria
 from cesaro.cli import main
 from cesaro.spectral import build_context, point_spectrum
-from cesaro.weights import (WeightSpec, _log_pseries_tail, catalog_weight,
-                            custom_weight, parse_weight)
+from cesaro.weights import (SupEnvelope, WeightSpec, _log_pseries_tail,
+                            build_compact_minorant, catalog_weight,
+                            custom_weight, load_weight_table, parse_weight)
 from cesaro.criteria import (
     compactness_criterion,
     continuity_and_compactness,
@@ -271,6 +272,45 @@ def test_nan_sup_bound_is_not_certified():
     assert not v.is_holds
     assert v.notes[-1] == ("scan contradicts the declared weight sup; "
                            "refusing to certify")
+
+
+def test_table_certifies_no_sup_past_its_last_row(tmp_path):
+    # w(n) = n^2 on 1..100: the table's maximum bounds w only up to its
+    # last row, and sum n^-2 n^2 diverges
+    path = tmp_path / "square.txt"
+    path.write_text("".join(f"{n} {2.0 * math.log(n)!r}\n"
+                            for n in range(1, 101)))
+    w = load_weight_table(str(path))
+    assert rw_membership(w, -2.0, horizon=99).is_inconclusive
+    assert t0_estimate(w, horizon=99).kind == "inconclusive"
+
+
+@pytest.mark.parametrize("valid_from,bridge_cap,note", [
+    (5000, None, "sup envelope starts beyond the scan horizon; raise the "
+                 "horizon to certify"),
+    (500, 10, "sup envelope starts too late to certify the prefix "
+              "index-by-index"),
+    (5, None, "no certified tail closure; indices below the envelope start "
+              "cannot be certified"),
+])
+def test_sup_envelope_refusals(monkeypatch, valid_from, bridge_cap, note):
+    """An envelope that cannot cover the whole index range certifies
+    nothing, and the verdict says which part it could not cover."""
+    if bridge_cap is not None:
+        monkeypatch.setattr(criteria, "_BRIDGE_CAP", bridge_cap)
+    w = custom_weight("n^-2", _log_n2,
+                      cont_upper=SupEnvelope(valid_from, 0.0, False))
+    v = continuity_criterion(w, horizon=1000).verdict
+    assert v.is_inconclusive
+    assert v.notes[0] == note
+
+
+def test_sw1_rapid_decay_forces_divergence():
+    w = build_compact_minorant(parse_weight("poly:alpha=2"))
+    v = sw1_membership(w, 1.0, horizon=1000)
+    assert v.is_fails
+    assert (v.witness.kind, v.witness.index) == ("sup-exceeds", 11)
+    assert v.notes == ("certified rapid decay forces divergence",)
 
 
 def test_witness_rejects_an_unknown_kind():

@@ -152,6 +152,19 @@ def test_custom_weight_metadata():
     assert continuity_criterion(flat, horizon=100).verdict.is_inconclusive
 
 
+def test_summability_is_derived():
+    """Summability follows from the divergence metadata and rapid decay;
+    it cannot be declared."""
+    assert parse_weight("poly:alpha=2").is_summable
+    assert not parse_weight("poly:alpha=1").is_summable
+    rapid = custom_weight("rapid", lambda n: -float(n) ** 2,
+                          rapidly_decreasing=True)
+    assert rapid.diverges_beta(1.0) is False and rapid.is_summable
+    assert not custom_weight("bare", lambda n: 0.0).is_summable
+    with pytest.raises(TypeError):
+        custom_weight("mine", lambda n: -float(n), is_summable=True)
+
+
 def test_catalog_families_listing():
     fams = catalog_families()
     names = {f["family"] for f in fams}

@@ -16,19 +16,21 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .weights import WeightError, catalog_families, parse_weight
+from .weights import MIN_HORIZON, WeightError, catalog_families, parse_weight
 from .criteria import (
     DEFAULT_HORIZON,
+    Verdict,
     ratio_limsup_test,
     s1_estimate,
     scan_reports,
     t0_estimate,
+    table_horizon,
 )
 from .sections import SIGMA_PROXIMITY_EPS
 from . import spectral
@@ -81,7 +83,10 @@ class RunConfig:
     family: Optional[str] = None
 
     def __post_init__(self):
-        if self.horizon < 1 or self.N < 1 or self.M < 1 or self.m_max < 1:
+        if self.horizon < MIN_HORIZON:
+            raise WeightError(f"horizon must be >= {MIN_HORIZON}, "
+                              f"got {self.horizon}")
+        if self.N < 1 or self.M < 1 or self.m_max < 1:
             raise WeightError("horizons must be positive")
         if not (math.isfinite(self.eps) and self.eps >= 0.0):
             raise WeightError("eps must be finite and non-negative")
@@ -150,6 +155,13 @@ def _build_probe(probe: str, N: int, seed: int) -> tuple:
         f"unknown probe {probe!r} (expected e<k> with k <= N, ones, random)")
 
 
+def _noted(item, notes: tuple):
+    """A report or verdict with ``notes`` put before its verdict's own."""
+    if isinstance(item, Verdict):
+        return replace(item, notes=notes + item.notes)
+    return replace(item, verdict=_noted(item.verdict, notes))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -157,10 +169,14 @@ def _build_probe(probe: str, N: int, seed: int) -> tuple:
 def cmd_analyze(config: RunConfig) -> int:
     """All criterion verdicts for one weight, with cross-consistency checks."""
     w = parse_weight(config.weight)
-    horizon = config.horizon
+    horizon, clamp = table_horizon(w, config.horizon, "analyze", reach=1)
     cont, comp, uw, memberships = scan_reports(
         w, horizon, [float(m - 1) for m in range(1, config.m_max + 1)])
     ratio = ratio_limsup_test(w, horizon=horizon)
+    if clamp:
+        cont, comp, uw, ratio, *memberships = (
+            _noted(item, clamp) for item in (cont, comp, uw, ratio,
+                                             *memberships))
     t0 = t0_estimate(w)
     s1 = s1_estimate(w)
     checks = []
@@ -222,8 +238,13 @@ def cmd_spectrum(config: RunConfig) -> int:
         raise ergodic.BudgetError(
             f"grid has {grid.nx * grid.ny} nodes; "
             f"budget is {spectral.MAX_GRID_POINTS}")
-    context = spectral.build_context(w, horizon=config.horizon,
+    horizon, clamp = table_horizon(w, config.horizon, "spectrum")
+    context = spectral.build_context(w, horizon=horizon,
                                      m_max=config.m_max, eps=config.eps)
+    if clamp:
+        context = replace(context,
+                          continuity=_noted(context.continuity, clamp),
+                          compactness=_noted(context.compactness, clamp))
     scan = spectral.region_scan(w, grid, context=context)
     csv_text = spectral.scan_to_csv(scan)
     counts = scan.label_counts()

@@ -35,11 +35,13 @@ moments behind the eigenvalues 1/m, the resolvent quantity and
 ``suffix_log_sums``.  One streamed kernel, ``_stream_suffix_sums``, sums
 any set of rows of one weight: chunks of indices run down from the
 horizon, the caller evaluates log w and log n once per chunk, and each row
-is summed in the log domain at its own targets.  ``scan_reports`` streams
-the continuity, uw and moment rows of ``analyze`` in that one pass.  Rows
-are independent, order-fixed sums, so a chunk's rows are shared between
-the caller and at most one helper thread, and every result is
-bit-identical whatever the number of cores.  Shifted terms that ``exp``
+is summed in the log domain at its own targets.  log w is evaluated in
+blocks (``WeightSpec.log_eval``) and log n in place, so a chunk costs its
+two rows of values plus the scratch rows, whatever the weight's formula.
+``scan_reports`` streams the continuity, uw and moment rows of ``analyze``
+in that one pass.  Rows are independent, order-fixed sums, so a chunk's
+rows are shared between the caller and at most one helper thread, and
+every result is bit-identical whatever the number of cores.  Shifted terms that ``exp``
 would round to exactly 0.0 (below ``_EXP_DEAD``) are written as 0.0
 without calling it.
 """
@@ -56,9 +58,11 @@ import numpy as np
 
 from .weights import (
     _BRIDGE_CAP,
+    MIN_HORIZON,
     NEG_INF,
     LowerEnvelope,
     SupEnvelope,
+    WeightError,
     WeightSpec,
     _log_pseries_tail,
 )
@@ -84,6 +88,7 @@ __all__ = [
     "t0_estimate",
     "sw1_membership",
     "s1_estimate",
+    "table_horizon",
 ]
 
 DEFAULT_HORIZON = 10**6
@@ -450,8 +455,9 @@ def _power_log_sums(w: WeightSpec, rows, horizon: int,
         key = (int(ns[0]), int(ns[-1]))
         if key not in memo:
             memo.clear()  # hold one chunk at a time
-            memo[key] = (np.asarray(w.log_eval(ns), dtype=float),
-                         np.log(ns.astype(float)))
+            lw = w.log_eval(ns)
+            ln = ns.astype(float)
+            memo[key] = (lw, np.log(ln, out=ln))
         return memo[key]
 
     def row_terms(r, lw_ln, buf):
@@ -720,8 +726,8 @@ def _reports(w: WeightSpec, horizon: int, jobs, ts=()) -> tuple[list, list]:
     ``compactness`` asks whether the quantity vanishes.  Returns (the
     reports in job and name order, one membership verdict per t in ts).
     """
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
+    if horizon < MIN_HORIZON:
+        raise ValueError(f"horizon must be >= {MIN_HORIZON}")
     ts = [float(t) for t in ts]
     data, totals = _scan_sup_quantities(w, [job[0] for job in jobs],
                                         [t + 1.0 for t in ts], horizon)
@@ -751,7 +757,7 @@ def _sup_report(profile: SupProfile, data: _ScanData, horizon: int,
 
 def _continuity_profile(w: WeightSpec) -> SupProfile:
     def den(ms: np.ndarray) -> np.ndarray:
-        return np.asarray(w.log_eval(ms), dtype=float)
+        return w.log_eval(ms)
 
     return SupProfile(
         name="continuity",
@@ -768,8 +774,7 @@ def _continuity_profile(w: WeightSpec) -> SupProfile:
 
 def _uw_profile(w: WeightSpec) -> SupProfile:
     def den(ms: np.ndarray) -> np.ndarray:
-        return (np.log(ms.astype(float))
-                + np.asarray(w.log_eval(ms + 1), dtype=float))
+        return np.log(ms.astype(float)) + w.log_eval(ms + 1)
 
     return SupProfile(
         name="tail_mass_ratio",
@@ -840,11 +845,10 @@ def ratio_limsup_test(w: WeightSpec,
     without one the verdict is Inconclusive (never Fails), with the empirical
     limsup estimate from the top half of the scan.
     """
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
+    if horizon < MIN_HORIZON:
+        raise ValueError(f"horizon must be >= {MIN_HORIZON}")
     scan = scan_indices(horizon - 1)
-    log_ratio = (np.asarray(w.log_eval(scan + 1), dtype=float)
-                 - np.asarray(w.log_eval(scan), dtype=float))
+    log_ratio = w.log_eval(scan + 1) - w.log_eval(scan)
     params = {"w": w.id, "horizon": int(horizon)}
     # the scan ends at horizon - 1, so every window below is nonempty
     nfrom, r = w.ratio_bound or (horizon, 0.0)
@@ -919,8 +923,8 @@ def _rw_verdicts(w: WeightSpec, ts, horizon: int,
                  memo: Optional[dict] = None) -> list:
     """``rw_memberships``; a caller that probes ``w`` again passes one
     ``memo`` (``_power_log_sums``') to every probe."""
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
+    if horizon < MIN_HORIZON:
+        raise ValueError(f"horizon must be >= {MIN_HORIZON}")
     ts = [float(t) for t in ts]
     sums = _power_log_sums(w, [(t + 1.0, [1]) for t in ts], horizon, memo)
     return [_rw_verdict(w, t, horizon, float(total[0]))
@@ -969,11 +973,10 @@ def sw1_membership(w: WeightSpec, s: float,
 def _sw1_scan(w: WeightSpec, horizon: int) -> tuple:
     """(scan grid, log n, log w(n)) at the scan indices of ``horizon``: what
     every sw1 verdict at this horizon reads of the weight."""
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
+    if horizon < MIN_HORIZON:
+        raise ValueError(f"horizon must be >= {MIN_HORIZON}")
     scan = scan_indices(horizon)
-    return (scan, np.log(scan.astype(float)),
-            np.asarray(w.log_eval(scan), dtype=float))
+    return scan, np.log(scan.astype(float)), w.log_eval(scan)
 
 
 def _sw1_verdict(w: WeightSpec, s: float, horizon: int, scan: np.ndarray,
@@ -1092,13 +1095,27 @@ def _boundary(member: Callable[[float], Verdict], ladder, member_side: str,
                    tol=hi - lo, notes=tuple(notes))
 
 
-def _table_horizon(w: WeightSpec, horizon: int) -> tuple[int, tuple]:
-    """(horizon, notes): an estimate horizon cut to a table's last row,
-    with a note when it was cut."""
-    if w.table_size is None or horizon <= w.table_size:
+def table_horizon(w: WeightSpec, horizon: int, what: str = "estimate",
+                  reach: int = 0) -> tuple[int, tuple]:
+    """(horizon, notes): the ``what`` horizon of a table-backed weight cut
+    so that it reads w no further than the table's last row, with a note
+    when it was cut.  A scan at horizon h reads w up to h + ``reach``;
+    ``analyze`` has reach 1, because its uw quantity reads w(m + 1).
+    Raises WeightError when the cut leaves less than ``MIN_HORIZON``."""
+    size = w.table_size
+    if size is None or horizon + reach <= size:
         return horizon, ()
-    return w.table_size, (f"estimate horizon {horizon} clamped to the "
-                          f"table's last row {w.table_size}",)
+    if size - reach < MIN_HORIZON:
+        raise WeightError(
+            f"{what} reads w up to index horizon + {reach}, so it needs a "
+            f"table of at least {MIN_HORIZON + reach} rows; this one has "
+            f"{size}")
+    if reach == 0:
+        return size, (f"{what} horizon {horizon} clamped to the table's "
+                      f"last row {size}",)
+    return size - reach, (f"{what} horizon {horizon} clamped to "
+                          f"{size - reach}: it reads w up to index horizon "
+                          f"+ {reach}, and the table's last row is {size}",)
 
 
 def t0_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
@@ -1114,7 +1131,7 @@ def t0_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
     log w and log n that the first one evaluated.  A table-backed weight
     is probed only up to its last row.
     """
-    horizon, notes = _table_horizon(w, horizon)
+    horizon, notes = table_horizon(w, horizon)
     memo: dict = {}
 
     def member(t: float) -> Verdict:
@@ -1142,7 +1159,7 @@ def s1_estimate(w: WeightSpec, *, horizon: int = ESTIMATE_HORIZON) -> Bracket:
     on those values.  A table-backed weight is scanned only up to its last
     row.
     """
-    horizon, notes = _table_horizon(w, horizon)
+    horizon, notes = table_horizon(w, horizon)
     grid = _sw1_scan(w, horizon)
 
     def member(s: float) -> Verdict:

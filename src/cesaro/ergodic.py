@@ -163,7 +163,7 @@ def trace_to_csv(trace: IterateTrace) -> str:
 
 def _weight_values(w: WeightSpec, N: int) -> np.ndarray:
     ns = np.arange(1, N + 1, dtype=np.int64)
-    return np.exp(np.asarray(w.log_eval(ns), dtype=float))
+    return np.exp(w.log_eval(ns))
 
 
 def _pick_candidate(w: WeightSpec, x: Sequence) -> Optional[float]:

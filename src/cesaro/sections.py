@@ -433,11 +433,10 @@ def operator_norm_l1w(section: FiniteSection, w: WeightSpec,
             tail = w.log_tail(N + 1, 0.0)
             if tail is not None and tail < float("inf"):
                 suffix = np.logaddexp(suffix, tail)
-        col_logs = suffix - np.asarray(w.log_eval(targets), dtype=float)
+        col_logs = suffix - w.log_eval(targets)
         col_logs = np.where(np.isnan(col_logs), NEG_INF, col_logs)
         return float(np.exp(np.min([np.max(col_logs), 700.0])))
-    wlog = np.asarray(w.log_eval(np.arange(1, N + 1, dtype=np.int64)),
-                      dtype=float)
+    wlog = w.log_eval(np.arange(1, N + 1, dtype=np.int64))
     wvals = np.exp(wlog)
     col = np.zeros(N, dtype=float)
     for n in range(1, N + 1):

@@ -246,8 +246,7 @@ def build_context(w: WeightSpec, *, horizon: int = DEFAULT_HORIZON,
 def _resolvent_profile(w: WeightSpec, alpha: float) -> SupProfile:
     def den(ms: np.ndarray) -> np.ndarray:
         ms = np.asarray(ms)
-        return (alpha * np.log(ms.astype(float))
-                + np.asarray(w.log_eval(ms), dtype=float))
+        return alpha * np.log(ms.astype(float)) + w.log_eval(ms)
 
     return SupProfile(
         name="resolvent_sup",
@@ -291,7 +290,7 @@ def _witness_log_ratios(w: WeightSpec, alphas: Sequence[float]) -> list:
     if not alphas:
         return []
     ns = np.arange(2, _WITNESS_TOP + 1, dtype=np.int64)
-    lw = np.asarray(w.log_eval(ns), dtype=float)
+    lw = w.log_eval(ns)
     ln = np.log(ns.astype(float))
     log_first = float(w.log_eval(1))
     out: list = []
@@ -313,7 +312,7 @@ def _bridge_log_sups(w: WeightSpec, v0: int, alphas: Sequence[float],
     m^alpha w(m).  One evaluation of log w and log n serves every row; the
     rows run as blocks of at most _BATCH_ELEMENTS terms."""
     ns = np.arange(1, v0 + 1, dtype=np.int64)
-    lw = np.asarray(w.log_eval(ns), dtype=float)
+    lw = w.log_eval(ns)
     ln = np.log(ns.astype(float))
     out: list = []
     step = max(1, _BATCH_ELEMENTS // v0)

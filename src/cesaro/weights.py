@@ -13,7 +13,12 @@ Each catalog family ships the analytic facts the criteria engine needs:
 * ``minorant_log_c`` -- constants c(s) with w(n) >= c(s) n^-s for all n
 * ``diverges_beta``  -- exact knowledge of when sum w(n) n^(beta-1) diverges
 
-Everything here is pure and deterministic.
+Everything here is pure and deterministic.  Each weight has one array
+evaluator, ``log_eval_array``, and it must be elementwise and keep no
+history: w(n) depends on n alone.  Every family, table and constructed
+weight meets this, and ``WeightSpec.log_eval`` relies on it to evaluate any
+index array in blocks of ``_EVAL_BLOCK`` indices, so that a formula's
+temporaries stay block-sized however long the array is.
 """
 
 from __future__ import annotations
@@ -28,6 +33,12 @@ LN2 = math.log(2.0)
 NEG_INF = float("-inf")
 #: widest admissible prefix that must be certified index-by-index
 _BRIDGE_CAP = 10**6
+#: the smallest horizon a criterion scans, and so the fewest rows a table
+#: may have
+MIN_HORIZON = 2
+#: indices per call of an array evaluator: every temporary of a family's
+#: formula stays this long, whatever the length of the index array
+_EVAL_BLOCK = 1 << 16
 
 class WeightError(ValueError):
     """Bad weight family, parameter, or custom table."""
@@ -141,6 +152,9 @@ class WeightSpec:
     Only ``id`` and ``log_eval_array`` are mandatory.  The array evaluator
     maps an integer array of indices >= 1 to log w elementwise, keeping the
     shape; it is the one evaluator, and single values are read through it.
+    It must keep no history: w(n) depends on n alone, not on the other
+    indices of the array nor on earlier calls, because ``log_eval`` cuts
+    every array into blocks of ``_EVAL_BLOCK`` indices.
     Metadata is optional; criteria degrade to Inconclusive verdicts when
     it is absent.
     ``tail_hook(m, beta)`` gives ``(start, log_closed)`` or None: start >= m,
@@ -172,13 +186,21 @@ class WeightSpec:
     # -- evaluation ---------------------------------------------------------
 
     def log_eval(self, n):
-        """Log of w at a positive integer or an integer numpy array."""
+        """Log of w at a positive integer or an integer numpy array.
+
+        An array is evaluated ``_EVAL_BLOCK`` indices at a time into one
+        float output.  Evaluators are elementwise and keep no history, so
+        the blocks give the same bits as one call on the whole array.
+        """
         if isinstance(n, np.ndarray):
-            if n.size == 0:
-                return np.empty(n.shape, dtype=float)
-            if n.min() < 1:
+            if n.size and n.min() < 1:
                 raise ValueError("weight index must be >= 1")
-            return self.log_eval_array(n)
+            flat = n.reshape(-1)
+            out = np.empty(flat.size, dtype=float)
+            for a in range(0, flat.size, _EVAL_BLOCK):
+                out[a:a + _EVAL_BLOCK] = self.log_eval_array(
+                    flat[a:a + _EVAL_BLOCK])
+            return out.reshape(n.shape)
         k = int(n)
         if k < 1:
             raise ValueError("weight index must be >= 1")
@@ -955,11 +977,12 @@ def load_weight_table(path: str) -> WeightSpec:
     """Load a custom weight, id ``custom:path=PATH``, from a two-column
     text table ``n ln_w``.
 
-    Indices must be 1, 2, 3, ... with no gaps, and every ``ln_w`` must be
-    finite.  Evaluation beyond the table raises, so callers clamp their
-    horizons to the table length.  A table certifies nothing past its last
-    row, so it declares no metadata, not even a sup: its maximum bounds w
-    only up to the last row.
+    Indices must be 1, 2, 3, ... with no gaps, every ``ln_w`` must be
+    finite, and there must be at least ``MIN_HORIZON`` rows.  Evaluation
+    beyond the table raises, so callers clamp their horizons to the table
+    length.  A table certifies nothing past its last row, so it declares
+    no metadata, not even a sup: its maximum bounds w only up to the last
+    row.
     """
     ns: list[int] = []
     logs: list[float] = []
@@ -985,6 +1008,9 @@ def load_weight_table(path: str) -> WeightSpec:
         raise WeightError(f"{path}: empty weight table")
     if ns != list(range(1, len(ns) + 1)):
         raise WeightError(f"{path}: indices must be 1..L with no gaps")
+    if len(ns) < MIN_HORIZON:
+        raise WeightError(f"{path}: a table needs at least {MIN_HORIZON} "
+                          f"rows, this one has {len(ns)}")
     arr = np.array(logs, dtype=float)
     size = arr.size
 
@@ -1125,7 +1151,10 @@ def build_compact_minorant(v: WeightSpec) -> WeightSpec:
 
     The factorial-speed ratio makes the averaging operator compact on the
     resulting space.  Evaluation is lazy and cached; chunks assume the product
-    branch and restart at indices where v dips below it.
+    branch and restart at indices where v dips below it.  The cache grows
+    from its end in steps of ``_EVAL_BLOCK`` indices whatever the caller
+    asked for, so every chunk starts where v alone puts it and u(n) is a
+    function of n, not of the order of the calls.
     """
     head = float(v.log_eval(1))
     cache = [np.array([head])]  # u(1..len), boxed so the closure can grow it
@@ -1135,9 +1164,11 @@ def build_compact_minorant(v: WeightSpec) -> WeightSpec:
         u = cache[0]
         while u.size < top:
             start = u.size + 1
-            stop = min(top, start + 65535)
+            stop = start + _EVAL_BLOCK - 1
+            if v.table_size is not None:  # a table ends; v raises past it
+                stop = max(start, min(stop, v.table_size))
             ns = np.arange(start, stop + 1, dtype=np.int64)
-            vlogs = np.asarray(v.log_eval(ns), dtype=float)
+            vlogs = v.log_eval(ns)
             cand = u[-1] - np.cumsum(np.log(ns.astype(float)))
             dips = np.nonzero(vlogs < cand)[0]
             k = int(dips[0]) if dips.size else cand.size

@@ -238,12 +238,28 @@ def test_analyze_table_estimates_stop_at_the_last_row(capsys, table_2000,
     assert '"Holds"' not in out
 
 
-def test_analyze_table_horizon_past_the_last_row(capsys, table_2000):
-    # uw reads w(n + 1), so analyze's own horizon must stay below the
-    # last row
-    assert main(["analyze", "-w", table_2000, "--horizon", "2000"]) \
-        == EXIT_PARSE
-    assert "index 2001" in capsys.readouterr().err
+@pytest.mark.parametrize("horizon", ["2000", "1000000"],
+                         ids=["L", "default"])
+def test_analyze_table_horizon_clamped_below_the_last_row(capsys, table_2000,
+                                                          horizon):
+    # uw reads w(n + 1), so analyze's own horizon is cut to L - 1 and every
+    # verdict scanned at it says so
+    args = ["analyze", "-w", table_2000]
+    if horizon != "1000000":
+        args += ["--horizon", horizon]
+    assert main(args) == EXIT_OK
+    out = capsys.readouterr().out
+    results = json.loads(out)["results"]
+    clamp = (f"analyze horizon {horizon} clamped to 1999: it reads w up to "
+             "index horizon + 1, and the table's last row is 2000")
+    scanned = [results[name]["verdict"] for name in
+               ("continuity", "compactness", "ratio_limsup", "uw")]
+    scanned += [p["verdict"] for p in results["point_spectrum"]]
+    assert len(scanned) == 24
+    for verdict in scanned:
+        assert verdict["notes"][0] == clamp
+        assert verdict["scan_horizon"] == 1999
+    assert '"Holds"' not in out
 
 
 @pytest.mark.parametrize("horizon", ["1000", "2000"])
@@ -252,6 +268,46 @@ def test_spectrum_table_estimates_stop_at_the_last_row(capsys, table_2000,
     assert main(["spectrum", "-w", table_2000, "--horizon", horizon,
                  "--grid=-0.2,1.2,-0.7,0.7,12,12"]) == EXIT_OK
     assert "Holds" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("horizon", ["2000", "1000000"],
+                         ids=["L", "default"])
+def test_spectrum_table_horizon_clamped_to_the_last_row(capsys, table_2000,
+                                                        horizon):
+    args = ["spectrum", "-w", table_2000, "--grid=-0.2,1.2,-0.7,0.7,12,12"]
+    if horizon != "1000000":
+        args += ["--horizon", horizon]
+    assert main(args) == EXIT_OK
+    out = capsys.readouterr().out
+    context = json.loads("{" + out.split("{", 1)[1])["context"]
+    clamp = [f"spectrum horizon {horizon} clamped to the table's last row "
+             "2000"] if horizon != "2000" else []
+    for name in ("continuity", "compactness"):
+        verdict = context[name]["verdict"]
+        assert verdict["scan_horizon"] == 2000
+        assert [n for n in verdict["notes"] if "clamped" in n] == clamp
+    assert "Holds" not in out
+
+
+def test_horizon_below_two_fails_at_parse(capsys):
+    assert main(["analyze", "-w", "poly:alpha=2", "--horizon", "1"]) \
+        == EXIT_PARSE
+    assert capsys.readouterr().err == "error: horizon must be >= 2, got 1\n"
+
+
+def test_tables_too_short_fail_at_parse(capsys, tmp_path):
+    one = tmp_path / "one.txt"
+    one.write_text("1 0.0\n")
+    for command in ("analyze", "spectrum"):
+        assert main([command, "-w", f"custom:path={one}"]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: {one}: a table needs at least 2 rows, this one has 1\n")
+    two = tmp_path / "two.txt"
+    two.write_text("1 0.0\n2 -1.0\n")
+    assert main(["analyze", "-w", f"custom:path={two}"]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: analyze reads w up to index horizon + 1, so it needs a "
+        "table of at least 3 rows; this one has 2\n")
 
 
 # ---------------------------------------------------------------------------

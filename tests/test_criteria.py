@@ -956,6 +956,24 @@ def test_point_spectrum_allocation_peak():
     assert peak <= 20.0 * 2 ** 20
 
 
+def test_weight_evaluation_allocation_peak():
+    """log w is evaluated in blocks of _EVAL_BLOCK indices, so factorial's
+    Stirling series holds no chunk-sized temporaries.  A two-row pass over a
+    full 2^19 chunk then peaks at about four chunk-sized arrays (log w,
+    log n and two scratch rows); evaluating the chunk as one array
+    expression held about eight at once."""
+    w = parse_weight("factorial:a=1")
+    chunk_bytes = 8 * criteria._CHUNK
+    tracemalloc.start()
+    try:
+        criteria._power_log_sums(w, [(1.0, [1, 2, 3]), (0.0, [1])],
+                                 criteria._CHUNK + 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * chunk_bytes
+
+
 def test_fused_scan_allocation_peak():
     """The 22-row pass of scan_reports (continuity, uw, 20 moments) keeps
     the bound of the 20-row moment pass: segment maxima are repeated one

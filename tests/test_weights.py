@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cesaro import weights
 from cesaro.weights import (
     WeightError,
     build_compact_minorant,
@@ -471,3 +472,100 @@ def test_spike_not_c0_yet_continuous(spike):
     report = continuity_criterion(spike)
     assert report.verdict.is_holds
     assert report.verdict.certified_bound <= math.pi ** 2 / 6.0 + 3.0
+
+
+def test_compact_minorant_is_a_function_of_n(poly2):
+    """u(n) does not depend on the order in which a minorant is asked for
+    its values: a small call first, one large call and block-by-block
+    calls give the same bits, chunk restarts and dips included."""
+    ns = np.arange(1, 200_001, dtype=np.int64)
+    whole = build_compact_minorant(poly2).log_eval(ns)
+    small_first = build_compact_minorant(poly2)
+    small_first.log_eval(np.arange(1, 11, dtype=np.int64))
+    blocks = build_compact_minorant(poly2)
+    by_block = np.concatenate([blocks.log_eval(ns[a:a + 7000])
+                               for a in range(0, ns.size, 7000)])
+    for got in (small_first.log_eval(ns), by_block):
+        np.testing.assert_array_equal(got.view(np.int64), whole.view(np.int64))
+
+
+def test_compact_minorant_of_a_table_stops_at_its_end(tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text("".join(f"{n} {-2.0 * math.log(n)!r}\n"
+                            for n in range(1, 101)))
+    u = build_compact_minorant(load_weight_table(str(path)))
+    assert np.all(np.isfinite(u.log_eval(np.arange(1, 101, dtype=np.int64))))
+    with pytest.raises(WeightError, match="index 101 outside 1..100"):
+        u.log_eval(101)
+
+
+# ---------------------------------------------------------------------------
+# blocked evaluation: log_eval cuts arrays into _EVAL_BLOCK pieces
+
+
+_BLOCK = weights._EVAL_BLOCK
+#: an array longer than two blocks that starts at 1 (below factorial's
+#: exact-lgamma limit of 10) and crosses the powers of two up to 2^17, and
+#: the same range walked down to 3 through a strided view
+_CONTRACT_ARRAYS = (np.arange(1, 2 * _BLOCK + 778, dtype=np.int64),
+                    np.arange(3, 2 * _BLOCK + 900, dtype=np.int64)[::-1])
+_CONTRACT_CUTS = (1, 7, _BLOCK - 1, _BLOCK + 1)
+#: each family at both ends of the parameter range that
+#: tests/test_cli.py::catalog_inputs draws from
+_RANGE_ENDS = ["poly:alpha=0.001", "poly:alpha=100",
+               "loggamma:gamma=0.001", "loggamma:gamma=30",
+               "geom:r=0.001,beta=-5", "geom:r=0.999,beta=5",
+               "superfact", "factorial:a=0.001", "factorial:a=100",
+               "expbeta:beta=0.001", "expbeta:beta=8",
+               "explog:gamma=1.0001", "explog:gamma=12", "spike",
+               "block313", "block413:alpha=1.0001", "block413:alpha=60"]
+
+
+def _contract_weight(key, tmp_path):
+    if key == "table":
+        path = tmp_path / "w.txt"
+        path.write_text("".join(f"{n} {-1.5 * math.log(n) + math.sin(n)!r}\n"
+                                for n in range(1, 2 * _BLOCK + 1000)))
+        return load_weight_table(str(path))
+    if key == "custom":
+        return custom_weight("scalar", lambda n: -0.5 * math.log(n) - n % 3)
+    if key == "blockmin":
+        return build_failing_minorant(parse_weight("poly:alpha=1")) \
+            .to_weight_spec()
+    if key == "compactmin":
+        return build_compact_minorant(parse_weight("poly:alpha=2"))
+    return parse_weight(key)
+
+
+@pytest.mark.parametrize("key", _RANGE_ENDS + ["table", "custom", "blockmin",
+                                               "compactmin"])
+def test_blocked_evaluation_is_bit_exact(key, tmp_path):
+    """log_eval on an array longer than two blocks equals the evaluator on
+    the whole array and on sub-slices cut off the block grid, bit for bit:
+    every evaluator is elementwise and keeps no history."""
+    w = _contract_weight(key, tmp_path)
+    for ns in _CONTRACT_ARRAYS:
+        got = w.log_eval(ns).view(np.int64)
+        np.testing.assert_array_equal(got, w.log_eval_array(ns).view(np.int64))
+        for cut in _CONTRACT_CUTS:
+            for part in (slice(None, cut), slice(cut, None)):
+                np.testing.assert_array_equal(
+                    got[part], w.log_eval_array(ns[part]).view(np.int64))
+
+
+def test_blocked_evaluation_keeps_shape_and_checks_indices(poly2):
+    ns = np.arange(1, 2 * _BLOCK + 7, dtype=np.int64)
+    square = poly2.log_eval(ns[:36].reshape(6, 6))
+    assert square.shape == (6, 6)
+    np.testing.assert_array_equal(square.ravel(), poly2.log_eval(ns[:36]))
+    assert poly2.log_eval(np.arange(0, dtype=np.int64)).shape == (0,)
+    with pytest.raises(ValueError, match="weight index must be >= 1"):
+        poly2.log_eval(ns - 1)
+
+
+def test_table_needs_min_horizon_rows(tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text("1 0.0\n")
+    with pytest.raises(WeightError, match=f"{path}: a table needs at least "
+                       f"{weights.MIN_HORIZON} rows, this one has 1"):
+        load_weight_table(str(path))

@@ -44,6 +44,25 @@ rows are shared between the caller and at most one helper thread, and
 every result is bit-identical whatever the number of cores.  Shifted terms that ``exp``
 would round to exactly 0.0 (below ``_EXP_DEAD``) are written as 0.0
 without calling it.
+
+The kernel also skips terms that provably cannot change a bit.  The caller
+gives, for each block of ``_TAIL_BLOCK`` indices, a bound b_j computed with
+the same float operations as the terms from the block's maximum of log w
+and extreme of log n; rounding is monotone, so b_j bounds every computed
+term of the block.
+
+- Dead tail.  A one-segment row computes its terms only up to the last
+  block with fl(b_j - m0) >= ``_EXP_DEAD``, m0 being its first block's
+  maximum.  Every later term is below m0, so the shift is unchanged, and
+  shifted it is below ``_EXP_DEAD``: the 0.0 the dead mask writes anyway.
+  The buffer keeps its length, so the summation tree is unchanged.
+- Negligible upper chunks.  The lowest chunk runs first.  A row whose
+  targets all lie in it sits out an upper chunk when its values v satisfy
+  logaddexp(v, B) == v, with B = max_j b_j + ln(chunk length) + ln(number
+  of upper chunks) + 1 at least the computed carry of all upper chunks.
+  logaddexp(v, c) is non-decreasing in c and never below v, so the carry
+  could not change v.  A row that sat out one upper chunk and fails on a
+  higher one is summed again over every chunk.
 """
 
 from __future__ import annotations
@@ -99,6 +118,8 @@ GEOMETRIC_STEP = 1.05
 _CHUNK = 1 << 19
 #: terms per block when several segments are shifted by their maxima
 _SHIFT_BLOCK = 1 << 15
+#: indices per block of the term bounds that let the suffix kernel skip work
+_TAIL_BLOCK = 1 << 12
 #: exp(x) is exactly 0.0 for every x below -745.1332...; below this bound the
 #: suffix kernel writes the 0.0 itself
 _EXP_DEAD = -746.0
@@ -295,7 +316,8 @@ def scan_indices(horizon: int) -> np.ndarray:
     return np.array(sorted(idx), dtype=np.int64)
 
 
-def _segment_log_sums(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _segment_log_sums(buf: np.ndarray, starts: np.ndarray,
+                      live: Optional[int] = None) -> np.ndarray:
     """log of sum(exp(buf[a:b])) for each segment [starts[i], starts[i+1]).
 
     Each segment is shifted by its own maximum before exponentiating, so no
@@ -308,14 +330,19 @@ def _segment_log_sums(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
     exactly 0.0 there; NaN fails the comparison and still goes through
     ``exp``.  The array keeps its length, so the pairwise summation tree of
     every segment, and with it every bit of the result, is unchanged.
+
+    ``live`` says that ``buf[:live]`` holds the terms and, for one segment,
+    that every term past it is known to be dead after the shift: only the
+    head is shifted and exponentiated, and the rest is written as 0.0.
     """
     if starts.size == buf.size:  # one term per segment: nothing to reduce
         return buf
+    head = buf if live is None else buf[:live]
     with np.errstate(invalid="ignore", divide="ignore"):
-        shift = np.maximum.reduceat(buf, starts)
+        shift = np.maximum.reduceat(head, starts)
         shift[~np.isfinite(shift)] = 0.0
         if starts.size == 1:
-            buf -= shift[0]
+            head -= shift[0]
         else:
             for a in range(0, buf.size, _SHIFT_BLOCK):
                 b = min(a + _SHIFT_BLOCK, buf.size)
@@ -323,13 +350,39 @@ def _segment_log_sums(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
                 edges = np.clip(starts[i0:np.searchsorted(starts, b)], a, b)
                 buf[a:b] -= np.repeat(shift[i0:i0 + edges.size],
                                       np.diff(edges, append=b))
-        dead = buf < _EXP_DEAD
+        dead = head < _EXP_DEAD
         if dead.any():  # a masked exp costs more when nothing is dead
-            np.exp(buf, out=buf, where=~dead)
-            np.copyto(buf, 0.0, where=dead)
+            np.exp(head, out=head, where=~dead)
+            np.copyto(head, 0.0, where=dead)
         else:
-            np.exp(buf, out=buf)
+            np.exp(head, out=head)
+        buf[head.size:] = 0.0
         return np.log(np.add.reduceat(buf, starts)) + shift
+
+
+def _row_log_sums(row_terms, row_bounds, r: int, shared, buf: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """Segment log-sums of row r over one chunk (``_segment_log_sums``).
+
+    A one-segment row with block bounds skips its dead tail: from the first
+    block's maximum m0 and the bound b_j of every later block, the terms
+    are computed only up to the end of the last block with
+    fl(b_j - m0) >= ``_EXP_DEAD``.  Past it every computed term t has
+    fl(t - shift) <= fl(b_j - m0) < ``_EXP_DEAD``, because the shift is at
+    least m0 and rounding is monotone; so t is below m0, the shift is that
+    of the full row, and the term is the 0.0 that the dead mask would write.
+    """
+    done, k = 0, buf.size
+    if row_bounds is not None and starts.size == 1 and k > _TAIL_BLOCK:
+        done = _TAIL_BLOCK
+        row_terms(r, shared, buf[:done])
+        m0 = buf[:done].max()
+        if np.isfinite(m0):
+            live = np.flatnonzero(~(row_bounds(r, shared) - m0 < _EXP_DEAD))
+            k = min(k, (int(live[-1]) + 1) * _TAIL_BLOCK)
+    if k > done:
+        row_terms(r, shared, buf[:k])
+    return _segment_log_sums(buf, starts, k)
 
 
 def _worker_count(rows: int) -> int:
@@ -342,63 +395,119 @@ def _worker_count(rows: int) -> int:
     return max(1, min(2, rows, cpus))
 
 
-def _stream_suffix_sums(evaluate, row_terms, horizon: int,
-                        targets: list) -> list:
+def _stream_suffix_sums(evaluate, row_terms, horizon: int, targets: list,
+                        row_bounds=None) -> list:
     """Suffix log-sums of several term sequences (rows), each at its own
     ascending targets ``targets[r]``.
 
-    Chunks of indices stream down from the horizon to the smallest target
-    of any row.  For each chunk the caller runs ``evaluate(ns)`` once; then
-    ``row_terms(r, shared, buf)`` writes the log-terms of row r into a
-    chunk-sized scratch ``buf``, and the segments between the row's
-    consecutive targets are reduced in place.  A short log-domain suffix
-    over the segment sums, plus the carry from the chunks above, gives each
-    target.  A row sits out the chunks below its smallest target; in the
-    chunk that holds it, the indices below it form one extra segment that
-    no target reads.  Returns one array per row.
+    Chunks of indices run down from the horizon to the smallest target of
+    any row.  For each chunk the caller runs ``evaluate(ns)`` once; then
+    ``row_terms(r, shared, buf)`` writes the log-terms of row r at the
+    chunk's first ``buf.size`` indices into ``buf`` (a chunk-sized scratch
+    row or a prefix of it), and the segments between the row's consecutive
+    targets are reduced in place.  A short log-domain suffix over the
+    segment sums, plus the carry from the chunks above, gives each target.
+    A row sits out the chunks below its smallest target; in the chunk that
+    holds it, the indices below it form one extra segment that no target
+    reads.  Returns one array per row.
 
-    Rows are independent, order-fixed sums, so they are shared between the
-    caller and one helper thread (``_worker_count``); carries are combined
-    in row order on the caller, so the result does not depend on how many
-    cores ran it.  ``row_terms`` runs on either thread, so it may use numpy
-    only: public functions and ``WeightSpec`` methods belong in
-    ``evaluate``, which stays on the caller.
+    ``row_bounds(r, shared)``, when given, returns for each block of
+    ``_TAIL_BLOCK`` indices of the chunk a float that bounds every computed
+    term of row r there.  Two rules then skip terms that cannot change a
+    bit of the result:
+
+    - a one-segment row computes no dead tail (``_row_log_sums``);
+    - a row whose targets all lie in the lowest chunk sits out an upper
+      chunk when its pre-carry values v satisfy logaddexp(v, B) == v, with
+      B = max_j b_j + ln(chunk length) + ln(number of upper chunks) + 1.
+      The computed carry of all upper chunks is at most B, and
+      logaddexp(v, c) = v + log1p(exp(c - v)) is non-decreasing in c and
+      never below v, so adding the carry could not change v.  The lowest
+      chunk runs first, then the upper ones in ascending order.  A row that
+      sat out a chunk and fails the test on a higher one is summed again
+      over every chunk in one catch-up pass without either rule.
+
+    Each chunk writes its segment suffixes into ``out`` and keeps only its
+    totals; the carries are folded from the top chunk down afterwards,
+    with the same ``logaddexp`` calls as a top-down stream.  Rows are
+    independent, order-fixed sums, so they are shared between the caller
+    and one helper thread (``_worker_count``), and the result does not
+    depend on how many cores ran it.  ``row_terms`` and ``row_bounds`` run
+    on either thread, so they may use numpy only: public functions and
+    ``WeightSpec`` methods belong in ``evaluate``, which stays on the
+    caller.
     """
     out = [np.full(t.size, NEG_INF, dtype=float) for t in targets]
     firsts = [max(1, int(t[0])) for t in targets if t.size]
     if horizon < 1 or not firsts:
         return out
-    carry = np.full(len(targets), NEG_INF, dtype=float)
     tmin = min(firsts)
+    chunks = []
     hi = horizon
     while hi >= tmin:
         lo = max(tmin, hi - _CHUNK + 1)
+        chunks.append((lo, hi))
+        hi = lo - 1
+    chunks.reverse()  # the lowest chunk first
+    upper = len(chunks) - 1
+    # rows that may sit out the upper chunks, and those that sat one out
+    quiet = set() if row_bounds is None or not upper else {
+        r for r, t in enumerate(targets)
+        if t.size and t[-1] <= chunks[0][1]}
+    sat_out, redo = set(), []
+    totals = []
+    for c, (lo, hi) in enumerate(chunks):
+        shared = evaluate(np.arange(lo, hi + 1, dtype=np.int64))
         # segments start at the chunk's first index and at each distinct
         # target; pos maps every target to its segment
         jobs = []
         for r, t in enumerate(targets):
             i0, i1 = np.searchsorted(t, (lo, hi + 1))
-            if i1 == 0:  # every target of the row lies above this chunk
+            if i1 == 0 or r in redo:  # targets above the chunk, or redone
                 continue
+            if c and r in quiet:
+                v = out[r]
+                bound = (np.max(row_bounds(r, shared)) + math.log(hi - lo + 1)
+                         + math.log(upper) + 1.0)
+                with np.errstate(invalid="ignore"):  # NaN refuses
+                    negligible = np.all(np.logaddexp(v, bound) == v)
+                if negligible:
+                    sat_out.add(r)
+                    continue
+                quiet.discard(r)
+                if r in sat_out:
+                    redo.append(r)
+                    continue
             rel = t[i0:i1] - lo
             fresh = np.diff(rel, prepend=0) != 0
             jobs.append((r, np.concatenate(([0], rel[fresh])), i0, i1,
                          np.cumsum(fresh)))
-        shared = evaluate(np.arange(lo, hi + 1, dtype=np.int64))
         # scratch is allocated after evaluation and dropped with it before
         # the next chunk, so evaluation temporaries and scratch never coexist
         scratch = [np.empty(hi - lo + 1)
                    for _ in range(_worker_count(len(jobs)))]
-        segs = _run_rows(row_terms, jobs, shared, scratch)
+        segs = _run_rows(row_terms, row_bounds, jobs, shared, scratch)
         del shared, scratch
         for (r, _, i0, i1, pos), seg in zip(jobs, segs):
-            out[r][i0:i1] = np.logaddexp(seg[pos], carry[r])
-            carry[r] = np.logaddexp(seg[0], carry[r])
-        hi = lo - 1
+            out[r][i0:i1] = seg[pos]
+        totals.append([(r, i0, i1, seg[0])
+                       for (r, _, i0, i1, _), seg in zip(jobs, segs)])
+        del segs
+    carry = np.full(len(targets), NEG_INF, dtype=float)
+    for chunk in reversed(totals):
+        for r, i0, i1, total in chunk:
+            out[r][i0:i1] = np.logaddexp(out[r][i0:i1], carry[r])
+            carry[r] = np.logaddexp(total, carry[r])
+    if redo:
+        again = _stream_suffix_sums(evaluate, row_terms, horizon, [
+            t if r in redo else t[:0] for r, t in enumerate(targets)])
+        for r in redo:
+            out[r] = again[r]
     return out
 
 
-def _run_rows(row_terms, jobs: list, shared, scratch: list) -> list:
+def _run_rows(row_terms, row_bounds, jobs: list, shared,
+              scratch: list) -> list:
     """Reversed log-domain suffix of the segment sums of every job (a row
     and its segment starts first).  Jobs are handed out one at a time to
     the caller and, given a second scratch buffer, to one helper thread
@@ -419,8 +528,8 @@ def _run_rows(row_terms, jobs: list, shared, scratch: list) -> list:
                     if job is None:
                         return
                     j, (r, starts, *_) = job
-                    row_terms(r, shared, buf)
-                    seg = _segment_log_sums(buf, starts)
+                    seg = _row_log_sums(row_terms, row_bounds, r, shared,
+                                        buf, starts)
                     segs[j] = np.logaddexp.accumulate(seg[::-1])[::-1]
         except BaseException as exc:  # re-raised after the join
             errors.append(exc)
@@ -443,10 +552,13 @@ def _power_log_sums(w: WeightSpec, rows, horizon: int,
     row in ``rows`` and every target m of it (ascending), in one pass.
 
     log w(n) and log n are evaluated once per chunk on the caller and
-    shared by every row; each row's terms are ``ln*(beta-1) + lw``.
-    ``memo`` holds the last chunk's (lw, ln) under the chunk's (lo, hi); a
-    caller that passes the same dict to every pass over ``w`` evaluates a
-    single-chunk horizon once.
+    shared by every row; each row's terms are ``ln*(beta-1) + lw``.  The
+    caller also takes the maximum of log w and the extremes of log n over
+    each block of ``_TAIL_BLOCK`` indices, and a row's block bound is the
+    same two operations on them, so by monotone rounding it bounds every
+    computed term of the block.  ``memo`` holds the last chunk's values
+    under the chunk's (lo, hi); a caller that passes the same dict to every
+    pass over ``w`` evaluates a single-chunk horizon once.
     """
     betas = [float(beta) for beta, _ in rows]
     memo = {} if memo is None else memo
@@ -457,16 +569,26 @@ def _power_log_sums(w: WeightSpec, rows, horizon: int,
             memo.clear()  # hold one chunk at a time
             lw = w.log_eval(ns)
             ln = ns.astype(float)
-            memo[key] = (lw, np.log(ln, out=ln))
+            np.log(ln, out=ln)
+            blocks = np.arange(0, ns.size, _TAIL_BLOCK)
+            memo[key] = (lw, ln, np.maximum.reduceat(lw, blocks),
+                         np.maximum.reduceat(ln, blocks),
+                         np.minimum.reduceat(ln, blocks))
         return memo[key]
 
-    def row_terms(r, lw_ln, buf):
-        lw, ln = lw_ln
+    def row_terms(r, shared, buf):
+        lw, ln = shared[0][:buf.size], shared[1][:buf.size]
         np.multiply(ln, betas[r] - 1.0, out=buf)
         buf += lw
 
+    def row_bounds(r, shared):
+        _, _, lw_max, ln_max, ln_min = shared
+        c = betas[r] - 1.0
+        return (ln_max if c >= 0.0 else ln_min) * c + lw_max
+
     return _stream_suffix_sums(evaluate, row_terms, horizon, [
-        np.asarray(targets, dtype=np.int64) for _, targets in rows])
+        np.asarray(targets, dtype=np.int64) for _, targets in rows],
+        row_bounds)
 
 
 def suffix_log_sums(w: WeightSpec, beta: float, horizon: int,

@@ -735,9 +735,9 @@ def test_callers_scan_continuity_once(continuity_scans, monkeypatch, capsys,
     streams = []
     stream = criteria._stream_suffix_sums
 
-    def counted(evaluate, row_terms, horizon, targets):
+    def counted(evaluate, row_terms, horizon, targets, *args, **kwargs):
         streams.append((horizon, len(targets)))
-        return stream(evaluate, row_terms, horizon, targets)
+        return stream(evaluate, row_terms, horizon, targets, *args, **kwargs)
 
     monkeypatch.setattr(criteria, "_stream_suffix_sums", counted)
     assert main(["analyze", "-w", "poly:alpha=2", "--m-max", "3",

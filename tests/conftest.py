@@ -1,8 +1,18 @@
-"""Shared catalog fixtures; session-scoped so reports are computed once."""
+"""Shared fixtures: catalog weights, session-scoped so reports are computed
+once, and the number of threads of the suffix kernel."""
 
 import pytest
 
+from cesaro import criteria
 from cesaro.weights import catalog_weight
+
+
+@pytest.fixture(params=[1, 2], ids=["workers1", "workers2"])
+def workers(request, monkeypatch):
+    """Forces the number of threads that share a chunk's rows."""
+    monkeypatch.setattr(criteria, "_worker_count",
+                        lambda rows: min(request.param, rows))
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -200,6 +200,35 @@ def test_analyze_pinned_bytes_across_chunks(capsys, spec, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+#: at the default horizon 10^6 the moment rows of the fast-decaying weights
+#: skip their dead tails and sit out the upper chunk; poly is the control,
+#: where neither applies
+PINNED_ANALYZE_DEFAULT = [
+    ("geom:r=0.5,beta=1",
+     "2d7fecd62f2d83ee4655f0abedba123f052c47e8d0778286b6d8974e23495954"),
+    ("superfact",
+     "7f1523b38a34c9dc1520f0a2467be7edc3d00d49d788ddfdfa23c919288315a6"),
+    ("factorial:a=2.5",
+     "a86c1718ed165c3bf04fc85e3760eeb0923b2c9f2be8b2df1e46d55f20b429f5"),
+    ("expbeta:beta=0.5",
+     "28628e673cee188c72058812b26363faeb6c626f6bcc32a0f1d8fd7a3927bcbd"),
+    ("explog:gamma=2",
+     "d533de794a126c76f96ebe0a5a4ce94d4bf1b91d8efa9f9bf140d35f1ffe1eb4"),
+    ("block313",
+     "beec9a37ca3327571a50239a404898e879129be70478b53cbba71edd2bf6874b"),
+    ("poly:alpha=1.5",
+     "896310106d1d81667fdf03560cc740e606d3f6895d0aaaa9cdbd80e5160539b0"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", PINNED_ANALYZE_DEFAULT,
+                         ids=[spec for spec, _ in PINNED_ANALYZE_DEFAULT])
+def test_analyze_pinned_bytes_at_the_default_horizon(capsys, spec, digest):
+    assert main(["analyze", "-w", spec]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("alpha", ["7", "60"])
 def test_block413_large_alpha(capsys, alpha):
     # the uw witness walk passes block 1024, where 2^i overflows a float

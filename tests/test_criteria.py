@@ -754,14 +754,6 @@ MOMENT_TABLE = json.loads(
     .read_text())
 
 
-@pytest.fixture(params=[1, 2], ids=["workers1", "workers2"])
-def workers(request, monkeypatch):
-    """Forces the number of threads that share a chunk's rows."""
-    monkeypatch.setattr(criteria, "_worker_count",
-                        lambda rows: min(request.param, rows))
-    return request.param
-
-
 @pytest.mark.parametrize("spec", sorted(MOMENT_TABLE["moment_log_sums"]))
 def test_moment_log_sums_table(spec, workers):
     """Moment sums keep the bits of the one-thread kernel they replace (the

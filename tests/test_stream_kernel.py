@@ -19,17 +19,14 @@ _TAIL_BLOCK = criteria._TAIL_BLOCK
 
 
 def _reference_segment_log_sums(buf, starts):
-    """Every term shifted by its segment's maximum and exponentiated, the
-    terms below ``_EXP_DEAD`` written as 0.0."""
+    """Every term shifted by its segment's maximum and exponentiated."""
     if starts.size == buf.size:
         return buf
     with np.errstate(invalid="ignore", divide="ignore"):
         shift = np.maximum.reduceat(buf, starts)
         shift[~np.isfinite(shift)] = 0.0
         buf -= np.repeat(shift, np.diff(starts, append=buf.size))
-        dead = buf < criteria._EXP_DEAD
-        np.exp(buf, out=buf, where=~dead)
-        np.copyto(buf, 0.0, where=dead)
+        np.exp(buf, out=buf)
         return np.log(np.add.reduceat(buf, starts)) + shift
 
 
@@ -127,28 +124,20 @@ CATALOG = ["poly:alpha=2", "spike", "loggamma:gamma=2", "block413:alpha=2",
            "geom:r=0.5,beta=0.3", "factorial:a=1.5", "superfact",
            "expbeta:beta=0.5", "explog:gamma=2", "block313"]
 
-#: (chunk length, horizons with one, two and four chunks)
+#: chunk lengths above and below two tail blocks
 CHUNKINGS = {"chunk-3x-tail-block": 3 * _TAIL_BLOCK,
              "chunk-1.5x-tail-block": 3 * _TAIL_BLOCK // 2}
 
 
 def _weights(chunk, tmp_path):
     """Every catalog family, a custom table, a finite support, NaN and +inf
-    in log w, each as (id, weight)."""
-    yield from ((spec, parse_weight(spec)) for spec in CATALOG)
-    yield "table", _table(tmp_path, 4 * chunk)
-    yield "finite-support", _finite_support(chunk + 100)
-    yield "nan", _special_values(np.nan, [5, 3 * chunk])
-    yield "pos-inf", _special_values(np.inf, [2 * chunk + 3])
-    yield "late-nan", _special_values(np.nan, [3 * chunk + 11])
-
-
-@pytest.fixture(params=[1, 2], ids=["workers1", "workers2"])
-def workers(request, monkeypatch):
-    """Forces the number of threads that share a chunk's rows."""
-    monkeypatch.setattr(criteria, "_worker_count",
-                        lambda rows: min(request.param, rows))
-    return request.param
+    in log w."""
+    yield from (parse_weight(spec) for spec in CATALOG)
+    yield _table(tmp_path, 4 * chunk)
+    yield _finite_support(chunk + 100)
+    yield _special_values(np.nan, [5, 3 * chunk])
+    yield _special_values(np.inf, [2 * chunk + 3])
+    yield _special_values(np.nan, [3 * chunk + 11])
 
 
 @pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
@@ -156,7 +145,7 @@ def test_rows_match_the_reference_kernel(monkeypatch, tmp_path, workers,
                                          chunking):
     chunk = CHUNKINGS[chunking]
     monkeypatch.setattr(criteria, "_CHUNK", chunk)
-    for _, w in _weights(chunk, tmp_path):
+    for w in _weights(chunk, tmp_path):
         for horizon in (chunk - 5, 2 * chunk - 5, 4 * chunk - 5):
             _assert_rows_equal(w, _analyze_rows(horizon), horizon)
 

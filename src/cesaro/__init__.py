@@ -13,7 +13,7 @@ Modules:
   criteria  certified sup/limit criteria, boundary-exponent brackets
   sections  exact finite sections: operator, resolvent, eigenvectors
   spectral  point classification and region scans over the complex plane
-  ergodic   iterate traces, averaging identities, power-boundedness probes
+  ergodic   iterate traces, running averages, averaging identities
   cli       reproducible command-line reports
 """
 
@@ -54,9 +54,7 @@ from .sections import (
     dual_apply,
     dual_eigenvector,
     eigenvector,
-    identity_section,
     kernel_power_entry,
-    operator_norm_l1w,
     resolvent_section,
     shifted_inverse_section,
     weighted_norm,
@@ -78,13 +76,10 @@ from .ergodic import (
     BudgetError,
     ErgodicError,
     IterateTrace,
-    PowerBoundednessReport,
     cesaro_averages_trace,
-    decomposition_project,
     ergodic_identity_check,
     iterate_trace,
     kernel_bound_am,
-    power_bounded_probe,
     range_identity_check,
     trace_to_csv,
 )
@@ -106,15 +101,14 @@ __all__ = [
     # sections
     "FiniteSection", "SectionError", "apply_power", "cesaro_section",
     "distance_to_limit_set", "dual_apply", "dual_eigenvector", "eigenvector",
-    "identity_section", "kernel_power_entry", "operator_norm_l1w",
-    "resolvent_section", "shifted_inverse_section", "weighted_norm",
+    "kernel_power_entry", "resolvent_section", "shifted_inverse_section",
+    "weighted_norm",
     # spectral
     "GridScan", "GridSpec", "SpectralClassification", "SpectralContext",
     "SpectralError", "build_context", "classify_point", "point_spectrum",
     "region_scan", "resolvent_condition", "scan_to_csv",
     # ergodic
-    "BudgetError", "ErgodicError", "IterateTrace", "PowerBoundednessReport",
-    "cesaro_averages_trace", "decomposition_project", "ergodic_identity_check",
-    "iterate_trace", "kernel_bound_am", "power_bounded_probe",
+    "BudgetError", "ErgodicError", "IterateTrace", "cesaro_averages_trace",
+    "ergodic_identity_check", "iterate_trace", "kernel_bound_am",
     "range_identity_check", "trace_to_csv",
 ]

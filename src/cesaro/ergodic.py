@@ -5,7 +5,7 @@ exact: coordinate n of any iterate depends only on coordinates 1..n of the
 start vector.  Norm truncation is the one honest gap, and it is closed with
 a certified weight-tail bound whenever the weight carries one.
 
-Traces and probes iterate only the weight's float support, the first K
+Traces iterate only the weight's float support, the first K
 coordinates, K the last n <= N with float w(n) != 0.0; summable weights
 such as geom underflow to 0.0 after about a thousand indices.  By
 triangularity those K coordinates are exact, and the norms keep their
@@ -28,25 +28,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .weights import WeightSpec
-from .criteria import Bracket, CriterionReport, s1_estimate, uw_quantity
 from .sections import apply_power, cumulative_means
 
 __all__ = [
     "ErgodicError",
     "BudgetError",
     "IterateTrace",
-    "ProbeTrace",
-    "PowerBoundednessReport",
     "DEFAULT_WORK_BUDGET",
     "work_budget",
     "kernel_bound_am",
-    "weight_l1_bound",
     "iterate_trace",
     "cesaro_averages_trace",
-    "power_bounded_probe",
     "range_identity_check",
     "ergodic_identity_check",
-    "decomposition_project",
     "trace_to_csv",
 ]
 
@@ -103,20 +97,15 @@ def kernel_bound_am(m: int) -> float:
 
 
 def _tail_mass(w: WeightSpec, N: int) -> Optional[float]:
-    """Certified upper bound on sum_{n>N} w(n), or None if the tail is open."""
+    """Certified upper bound on sum_{n>N} w(n), or None if the tail is open
+    or its bound is beyond the float range."""
     tail = w.log_tail(N + 1, 1.0)
     if tail is None or tail == float("inf"):
         return None
-    return math.exp(min(tail, 700.0))
-
-
-def weight_l1_bound(w: WeightSpec) -> Optional[float]:
-    """Certified upper bound on the full weight sum, if the tail closes:
-    the first 4096 terms summed, plus the certified tail beyond."""
-    mass = _tail_mass(w, 4096)
-    if mass is None:
+    try:
+        return math.exp(tail)
+    except OverflowError:
         return None
-    return float(np.sum(_weight_values(w, 4096))) + mass
 
 
 # ---------------------------------------------------------------------------
@@ -362,147 +351,6 @@ def cesaro_averages_trace(w: WeightSpec, x: Sequence, n_max: int, N: int,
 
 
 # ---------------------------------------------------------------------------
-# power-boundedness probing
-
-
-@dataclass(frozen=True)
-class ProbeTrace:
-    """Summary of one probe under repeated application."""
-
-    probe_id: str
-    sup_ratio: float
-    growth_per_step: float
-    first_norm: float
-    final_norm: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "probe_id": self.probe_id,
-            "sup_ratio": self.sup_ratio,
-            "growth_per_step": self.growth_per_step,
-            "first_norm": self.first_norm,
-            "final_norm": self.final_norm,
-        }
-
-
-@dataclass(frozen=True)
-class PowerBoundednessReport:
-    """Empirical probe traces next to the certified expectations.
-
-    ``expectation`` is "bounded" when the averaged-tail criterion holds,
-    "growth" when a certified boundary exponent below one forces powers to
-    blow up, and "open" when neither certificate applies; open cases report
-    data without a verdict.
-    """
-
-    probes: tuple
-    uw_report: CriterionReport
-    s1: Bracket
-    expectation: str
-    expected_growth_factor: Optional[float]
-    M: int
-    N: int
-    notes: tuple = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "probes": [p.to_json_dict() for p in self.probes],
-            "uw": self.uw_report.to_json_dict(),
-            "s1": self.s1.to_json_dict(),
-            "expectation": self.expectation,
-            "expected_growth_factor": self.expected_growth_factor,
-            "M": self.M,
-            "N": self.N,
-            "notes": list(self.notes),
-        }
-
-
-def _growth_fit(norms: Sequence[float]) -> float:
-    """Per-step growth factor from a log-linear fit on the last half."""
-    vals = np.maximum(np.asarray(norms, dtype=float), 1e-300)
-    half = len(vals) // 2
-    ys = np.log(vals[half:])
-    if ys.size < 2:
-        return 1.0
-    xs = np.arange(ys.size, dtype=float)
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return math.exp(slope)
-
-
-def default_probes(N: int, seed: int = 0) -> list:
-    """Basis vectors e_1..e_8 (those with index <= N) plus two seeded
-    random probes, every probe supported on the first min(N, 16)
-    coordinates."""
-    support = min(N, 16)
-    probes = []
-    for r in range(1, min(8, N) + 1):
-        vec = np.zeros(support, dtype=float)
-        vec[r - 1] = 1.0
-        probes.append((f"e{r}", vec))
-    rng = np.random.default_rng(seed)
-    for j in range(2):
-        probes.append((f"random{j}:seed={seed}",
-                       rng.standard_normal(support)))
-    return probes
-
-
-def power_bounded_probe(w: WeightSpec, M: int, N: int,
-                        probes: Optional[Sequence] = None,
-                        seed: int = 0) -> PowerBoundednessReport:
-    """Drive probes through M iterations and compare with certificates.
-
-    Probes are normalized in the weighted norm before iteration, so the
-    recorded sups are the ratios against the start.  The expectation field
-    cross-references the averaged-tail criterion (bounded) and the
-    certified boundary exponent (growth at least 1/s per step); when
-    neither certifies, the report stays deliberately verdict-free.
-    """
-    if M < 1 or N < 1:
-        raise ErgodicError("M and N must be >= 1")
-    probe_list = list(probes) if probes is not None \
-        else default_probes(N, seed=seed)
-    _check_budget(M * N * max(1, len(probe_list)))
-    starts = [(probe_id, _as_float(vec[:N], f"probe {probe_id!r}"))
-              for probe_id, vec in probe_list]
-    wvals = _weight_values(w, N)
-    traces = []
-    for probe_id, data in starts:
-        arr = np.zeros(N, dtype=float)
-        arr[:data.size] = data
-        start = float(np.sum(wvals * np.abs(arr)))
-        if start <= 0.0:
-            raise ErgodicError(f"probe {probe_id!r} has zero weighted norm")
-        arr /= start
-        norms = [norm for norm, _ in _orbit_norms(
-            wvals, arr, float(np.max(np.abs(arr))), "float", M, False, None)]
-        traces.append(ProbeTrace(
-            probe_id=probe_id,
-            sup_ratio=float(max(norms)),
-            growth_per_step=_growth_fit(norms),
-            first_norm=norms[0],
-            final_norm=norms[-1],
-        ))
-    uw = uw_quantity(w)
-    s1 = s1_estimate(w)
-    notes = []
-    if uw.verdict.is_holds:
-        expectation = "bounded"
-        factor = None
-    elif s1.kind == "bracket" and s1.point is not None and s1.point < 1.0:
-        expectation = "growth"
-        factor = 1.0 / s1.point
-        notes.append("certified boundary exponent below one forces power "
-                     "norms to grow at least like its reciprocal per step")
-    else:
-        expectation = "open"
-        factor = None
-        notes.append("no certificate either way; traces are reported "
-                     "without a boundedness verdict")
-    return PowerBoundednessReport(tuple(traces), uw, s1, expectation,
-                                  factor, M, N, tuple(notes))
-
-
-# ---------------------------------------------------------------------------
 # exact operator identities
 
 
@@ -578,22 +426,3 @@ def _residual_norm(w: WeightSpec, diff: Sequence) -> float:
     wvals = _weight_values(w, len(diff))
     return float(np.sum(wvals * np.abs(_as_float(diff, "the residual"))))
 
-
-def decomposition_project(w: WeightSpec, x: Sequence, N: int) -> tuple:
-    """Split a vector into its constant-direction part and the remainder.
-
-    Returns (c, remainder) with c the first coordinate and remainder the
-    vector minus c on every coordinate; the remainder's first coordinate is
-    zero and the reconstruction is exact.  Requires a summable weight, so
-    the constant vector actually lives in the space.
-    """
-    if N < 1:
-        raise ErgodicError("N must be >= 1")
-    if not w.is_summable:
-        raise ErgodicError(
-            "the constant vector is not in the space unless the weight is "
-            "summable")
-    coords = _start_vector(x, N, "float").tolist()
-    c = coords[0]
-    remainder = tuple(v - c for v in coords)
-    return c, remainder

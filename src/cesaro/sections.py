@@ -27,29 +27,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from numbers import Rational
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .weights import NEG_INF, WeightSpec
-from .criteria import suffix_log_sums
 
 __all__ = [
     "QC",
     "SectionError",
     "FiniteSection",
-    "WeightedVector",
     "DENSE_DIMENSION_CAP",
     "RATIONAL_DIMENSION_CAP",
     "SIGMA_PROXIMITY_EPS",
     "distance_to_limit_set",
     "nearest_limit_point",
-    "identity_section",
     "cesaro_section",
     "cumulative_means",
     "apply_power",
     "kernel_power_entry",
-    "operator_norm_l1w",
     "resolvent_section",
     "eigenvector",
     "dual_eigenvector",
@@ -58,7 +54,7 @@ __all__ = [
     "weighted_norm",
 ]
 
-#: dense storage above this dimension is refused; use the lazy section
+#: sections above this dimension are refused (every section is stored dense)
 DENSE_DIMENSION_CAP = 4096
 #: exact rational sections above this dimension are refused (cost blows up)
 RATIONAL_DIMENSION_CAP = 512
@@ -166,7 +162,7 @@ def _log_abs(x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sections and weighted vectors
+# sections and weighted norms
 
 
 @dataclass(frozen=True)
@@ -175,18 +171,12 @@ class FiniteSection:
 
     ``rows[n-1]`` holds the n entries of row n (columns 1..n).  Float-mode
     rows are numpy complex arrays; rational-mode rows are tuples of Fractions
-    or exact complex rationals.  ``rows`` is None for the lazy averaging
-    section above the dense cap, whose entries are generated on demand.
+    or exact complex rationals.
     """
 
     N: int
-    tag: str
     mode: str
-    rows: Optional[tuple] = None
-
-    @property
-    def is_lazy(self) -> bool:
-        return self.rows is None
+    rows: tuple
 
     def entry(self, n: int, m: int):
         """1-based entry accessor; zero above the diagonal."""
@@ -194,59 +184,7 @@ class FiniteSection:
             raise IndexError("section index out of range")
         if m > n:
             return 0
-        if self.rows is not None:
-            return self.rows[n - 1][m - 1]
-        if self.tag == "C":
-            return Fraction(1, n) if self.mode == "rational" else 1.0 / n
-        raise SectionError(f"lazy section with tag {self.tag!r} has no "
-                           f"stored entries")
-
-    def leading_block(self, k: int) -> "FiniteSection":
-        """The k-by-k leading block (exact, by triangularity)."""
-        if not (1 <= k <= self.N):
-            raise SectionError("leading block dimension out of range")
-        if self.rows is None:
-            return FiniteSection(k, self.tag, self.mode, None)
-        rows = tuple(self.rows[i][:i + 1] if isinstance(self.rows[i], np.ndarray)
-                     else tuple(self.rows[i][:i + 1]) for i in range(k))
-        return FiniteSection(k, self.tag, self.mode, rows)
-
-    def to_text(self) -> str:
-        """Plain-text export: one `n m re im` line per stored entry."""
-        if self.rows is None:
-            raise SectionError("lazy sections are not exported; build a "
-                               "dense block first")
-        lines = [f"% section tag={self.tag} N={self.N} mode={self.mode}"]
-        for n in range(1, self.N + 1):
-            row = self.rows[n - 1]
-            for m in range(1, n + 1):
-                z = row[m - 1]
-                if isinstance(z, QC):
-                    re, im = float(z.re), float(z.im)
-                elif isinstance(z, complex):
-                    re, im = z.real, z.imag
-                else:
-                    re, im = float(z), 0.0
-                lines.append(f"{n} {m} {re!r} {im!r}")
-        return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class WeightedVector:
-    """Coordinates paired with the weight that prices them."""
-
-    coords: tuple
-    weight: WeightSpec
-
-    @property
-    def norm(self) -> float:
-        return weighted_norm(self.coords, self.weight)
-
-    def to_text(self) -> str:
-        lines = [f"% vector len={len(self.coords)} weight={self.weight.id}"]
-        for i, x in enumerate(self.coords, 1):
-            lines.append(f"{i} {x!r}")
-        return "\n".join(lines) + "\n"
+        return self.rows[n - 1][m - 1]
 
 
 def weighted_norm(coords: Sequence, w: WeightSpec) -> float:
@@ -280,39 +218,21 @@ def _check_rational_dim(N: int, mode: str) -> None:
             f"use float mode for larger sections")
 
 
-def identity_section(N: int, mode: str = "rational") -> FiniteSection:
-    """The N-by-N identity (handy as a norm baseline)."""
-    _check_mode(mode)
-    if N < 1:
-        raise SectionError("dimension must be >= 1")
-    _check_rational_dim(N, mode)
-    if mode == "rational":
-        rows = tuple(tuple(Fraction(1) if m == n else Fraction(0)
-                           for m in range(n + 1)) for n in range(N))
-    else:
-        rows = tuple(np.array([0.0] * n + [1.0], dtype=float)
-                     for n in range(N))
-    return FiniteSection(N, "I", mode, rows)
-
-
 def cesaro_section(N: int, mode: str = "rational") -> FiniteSection:
-    """The N-by-N averaging section: row n is n copies of 1/n.
-
-    Above the dense cap a lazy section is returned; its entries are generated
-    on demand and the norm routine works column-by-column without storage.
-    """
+    """The N-by-N averaging section: row n is n copies of 1/n."""
     _check_mode(mode)
     if N < 1:
         raise SectionError("dimension must be >= 1")
     if N > DENSE_DIMENSION_CAP:
-        return FiniteSection(N, "C", mode, None)
+        raise SectionError(f"dense averaging sections are capped at "
+                           f"N = {DENSE_DIMENSION_CAP}")
     _check_rational_dim(N, mode)
     if mode == "rational":
         rows = tuple(tuple(Fraction(1, n + 1) for _ in range(n + 1))
                      for n in range(N))
     else:
         rows = tuple(np.full(n + 1, 1.0 / (n + 1)) for n in range(N))
-    return FiniteSection(N, "C", mode, rows)
+    return FiniteSection(N, mode, rows)
 
 
 def _exact_parts(x) -> tuple:
@@ -409,53 +329,6 @@ def kernel_power_entry(n: int, k: int, m: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# weighted operator norms of sections
-
-
-def operator_norm_l1w(section: FiniteSection, w: WeightSpec,
-                      closure: bool = False) -> float:
-    """Largest weighted column sum: max over m of sum_n w(n)|a_nm| / w(m).
-
-    This is the exact norm of the truncated operator on the weighted
-    summable space, hence a lower bound for the full operator norm.  With
-    ``closure=True`` on an averaging-tagged section, each column is closed
-    with the weight's certified tail bound, turning every column value into
-    a certified upper bound for that column of the full operator.
-    """
-    N = section.N
-    if section.is_lazy or (section.tag == "C" and closure):
-        if section.tag != "C":
-            raise SectionError("matrix-free norms exist only for the "
-                               "averaging tag")
-        targets = np.arange(1, N + 1, dtype=np.int64)
-        suffix = suffix_log_sums(w, 0.0, N, targets)
-        if closure:
-            tail = w.log_tail(N + 1, 0.0)
-            if tail is not None and tail < float("inf"):
-                suffix = np.logaddexp(suffix, tail)
-        col_logs = suffix - w.log_eval(targets)
-        col_logs = np.where(np.isnan(col_logs), NEG_INF, col_logs)
-        return float(np.exp(np.min([np.max(col_logs), 700.0])))
-    wlog = w.log_eval(np.arange(1, N + 1, dtype=np.int64))
-    wvals = np.exp(wlog)
-    col = np.zeros(N, dtype=float)
-    for n in range(1, N + 1):
-        row = section.rows[n - 1]
-        if isinstance(row, np.ndarray):
-            col[:n] += wvals[n - 1] * np.abs(row)
-        else:
-            for m in range(1, n + 1):
-                la = _log_abs(row[m - 1])
-                if la != NEG_INF:
-                    col[m - 1] += wvals[n - 1] * math.exp(min(la, 700.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = col / wvals
-    ratios = np.where(np.isnan(ratios), 0.0, ratios)
-    best = float(np.max(ratios))
-    return best
-
-
-# ---------------------------------------------------------------------------
 # the resolvent section
 
 
@@ -521,8 +394,7 @@ def resolvent_section(lam, N: int, mode: str = "float",
     if mode == "rational":
         _check_rational_dim(N, mode)
         lq = QC.from_number(lam if isinstance(lam, (QC, Fraction)) else lam_c)
-        return FiniteSection(N, f"resolvent({lam_c})", "rational",
-                             _rational_resolvent_rows(lq, N))
+        return FiniteSection(N, "rational", _rational_resolvent_rows(lq, N))
     ks = np.arange(1, N + 1, dtype=float)
     factors = 1.0 - 1.0 / (lam_c * ks)
     mags = np.abs(factors)
@@ -540,7 +412,7 @@ def resolvent_section(lam, N: int, mode: str = "float",
             phases = phase_cum[ms - 1] / phase_cum[n]
             row[:n - 1] = -inv_lam2 * np.exp(log_mag) * phases
         rows.append(row)
-    return FiniteSection(N, f"resolvent({lam_c})", "float", tuple(rows))
+    return FiniteSection(N, "float", tuple(rows))
 
 
 def _recip(re: int, im: int) -> tuple:
@@ -694,8 +566,8 @@ def shifted_inverse_section(N: int, mode: str = "rational"
             b_row = [Fraction(1, m) for m in range(1, n)] + [Fraction(n + 1, n)]
             a_rows.append(tuple(a_row))
             b_rows.append(tuple(b_row))
-        return (FiniteSection(N, "A", "rational", tuple(a_rows)),
-                FiniteSection(N, "B", "rational", tuple(b_rows)))
+        return (FiniteSection(N, "rational", tuple(a_rows)),
+                FiniteSection(N, "rational", tuple(b_rows)))
     a_rows = []
     b_rows = []
     for n in range(1, N + 1):
@@ -705,5 +577,5 @@ def shifted_inverse_section(N: int, mode: str = "rational"
         b_row[n - 1] = (n + 1.0) / n
         a_rows.append(a_row)
         b_rows.append(b_row)
-    return (FiniteSection(N, "A", "float", tuple(a_rows)),
-            FiniteSection(N, "B", "float", tuple(b_rows)))
+    return (FiniteSection(N, "float", tuple(a_rows)),
+            FiniteSection(N, "float", tuple(b_rows)))

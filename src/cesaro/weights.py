@@ -986,24 +986,29 @@ def load_weight_table(path: str) -> WeightSpec:
     """
     ns: list[int] = []
     logs: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise WeightError(f"{path}:{lineno}: expected two columns 'n ln_w'")
-            try:
-                n = int(parts[0])
-                lv = float(parts[1])
-            except ValueError as exc:
-                raise WeightError(f"{path}:{lineno}: {exc}") from exc
-            if not math.isfinite(lv):
-                raise WeightError(f"{path}:{lineno}: ln_w must be finite, "
-                                  f"got {parts[1]}")
-            ns.append(n)
-            logs.append(lv)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                body = line.split("#", 1)[0].strip()
+                if not body:
+                    continue
+                parts = body.split()
+                if len(parts) != 2:
+                    raise WeightError(f"{path}:{lineno}: expected two "
+                                      "columns 'n ln_w'")
+                try:
+                    n = int(parts[0])
+                    lv = float(parts[1])
+                except ValueError as exc:
+                    raise WeightError(f"{path}:{lineno}: {exc}") from exc
+                if not math.isfinite(lv):
+                    raise WeightError(f"{path}:{lineno}: ln_w must be "
+                                      f"finite, got {parts[1]}")
+                ns.append(n)
+                logs.append(lv)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise WeightError(f"{path}: cannot read the weight table: "
+                          f"{exc}") from exc
     if not ns:
         raise WeightError(f"{path}: empty weight table")
     if ns != list(range(1, len(ns) + 1)):
@@ -1031,64 +1036,17 @@ def load_weight_table(path: str) -> WeightSpec:
 # constructed weights: failing block minorant
 
 
-@dataclass(frozen=True)
-class BlockWeightTable:
-    """Greedy block minorant of a decaying weight v.
-
-    Block j (1-indexed) spans (breakpoints[j-1], breakpoints[j]] and carries
-    the constant value exp(block_log_values[j-1]); harmonic sums over block j
-    exceed j by construction.  w(1) = v(1).
-    """
-
-    source_id: str
-    breakpoints: tuple[int, ...]
-    block_log_values: tuple[float, ...]
-    block_harmonic_sums: tuple[float, ...]
-    head_log_value: float
-
-    def blocks(self) -> int:
-        return len(self.block_log_values)
-
-    def to_weight_spec(self) -> WeightSpec:
-        bps = self.breakpoints
-        vals = self.block_log_values
-        head = self.head_log_value
-        last = vals[-1]
-
-        def log_array(n: np.ndarray) -> np.ndarray:
-            # j is the block containing n; 0 is the head, len(vals)+1 beyond
-            j = np.searchsorted(np.asarray(bps), n - 1, side="right")
-            padded = np.concatenate(([head], np.asarray(vals), [last]))
-            out = padded[np.clip(j, 0, len(vals) + 1)]
-            return out
-
-        sums = self.block_harmonic_sums
-
-        env = LowerEnvelope(
-            lambda i: bps[i - 1] + 1,
-            lambda i: math.log(sums[i - 1]),
-            True,
-            "completed block harmonic sums exceed the block index",
-            max_index=len(sums),
-        )
-        return WeightSpec(
-            id=f"blockmin({self.source_id})",
-            log_eval_array=log_array,
-            decreasing_from=1,
-            rapidly_decreasing=None,
-            log_sup_bound=max(head, vals[0]),
-            cont_lower=env,
-        )
-
-
 def build_failing_minorant(v: WeightSpec,
-                           horizon: int = 10 ** 6) -> BlockWeightTable:
+                           horizon: int = 10 ** 6) -> WeightSpec:
     """Greedy block minorant on which the averaging operator cannot act.
 
     Walks phi(n) = min_{k<=n} v(k) and closes block j at the smallest index
-    making the block harmonic sum exceed j.  Raises WeightError when fewer
-    than two blocks complete inside the horizon or when v shows no decay
-    (running min never falls below 0.001).
+    making the block harmonic sum exceed j.  Block j spans (bp[j-1], bp[j]]
+    and carries the constant value phi(bp[j]); w(1) = v(1), and the last
+    value continues past the last block.  The completed block harmonic
+    sums are the weight's certified continuity lower envelope.  Raises
+    WeightError when fewer than two blocks complete inside the horizon or
+    when v shows no decay (running min never falls below 0.001).
     """
     if horizon < 8:
         raise WeightError("horizon too small for block construction")
@@ -1132,12 +1090,28 @@ def build_failing_minorant(v: WeightSpec,
     if last_phi > math.log(1e-3):
         raise WeightError("no decay detected: running min of v stayed above "
                           "0.001 up to the horizon")
-    return BlockWeightTable(
-        source_id=v.id,
-        breakpoints=tuple(breakpoints),
-        block_log_values=tuple(values),
-        block_harmonic_sums=tuple(sums),
-        head_log_value=head_log,
+    bps = np.asarray(breakpoints)
+    padded = np.concatenate(([head_log], values, [values[-1]]))
+
+    def log_array(n: np.ndarray) -> np.ndarray:
+        # j is the block containing n; 0 is the head, len(values)+1 beyond
+        j = np.searchsorted(bps, n - 1, side="right")
+        return padded[np.clip(j, 0, len(values) + 1)]
+
+    env = LowerEnvelope(
+        lambda i: breakpoints[i - 1] + 1,
+        lambda i: math.log(sums[i - 1]),
+        True,
+        "completed block harmonic sums exceed the block index",
+        max_index=len(sums),
+    )
+    return WeightSpec(
+        id=f"blockmin({v.id})",
+        log_eval_array=log_array,
+        decreasing_from=1,
+        rapidly_decreasing=None,
+        log_sup_bound=max(head_log, values[0]),
+        cont_lower=env,
     )
 
 

@@ -86,7 +86,7 @@ def test_continuity_failures(loggamma1, loggamma2, poly1):
     for w in (loggamma1, loggamma2):
         report = continuity_criterion(w, horizon=FULL_HORIZON)
         assert report.verdict.is_fails
-    minorant = build_failing_minorant(poly1).to_weight_spec()
+    minorant = build_failing_minorant(poly1)
     report = continuity_criterion(minorant, horizon=FULL_HORIZON)
     assert report.verdict.is_fails
     assert report.verdict.witness is not None

@@ -339,6 +339,19 @@ def test_tables_too_short_fail_at_parse(capsys, tmp_path):
         "table of at least 3 rows; this one has 2\n")
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+def test_unreadable_table_fails_at_parse(capsys, tmp_path, kind):
+    path = tmp_path / "w.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "undecodable":
+        path.write_bytes(b"1 0.0\n2 \xff\xfe\n")
+    assert main(["analyze", "-w", f"custom:path={path}", "--horizon",
+                 "100"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: cannot read the weight table: ")
+
+
 # ---------------------------------------------------------------------------
 # every catalog input against the closed-form verdict table
 

@@ -1,12 +1,11 @@
-"""Tests for iterate traces, mean averages, and power-boundedness probes.
+"""Tests for iterate traces, mean averages and the exact identities.
 
 Oracles: the first basis vector under the averaging operator has exactly
 computable norms on a geometric weight (closed forms recomputed here), the
 constant vector is a fixed point, and finite-rank identities hold exactly in
 rational mode.  Residual soundness is checked against hand-derived tail
-sums, and expectations are cross-checked with the criteria layer.  Traces
-and probes, which iterate only the weight's float support, are compared bit
-for bit with full-length reference loops kept here.
+sums.  Traces, which iterate only the weight's float support, are compared
+bit for bit with a full-length reference loop kept here.
 """
 
 from __future__ import annotations
@@ -20,26 +19,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cesaro import ergodic
-from cesaro.criteria import s1_estimate, uw_quantity
 from cesaro.ergodic import (
     MONOTONE_BURN_IN,
     BudgetError,
     ErgodicError,
     IterateTrace,
-    ProbeTrace,
     cesaro_averages_trace,
-    decomposition_project,
     ergodic_identity_check,
     iterate_trace,
     kernel_bound_am,
-    power_bounded_probe,
     range_identity_check,
     trace_to_csv,
-    weight_l1_bound,
     work_budget,
 )
 from cesaro.sections import apply_power, kernel_power_entry, weighted_norm
-from cesaro.weights import catalog_weight, parse_weight
+from cesaro.weights import catalog_weight, custom_weight, parse_weight
 
 
 def basis(k: int, N: int) -> list:
@@ -68,8 +62,9 @@ def test_third_basis_vector_decays_to_zero(geom05):
     first = trace.records[0][1]
     assert first == pytest.approx(math.log(2) - 0.625, rel=1e-12)
     assert trace.records[5][1] < 1e-3
-    # every norm sits below the kernel majorant ||w||_1 a_m / (r - 1)
-    l1 = weight_l1_bound(geom05)
+    # every norm sits below the kernel majorant ||w||_1 a_m / (r - 1),
+    # with ||w||_1 = sum 2^-n = 1
+    l1 = 1.0
     for m, norm, _ in trace.records:
         assert norm <= l1 * kernel_bound_am(m) / 2 * (1 + 1e-12)
 
@@ -100,6 +95,29 @@ def test_trace_tail_bound_is_sound(geom05):
     for (m1, _, r1), (m2, _, r2) in zip(small.records, large.records):
         assert m1 == m2
         assert r1 + small.tail_residual_bound >= r2 - 1e-15
+
+
+@pytest.mark.parametrize("r,in_range", [(0.5, True), (0.999, False)])
+def test_trace_tail_bound_is_not_capped(r, in_range):
+    # w(n) = e^705 r^n: the certified tail past N = 1 is w(2) / (1 - r),
+    # e^704.31 for r = 1/2 (inside the float range, above e^700) and
+    # e^711.9 for r = 0.999 (beyond it, so no tail bound is claimed)
+    w = custom_weight("big", lambda n: 705.0 + n * math.log(r),
+                      ratio_bound=(1, r))
+    tail = w.log_tail(2, 1.0)
+    trace = iterate_trace(w, [1.0], 1, 1, probe_id="e1")
+    assert trace.limit_scalar == 1.0
+    if in_range:
+        assert 704.3 < tail < 704.4
+        # (sup |x| + |limit|) times the tail mass
+        assert trace.tail_residual_bound == 2.0 * math.exp(tail)
+        assert trace.records[0][2] == trace.tail_residual_bound
+    else:
+        assert tail > 711.0
+        assert trace.tail_residual_bound is None
+        assert trace.records[0][2] == 0.0
+        assert trace.notes == ("no certified weight tail; residuals cover "
+                               "only the first N coordinates",)
 
 
 def test_trace_without_limit_leaves_residual_blank(poly05):
@@ -273,30 +291,6 @@ def full_length_trace(w, x, steps, N, probe_id, limit_scalar, auto_limit,
                         tail_term, tuple(notes))
 
 
-def full_length_probes(w, M, N, probe_list):
-    """``power_bounded_probe``'s probe loop before the support cut."""
-    wvals = ergodic._weight_values(w, N)
-    traces = []
-    for probe_id, vec in probe_list:
-        arr = np.zeros(N, dtype=float)
-        data = np.asarray([float(v) for v in vec[:N]], dtype=float)
-        arr[:data.size] = data
-        start = float(np.sum(wvals * np.abs(arr)))
-        if start <= 0.0:
-            raise ErgodicError(f"probe {probe_id!r} has zero weighted norm")
-        arr /= start
-        norms = [float(np.sum(wvals * np.abs(vals)))
-                 for vals in ergodic._orbit(arr, "float", M, averages=False)]
-        traces.append(ProbeTrace(
-            probe_id=probe_id,
-            sup_ratio=float(max(norms)),
-            growth_per_step=ergodic._growth_fit(norms),
-            first_norm=norms[0],
-            final_norm=norms[-1],
-        ))
-    return tuple(traces)
-
-
 def float_support(w, N: int) -> int:
     """The last n <= N with float w(n) != 0.0, or 0."""
     nonzero = np.flatnonzero(ergodic._weight_values(w, N))
@@ -348,22 +342,6 @@ def test_trace_matches_full_length_loop(data, spec, mode, averages, limit):
     assert repr(ergodic._trace(*args)) == repr(full_length_trace(*args))
 
 
-@settings(max_examples=25, deadline=None)
-@given(data=st.data(), spec=SUPPORT_SPECS)
-def test_probe_matches_full_length_loop(data, spec):
-    w = parse_weight(spec)
-    N = data.draw(st.integers(1, 2000))
-    M = data.draw(st.integers(1, 6))
-    probes = [data.draw(support_probes(w, N))]
-    try:
-        want = repr(full_length_probes(w, M, N, probes))
-    except ErgodicError as exc:  # a probe with zero weighted norm
-        with pytest.raises(ErgodicError, match=str(exc)):
-            power_bounded_probe(w, M, N, probes=probes)
-        return
-    assert repr(power_bounded_probe(w, M, N, probes=probes).probes) == want
-
-
 def test_support_norms_sum_the_full_length(geom05):
     # x_n = 2^n keeps the weighted terms of every iterate large up to
     # n = 1000, next to the end of geom's support (n = 1074); for some
@@ -393,12 +371,6 @@ def test_support_guard_keeps_non_finite_norms(factorial1):
             trace = ergodic._trace(*args)
             assert repr(trace) == repr(full_length_trace(*args))
             assert any(math.isnan(norm) for _, norm, _ in trace.records)
-        # a tiny head normalizes a large tail to inf
-        probes = [("tail", [1e-300] + [0.0] * 498 + [1e300] * 500)]
-        report = power_bounded_probe(factorial1, 5, N, probes=probes)
-        assert repr(report.probes) == repr(
-            full_length_probes(factorial1, 5, N, probes))
-    assert math.isnan(report.probes[0].first_norm)
 
 
 def test_rational_trace_iterates_the_support_only(factorial1, monkeypatch):
@@ -421,10 +393,8 @@ _BEYOND_FLOAT = [Fraction(10 ** 400)]
 @pytest.mark.parametrize("call", [
     lambda w: iterate_trace(w, _BEYOND_FLOAT, 2, 10, mode="rational"),
     lambda w: cesaro_averages_trace(w, _BEYOND_FLOAT, 2, 10, mode="rational"),
-    lambda w: power_bounded_probe(w, 2, 10, probes=[("big", _BEYOND_FLOAT)]),
-    lambda w: decomposition_project(w, _BEYOND_FLOAT, 10),
     lambda w: ergodic_identity_check(w, _BEYOND_FLOAT, 2, 10),
-], ids=["iterate", "averages", "probe", "decomposition", "identity-float"])
+], ids=["iterate", "averages", "identity-float"])
 def test_exact_input_beyond_float_range_is_rejected(geom05, call):
     """A start coordinate too large for a float is an ErgodicError that
     names it, not an OverflowError from deep inside a trace."""
@@ -480,34 +450,6 @@ def test_ergodic_identities_float(geom05):
 
 
 # ---------------------------------------------------------------------------
-# the ergodic decomposition
-
-
-def test_decomposition_examples(geom05):
-    c, rem = decomposition_project(geom05, (1.0, 0.0, 0.0), 3)
-    assert c == 1.0
-    assert rem == (0.0, -1.0, -1.0)
-    c2, rem2 = decomposition_project(geom05, (0.0, 1.0, 0.0), 3)
-    assert c2 == 0.0
-    assert rem2 == (0.0, 1.0, 0.0)
-    c3, rem3 = decomposition_project(geom05, (2.0, 2.0, 2.0), 3)
-    assert c3 == 2.0
-    assert rem3 == (0.0, 0.0, 0.0)
-
-
-def test_decomposition_reconstructs(geom05):
-    x = (0.3, -1.2, 4.0, 0.0)
-    c, rem = decomposition_project(geom05, x, 4)
-    for xi, ri in zip(x, rem):
-        assert c + ri == pytest.approx(xi, rel=1e-15)
-
-
-def test_decomposition_needs_summable_weight(poly1):
-    with pytest.raises(ErgodicError):
-        decomposition_project(poly1, (1.0, 0.0), 2)
-
-
-# ---------------------------------------------------------------------------
 # kernel majorant
 
 
@@ -528,64 +470,8 @@ def test_kernel_bound_dominates_entries():
                 assert abs(entry) <= cap * (1 + 1e-12)
 
 
-def test_weight_l1_bound(geom05, poly1):
-    assert weight_l1_bound(geom05) == pytest.approx(1.0, rel=1e-9)
-    assert weight_l1_bound(poly1) is None
-
-
 # ---------------------------------------------------------------------------
-# power-boundedness probes
-
-
-def test_probe_report_on_compact_weight(geom05):
-    report = power_bounded_probe(geom05, 30, 200)
-    assert report.expectation == "bounded"
-    cap = uw_quantity(geom05, horizon=10 ** 4).verdict.certified_bound
-    by_id = {p.probe_id: p for p in report.probes}
-    assert by_id["e1"].sup_ratio <= cap + 1e-9
-    assert by_id["e1"].sup_ratio == pytest.approx(2.0, abs=1e-6)
-    for p in report.probes:
-        assert p.sup_ratio <= cap + 1e-9
-    # basis probes recover the reciprocal eigenvalues as decay rates
-    for m in (2, 3, 4):
-        assert by_id[f"e{m}"].growth_per_step == pytest.approx(1.0 / m,
-                                                               rel=2e-2)
-
-
-def test_probe_report_on_growing_weight(poly05):
-    report = power_bounded_probe(poly05, 6, 2000)
-    assert report.expectation == "growth"
-    s1 = s1_estimate(poly05, horizon=10 ** 4)
-    assert report.expected_growth_factor == pytest.approx(1.0 / s1.point,
-                                                          rel=1e-9)
-
-
-def test_probe_report_without_verdict(block413a2):
-    report = power_bounded_probe(block413a2, 6, 500)
-    assert report.expectation == "open"
-    assert report.expected_growth_factor is None
-    assert any("without a boundedness verdict" in note
-               for note in report.notes)
-
-
-def test_probe_constant_vector(geom05):
-    ones = [("ones", [1.0] * 200)]
-    report = power_bounded_probe(geom05, 10, 200, probes=ones)
-    assert report.probes[0].sup_ratio == pytest.approx(1.0, rel=1e-12)
-
-
-def test_probe_rejects_zero_vector(geom05):
-    with pytest.raises(ErgodicError):
-        power_bounded_probe(geom05, 5, 50, probes=[("zero", [0.0] * 50)])
-
-
-def test_probe_report_serializes(geom05):
-    report = power_bounded_probe(geom05, 5, 50)
-    doc = report.to_json_dict()
-    assert doc["expectation"] == "bounded"
-    assert len(doc["probes"]) == len(report.probes)
-    assert {"probe_id", "sup_ratio", "growth_per_step"} <= \
-        set(doc["probes"][0])
+# mean-ergodic coupling
 
 
 def test_mean_ergodic_coupling(geom05, poly05):
@@ -615,8 +501,3 @@ def test_budget_env_controls_work(geom05, monkeypatch):
     with pytest.raises(ErgodicError):
         work_budget()
 
-
-def test_budget_applies_to_probe_suite(geom05, monkeypatch):
-    monkeypatch.setenv("CESARO_BUDGET", "1000")
-    with pytest.raises(BudgetError):
-        power_bounded_probe(geom05, 100, 100)

@@ -64,7 +64,7 @@ def _every_family_and_constructed(poly1):
         ("factorial", {"a": 2.5}), ("expbeta", {"beta": 0.5}),
         ("explog", {"gamma": 2.0}), ("spike", {}), ("block313", {}),
         ("block413", {"alpha": 2.0})]]
-    return weights + [build_failing_minorant(poly1).to_weight_spec(),
+    return weights + [build_failing_minorant(poly1),
                       build_compact_minorant(poly1),
                       custom_weight("harmonic", lambda n: -math.log(n))]
 
@@ -421,7 +421,7 @@ def test_geom_tail_property(m, beta):
 
 
 def test_failing_minorant_shape(poly1):
-    v = build_failing_minorant(poly1).to_weight_spec()
+    v = build_failing_minorant(poly1)
     ns = np.arange(1, 20000, dtype=np.int64)
     logs_v = v.log_eval(ns)
     logs_orig = poly1.log_eval(ns)
@@ -431,12 +431,11 @@ def test_failing_minorant_shape(poly1):
 
 def test_failing_minorant_block_growth(poly1):
     """Completed blocks push the averaged tail past each integer level."""
-    table = build_failing_minorant(poly1)
-    for j, s in enumerate(table.block_harmonic_sums, start=1):
-        assert s > j
-    v = table.to_weight_spec()
+    v = build_failing_minorant(poly1)
     env = v.cont_lower
     assert env is not None and env.diverging
+    for j in range(1, env.max_index + 1):
+        assert env.log_value_at(j) > math.log(j)
     top = env.max_index or 5
     for i in range(1, min(top, 6) + 1):
         idx = env.index_at(i)
@@ -449,8 +448,7 @@ def test_failing_minorant_block_growth(poly1):
 
 
 def test_failing_minorant_continuity_fails(poly1):
-    report = continuity_criterion(
-        build_failing_minorant(poly1).to_weight_spec())
+    report = continuity_criterion(build_failing_minorant(poly1))
     assert report.verdict.is_fails
     assert report.verdict.witness is not None
 
@@ -530,8 +528,7 @@ def _contract_weight(key, tmp_path):
     if key == "custom":
         return custom_weight("scalar", lambda n: -0.5 * math.log(n) - n % 3)
     if key == "blockmin":
-        return build_failing_minorant(parse_weight("poly:alpha=1")) \
-            .to_weight_spec()
+        return build_failing_minorant(parse_weight("poly:alpha=1"))
     if key == "compactmin":
         return build_compact_minorant(parse_weight("poly:alpha=2"))
     return parse_weight(key)

@@ -31,38 +31,40 @@ zero rather than whether it stays bounded.
 
 Every suffix sum is a power row, sum over n >= m of w(n) n^(beta-1): the
 continuity quantity (beta = 0), the tail mass of uw (beta = 1), the
-moments behind the eigenvalues 1/m, the resolvent quantity and
-``suffix_log_sums``.  One streamed kernel, ``_stream_suffix_sums``, sums
+moments behind the eigenvalues 1/m (beta = m) and the resolvent quantity
+(beta = Re 1/lambda).  One streamed kernel, ``_power_log_sums``, sums
 any set of rows of one weight: chunks of indices run down from the
-horizon, the caller evaluates log w and log n once per chunk, and each row
-is summed in the log domain at its own targets.  log w is evaluated in
-blocks (``WeightSpec.log_eval``) and log n in place, so a chunk costs its
-two rows of values plus the scratch rows, whatever the weight's formula.
-``scan_reports`` streams the continuity, uw and moment rows of ``analyze``
-in that one pass.  Rows are independent, order-fixed sums, so a chunk's
-rows are shared between the caller and at most one helper thread, and
-every result is bit-identical whatever the number of cores.  Shifted terms that ``exp``
-would round to exactly 0.0 (below ``_EXP_DEAD``) are written as 0.0
-without calling it.
+horizon, log w and log n are evaluated once per chunk, and each row, with
+its exponent c = beta - 1, is summed in the log domain at its own
+targets.  log w is evaluated in blocks (``WeightSpec.log_eval``) and
+log n in place, so a chunk costs its two rows of values plus the scratch
+rows, whatever the weight's formula.  ``scan_reports`` streams the
+continuity, uw and moment rows of ``analyze`` in that one pass.  Rows are
+independent, order-fixed sums, so a chunk's rows are shared between the
+caller and at most one helper thread, and every result is bit-identical
+whatever the number of cores.  Shifted terms that ``exp`` would round to
+exactly 0.0 (below ``_EXP_DEAD``) are written as 0.0 without calling it.
 
-The kernel also skips terms that provably cannot change a bit.  The caller
-gives, for each block of ``_TAIL_BLOCK`` indices, a bound b_j computed with
-the same float operations as the terms from the block's maximum of log w
-and extreme of log n; rounding is monotone, so b_j bounds every computed
-term of the block.
+The kernel also skips terms that provably cannot change a bit.  For each
+block of ``_TAIL_BLOCK`` indices, a row's bound b_j is computed with the
+same float operations as its terms, c log n + log w, from the block's
+maximum of log w and extreme of log n; rounding is monotone, so b_j
+bounds every computed term of the block.
 
 - Dead tail.  A one-segment row computes its terms only up to the last
   block with fl(b_j - m0) >= ``_EXP_DEAD``, m0 being its first block's
-  maximum.  Every later term is below m0, so the shift is unchanged, and
-  shifted it is below ``_EXP_DEAD``: the 0.0 the dead mask writes anyway.
-  The buffer keeps its length, so the summation tree is unchanged.
+  maximum.  Every later computed term t has fl(t - shift) <= fl(b_j - m0)
+  < ``_EXP_DEAD``, because the shift is at least m0: so t is below m0,
+  the shift is that of the full row, and the term is the 0.0 the dead
+  mask writes anyway.  The buffer keeps its length, so the summation tree
+  is unchanged.
 - Negligible upper chunks.  The lowest chunk runs first.  A row whose
   targets all lie in it sits out an upper chunk when its values v satisfy
   logaddexp(v, B) == v, with B = max_j b_j + ln(chunk length) + ln(number
   of upper chunks) + 1 at least the computed carry of all upper chunks.
-  logaddexp(v, c) is non-decreasing in c and never below v, so the carry
+  logaddexp(v, x) is non-decreasing in x and never below v, so the carry
   could not change v.  A row that sat out one upper chunk and fails on a
-  higher one is summed again over every chunk.
+  higher one is summed again over every chunk, with this rule off.
 """
 
 from __future__ import annotations
@@ -94,7 +96,6 @@ __all__ = [
     "Bracket",
     "SupProfile",
     "scan_indices",
-    "suffix_log_sums",
     "evaluate_sup_profile",
     "continuity_criterion",
     "compactness_criterion",
@@ -360,28 +361,36 @@ def _segment_log_sums(buf: np.ndarray, starts: np.ndarray,
         return np.log(np.add.reduceat(buf, starts)) + shift
 
 
-def _row_log_sums(row_terms, row_bounds, r: int, shared, buf: np.ndarray,
-                  starts: np.ndarray) -> np.ndarray:
-    """Segment log-sums of row r over one chunk (``_segment_log_sums``).
+def _power_terms(c: float, shared: tuple, buf: np.ndarray) -> None:
+    """Write c log n + log w(n), the log-terms of the power row with
+    exponent c = beta - 1, at the chunk's first ``buf.size`` indices."""
+    np.multiply(shared[1][:buf.size], c, out=buf)
+    buf += shared[0][:buf.size]
 
-    A one-segment row with block bounds skips its dead tail: from the first
-    block's maximum m0 and the bound b_j of every later block, the terms
-    are computed only up to the end of the last block with
-    fl(b_j - m0) >= ``_EXP_DEAD``.  Past it every computed term t has
-    fl(t - shift) <= fl(b_j - m0) < ``_EXP_DEAD``, because the shift is at
-    least m0 and rounding is monotone; so t is below m0, the shift is that
-    of the full row, and the term is the 0.0 that the dead mask would write.
-    """
+
+def _block_bounds(c: float, shared: tuple) -> np.ndarray:
+    """For each block of ``_TAIL_BLOCK`` indices of the chunk, a bound on
+    every computed term of the row with exponent c: the two operations of
+    ``_power_terms`` on the block's maximum of log w and extreme of log n."""
+    _, _, lw_max, ln_max, ln_min = shared
+    return (ln_max if c >= 0.0 else ln_min) * c + lw_max
+
+
+def _row_log_sums(c: float, shared: tuple, buf: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """Segment log-sums (``_segment_log_sums``) over one chunk of the row
+    with exponent c; a one-segment row computes no dead tail: only the
+    blocks up to the last with fl(b_j - m0) >= ``_EXP_DEAD``."""
     done, k = 0, buf.size
-    if row_bounds is not None and starts.size == 1 and k > _TAIL_BLOCK:
+    if starts.size == 1 and k > _TAIL_BLOCK:
         done = _TAIL_BLOCK
-        row_terms(r, shared, buf[:done])
+        _power_terms(c, shared, buf[:done])
         m0 = buf[:done].max()
         if np.isfinite(m0):
-            live = np.flatnonzero(~(row_bounds(r, shared) - m0 < _EXP_DEAD))
+            live = np.flatnonzero(~(_block_bounds(c, shared) - m0 < _EXP_DEAD))
             k = min(k, (int(live[-1]) + 1) * _TAIL_BLOCK)
     if k > done:
-        row_terms(r, shared, buf[:k])
+        _power_terms(c, shared, buf[:k])
     return _segment_log_sums(buf, starts, k)
 
 
@@ -395,52 +404,60 @@ def _worker_count(rows: int) -> int:
     return max(1, min(2, rows, cpus))
 
 
-def _stream_suffix_sums(evaluate, row_terms, horizon: int, targets: list,
-                        row_bounds=None) -> list:
-    """Suffix log-sums of several term sequences (rows), each at its own
-    ascending targets ``targets[r]``.
+def _chunk_values(w: WeightSpec, lo: int, hi: int, memo: dict) -> tuple:
+    """(log w, log n, and per block of ``_TAIL_BLOCK`` indices the maximum
+    of log w and the maximum and minimum of log n) over indices lo..hi.
+    ``memo`` holds the last chunk's values under (lo, hi)."""
+    if (lo, hi) not in memo:
+        # ns first, then the last chunk is freed: log w and log n reuse
+        # its memory instead of faulting in fresh pages
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        memo.clear()  # hold one chunk at a time
+        lw = w.log_eval(ns)
+        ln = ns.astype(float)
+        np.log(ln, out=ln)
+        blocks = np.arange(0, ns.size, _TAIL_BLOCK)
+        memo[lo, hi] = (lw, ln, np.maximum.reduceat(lw, blocks),
+                        np.maximum.reduceat(ln, blocks),
+                        np.minimum.reduceat(ln, blocks))
+    return memo[lo, hi]
+
+
+def _power_log_sums(w: WeightSpec, rows, horizon: int,
+                    memo: Optional[dict] = None,
+                    skip_upper: bool = True) -> list:
+    """log of sum_{n=m}^{horizon} n^(beta-1) w(n) for every (beta, targets)
+    row in ``rows`` and every target m of it (ascending), in one pass.
+    Returns one array per row; targets past the horizon get -inf.
 
     Chunks of indices run down from the horizon to the smallest target of
-    any row.  For each chunk the caller runs ``evaluate(ns)`` once; then
-    ``row_terms(r, shared, buf)`` writes the log-terms of row r at the
-    chunk's first ``buf.size`` indices into ``buf`` (a chunk-sized scratch
-    row or a prefix of it), and the segments between the row's consecutive
-    targets are reduced in place.  A short log-domain suffix over the
-    segment sums, plus the carry from the chunks above, gives each target.
-    A row sits out the chunks below its smallest target; in the chunk that
-    holds it, the indices below it form one extra segment that no target
-    reads.  Returns one array per row.
+    any row.  For each chunk, log w and log n are evaluated once on the
+    caller (``_chunk_values``) and shared by every row; each row writes
+    its terms into a chunk-sized scratch row and reduces the segments
+    between its consecutive targets in place (``_row_log_sums``).  A short
+    log-domain suffix over the segment sums, plus the carry from the
+    chunks above, gives each target.  A row sits out the chunks below its
+    smallest target; in the chunk that holds it, the indices below it form
+    one extra segment that no target reads.
 
-    ``row_bounds(r, shared)``, when given, returns for each block of
-    ``_TAIL_BLOCK`` indices of the chunk a float that bounds every computed
-    term of row r there.  Two rules then skip terms that cannot change a
-    bit of the result:
-
-    - a one-segment row computes no dead tail (``_row_log_sums``);
-    - a row whose targets all lie in the lowest chunk sits out an upper
-      chunk when its pre-carry values v satisfy logaddexp(v, B) == v, with
-      B = max_j b_j + ln(chunk length) + ln(number of upper chunks) + 1.
-      The computed carry of all upper chunks is at most B, and
-      logaddexp(v, c) = v + log1p(exp(c - v)) is non-decreasing in c and
-      never below v, so adding the carry could not change v.  The lowest
-      chunk runs first, then the upper ones in ascending order.  A row that
-      sat out a chunk and fails the test on a higher one is summed again
-      over every chunk in one catch-up pass without either rule.
-
-    Each chunk writes its segment suffixes into ``out`` and keeps only its
-    totals; the carries are folded from the top chunk down afterwards,
-    with the same ``logaddexp`` calls as a top-down stream.  Rows are
-    independent, order-fixed sums, so they are shared between the caller
-    and one helper thread (``_worker_count``), and the result does not
-    depend on how many cores ran it.  ``row_terms`` and ``row_bounds`` run
-    on either thread, so they may use numpy only: public functions and
-    ``WeightSpec`` methods belong in ``evaluate``, which stays on the
-    caller.
+    Both skipping rules of the module docstring apply.  The lowest chunk
+    runs first; with ``skip_upper``, a row whose targets all lie in it may
+    sit out the upper ones, and a row that sat out one and fails the test
+    on a higher one is summed again over every chunk by a second call with
+    ``skip_upper`` off.  Each chunk writes its segment suffixes into
+    ``out`` and keeps only its totals; the carries are folded from the top
+    chunk down afterwards, with the same ``logaddexp`` calls as a top-down
+    stream.  ``memo`` (``_chunk_values``') lets a caller that passes the
+    same dict to every pass over ``w`` evaluate a single-chunk horizon
+    once.
     """
+    targets = [np.asarray(t, dtype=np.int64) for _, t in rows]
+    exps = [float(beta) - 1.0 for beta, _ in rows]
     out = [np.full(t.size, NEG_INF, dtype=float) for t in targets]
     firsts = [max(1, int(t[0])) for t in targets if t.size]
     if horizon < 1 or not firsts:
         return out
+    memo = {} if memo is None else memo
     tmin = min(firsts)
     chunks = []
     hi = horizon
@@ -451,13 +468,12 @@ def _stream_suffix_sums(evaluate, row_terms, horizon: int, targets: list,
     chunks.reverse()  # the lowest chunk first
     upper = len(chunks) - 1
     # rows that may sit out the upper chunks, and those that sat one out
-    quiet = set() if row_bounds is None or not upper else {
-        r for r, t in enumerate(targets)
-        if t.size and t[-1] <= chunks[0][1]}
+    quiet = {r for r, t in enumerate(targets) if t.size
+             and t[-1] <= chunks[0][1]} if skip_upper and upper else set()
     sat_out, redo = set(), []
     totals = []
-    for c, (lo, hi) in enumerate(chunks):
-        shared = evaluate(np.arange(lo, hi + 1, dtype=np.int64))
+    for k, (lo, hi) in enumerate(chunks):
+        shared = _chunk_values(w, lo, hi, memo)
         # segments start at the chunk's first index and at each distinct
         # target; pos maps every target to its segment
         jobs = []
@@ -465,10 +481,10 @@ def _stream_suffix_sums(evaluate, row_terms, horizon: int, targets: list,
             i0, i1 = np.searchsorted(t, (lo, hi + 1))
             if i1 == 0 or r in redo:  # targets above the chunk, or redone
                 continue
-            if c and r in quiet:
+            if k and r in quiet:
                 v = out[r]
-                bound = (np.max(row_bounds(r, shared)) + math.log(hi - lo + 1)
-                         + math.log(upper) + 1.0)
+                bound = (np.max(_block_bounds(exps[r], shared))
+                         + math.log(hi - lo + 1) + math.log(upper) + 1.0)
                 with np.errstate(invalid="ignore"):  # NaN refuses
                     negligible = np.all(np.logaddexp(v, bound) == v)
                 if negligible:
@@ -480,39 +496,45 @@ def _stream_suffix_sums(evaluate, row_terms, horizon: int, targets: list,
                     continue
             rel = t[i0:i1] - lo
             fresh = np.diff(rel, prepend=0) != 0
-            jobs.append((r, np.concatenate(([0], rel[fresh])), i0, i1,
-                         np.cumsum(fresh)))
+            jobs.append((r, exps[r], np.concatenate(([0], rel[fresh])), i0,
+                         i1, np.cumsum(fresh)))
         # scratch is allocated after evaluation and dropped with it before
         # the next chunk, so evaluation temporaries and scratch never coexist
         scratch = [np.empty(hi - lo + 1)
                    for _ in range(_worker_count(len(jobs)))]
-        segs = _run_rows(row_terms, row_bounds, jobs, shared, scratch)
+        segs = _run_rows(jobs, shared, scratch)
         del shared, scratch
-        for (r, _, i0, i1, pos), seg in zip(jobs, segs):
+        for (r, _, _, i0, i1, pos), seg in zip(jobs, segs):
             out[r][i0:i1] = seg[pos]
         totals.append([(r, i0, i1, seg[0])
-                       for (r, _, i0, i1, _), seg in zip(jobs, segs)])
+                       for (r, _, _, i0, i1, _), seg in zip(jobs, segs)])
         del segs
     carry = np.full(len(targets), NEG_INF, dtype=float)
-    for chunk in reversed(totals):
-        for r, i0, i1, total in chunk:
-            out[r][i0:i1] = np.logaddexp(out[r][i0:i1], carry[r])
-            carry[r] = np.logaddexp(total, carry[r])
+    with np.errstate(invalid="ignore"):  # NaN in log w
+        for chunk in reversed(totals):
+            for r, i0, i1, total in chunk:
+                out[r][i0:i1] = np.logaddexp(out[r][i0:i1], carry[r])
+                carry[r] = np.logaddexp(total, carry[r])
     if redo:
-        again = _stream_suffix_sums(evaluate, row_terms, horizon, [
-            t if r in redo else t[:0] for r, t in enumerate(targets)])
+        again = _power_log_sums(w, [
+            (beta, t if r in redo else t[:0])
+            for r, ((beta, _), t) in enumerate(zip(rows, targets))],
+            horizon, memo, skip_upper=False)
         for r in redo:
             out[r] = again[r]
     return out
 
 
-def _run_rows(row_terms, row_bounds, jobs: list, shared,
-              scratch: list) -> list:
-    """Reversed log-domain suffix of the segment sums of every job (a row
-    and its segment starts first).  Jobs are handed out one at a time to
-    the caller and, given a second scratch buffer, to one helper thread
-    that runs under the caller's numpy error state; the helper is joined
-    before this returns, and the first error of either is re-raised here."""
+def _run_rows(jobs: list, shared: tuple, scratch: list) -> list:
+    """Reversed log-domain suffix of the segment sums of every job (a row,
+    its exponent and its segment starts first) over the chunk's values
+    ``shared``.  Jobs are handed out one at a time to the caller and, given
+    a second scratch buffer, to one helper thread that runs under the
+    caller's numpy error state; the helper is joined before this returns,
+    and the first error of either is re-raised here.  Rows are
+    independent, order-fixed sums, so the result does not depend on which
+    thread ran a row; both threads call numpy only, so public functions
+    and ``WeightSpec`` methods stay on the caller."""
     segs = [None] * len(jobs)
     errors = []
     pending = iter(enumerate(jobs))
@@ -527,10 +549,10 @@ def _run_rows(row_terms, row_bounds, jobs: list, shared,
                         job = next(pending, None)
                     if job is None:
                         return
-                    j, (r, starts, *_) = job
-                    seg = _row_log_sums(row_terms, row_bounds, r, shared,
-                                        buf, starts)
-                    segs[j] = np.logaddexp.accumulate(seg[::-1])[::-1]
+                    j, (_, c, starts, *_) = job
+                    seg = _row_log_sums(c, shared, buf, starts)
+                    with np.errstate(invalid="ignore"):  # NaN in log w
+                        segs[j] = np.logaddexp.accumulate(seg[::-1])[::-1]
         except BaseException as exc:  # re-raised after the join
             errors.append(exc)
 
@@ -544,63 +566,6 @@ def _run_rows(row_terms, row_bounds, jobs: list, shared,
     if errors:
         raise errors[0]
     return segs
-
-
-def _power_log_sums(w: WeightSpec, rows, horizon: int,
-                    memo: Optional[dict] = None) -> list:
-    """log of sum_{n=m}^{horizon} n^(beta-1) w(n) for every (beta, targets)
-    row in ``rows`` and every target m of it (ascending), in one pass.
-
-    log w(n) and log n are evaluated once per chunk on the caller and
-    shared by every row; each row's terms are ``ln*(beta-1) + lw``.  The
-    caller also takes the maximum of log w and the extremes of log n over
-    each block of ``_TAIL_BLOCK`` indices, and a row's block bound is the
-    same two operations on them, so by monotone rounding it bounds every
-    computed term of the block.  ``memo`` holds the last chunk's values
-    under the chunk's (lo, hi); a caller that passes the same dict to every
-    pass over ``w`` evaluates a single-chunk horizon once.
-    """
-    betas = [float(beta) for beta, _ in rows]
-    memo = {} if memo is None else memo
-
-    def evaluate(ns):
-        key = (int(ns[0]), int(ns[-1]))
-        if key not in memo:
-            memo.clear()  # hold one chunk at a time
-            lw = w.log_eval(ns)
-            ln = ns.astype(float)
-            np.log(ln, out=ln)
-            blocks = np.arange(0, ns.size, _TAIL_BLOCK)
-            memo[key] = (lw, ln, np.maximum.reduceat(lw, blocks),
-                         np.maximum.reduceat(ln, blocks),
-                         np.minimum.reduceat(ln, blocks))
-        return memo[key]
-
-    def row_terms(r, shared, buf):
-        lw, ln = shared[0][:buf.size], shared[1][:buf.size]
-        np.multiply(ln, betas[r] - 1.0, out=buf)
-        buf += lw
-
-    def row_bounds(r, shared):
-        _, _, lw_max, ln_max, ln_min = shared
-        c = betas[r] - 1.0
-        return (ln_max if c >= 0.0 else ln_min) * c + lw_max
-
-    return _stream_suffix_sums(evaluate, row_terms, horizon, [
-        np.asarray(targets, dtype=np.int64) for _, targets in rows],
-        row_bounds)
-
-
-def suffix_log_sums(w: WeightSpec, beta: float, horizon: int,
-                    targets: np.ndarray) -> np.ndarray:
-    """log of sum_{n=m}^{horizon} n^(beta-1) w(n) for each target m.
-
-    Targets are positive integers in any order; targets beyond the horizon
-    get -inf (empty suffix).  One power row of ``_power_log_sums``.
-    """
-    ordered, where = np.unique(np.asarray(targets, dtype=np.int64),
-                               return_inverse=True)
-    return _power_log_sums(w, [(beta, ordered)], horizon)[0][where]
 
 
 # ---------------------------------------------------------------------------

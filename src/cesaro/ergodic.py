@@ -169,13 +169,12 @@ def _pick_candidate(w: WeightSpec, x: Sequence) -> Optional[float]:
 
 def iterate_trace(w: WeightSpec, x: Sequence, M: int, N: int,
                   probe_id: str = "custom",
-                  limit_scalar: Optional[float] = None,
-                  auto_limit: bool = True, mode: str = "float") -> IterateTrace:
+                  mode: str = "float") -> IterateTrace:
     """Record weighted norms and residuals of the first M iterates.
 
-    The limit candidate defaults to x1 times the constant-one vector when
-    the weight is summable (and to zero when the probe starts at zero);
-    pass ``limit_scalar`` to override, or ``auto_limit=False`` for none.
+    The limit candidate is x1 times the constant-one vector when the
+    weight is summable, zero when the probe starts at zero, and otherwise
+    none, so no residuals are recorded (``_pick_candidate``).
     Residuals are closed with the certified weight tail beyond N, so a
     small recorded residual is a certified bound, not a truncation hope.
     Rational mode keeps the iterate coordinates exact; norms are float
@@ -184,20 +183,17 @@ def iterate_trace(w: WeightSpec, x: Sequence, M: int, N: int,
     if M < 1 or N < 1:
         raise ErgodicError("M and N must be >= 1")
     _check_budget(M * N)
-    return _trace(w, x, M, N, probe_id, limit_scalar, auto_limit, mode,
-                  averages=False)
+    return _trace(w, x, M, N, probe_id, mode, averages=False)
 
 
 def _trace(w: WeightSpec, x: Sequence, steps: int, N: int, probe_id: str,
-           limit_scalar: Optional[float], auto_limit: bool, mode: str,
-           averages: bool) -> IterateTrace:
+           mode: str, averages: bool) -> IterateTrace:
     """The records of ``iterate_trace`` (or, with ``averages``, of
     ``cesaro_averages_trace``) over coordinates 1..N; the orbit itself runs
     on the weight's float support only (``_orbit_norms``)."""
     arr = _start_vector(x, N, mode)
     floats = _as_float(arr)
-    if limit_scalar is None and auto_limit:
-        limit_scalar = _pick_candidate(w, floats)
+    limit_scalar = _pick_candidate(w, floats)
     sup_abs = float(np.max(np.abs(floats))) if N else 0.0
     wvals = _weight_values(w, N)
     tail_term = None
@@ -335,19 +331,17 @@ def _as_fractions(values) -> list:
 
 def cesaro_averages_trace(w: WeightSpec, x: Sequence, n_max: int, N: int,
                           probe_id: str = "custom",
-                          limit_scalar: Optional[float] = None,
-                          auto_limit: bool = True,
                           mode: str = "float") -> IterateTrace:
     """Record norms and residuals of the running averages of the iterates.
 
     Single pass: the n-th record reuses the partial sum of the first n
-    iterates, so the cost matches one iterate trace.
+    iterates, so the cost matches one iterate trace.  The limit candidate
+    is that of ``iterate_trace``.
     """
     if n_max < 1 or N < 1:
         raise ErgodicError("n_max and N must be >= 1")
     _check_budget(n_max * N)
-    return _trace(w, x, n_max, N, probe_id, limit_scalar, auto_limit, mode,
-                  averages=True)
+    return _trace(w, x, n_max, N, probe_id, mode, averages=True)
 
 
 # ---------------------------------------------------------------------------

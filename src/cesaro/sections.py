@@ -191,15 +191,19 @@ def weighted_norm(coords: Sequence, w: WeightSpec) -> float:
     """Sum of w(n) |x_n|, accumulated through the log domain per term.
 
     Each term is exp(log w(n) + log |x_n|), so weights far below float range
-    cannot poison the sum, and huge exact coordinates do not overflow.
+    cannot poison the sum, and huge exact coordinates are read without
+    overflow.  A term or sum beyond the float range gives ``inf``.
     """
     logs = {i: la for i, la in enumerate(map(_log_abs, coords), 1)
             if la != NEG_INF}
     if not logs:
         return 0.0
     lw = w.log_eval(np.fromiter(logs, dtype=np.int64))
-    return math.fsum(math.exp(min(float(a) + la, 700.0))
-                     for a, la in zip(lw, logs.values()))
+    try:
+        return math.fsum(math.exp(float(a) + la)
+                         for a, la in zip(lw, logs.values()))
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +371,7 @@ def distance_to_limit_set(lam: complex) -> float:
     return float(nearest_limit_point(z.real, z.imag)[0])
 
 
-def resolvent_section(lam, N: int, mode: str = "float",
-                      eps: float = SIGMA_PROXIMITY_EPS) -> FiniteSection:
+def resolvent_section(lam, N: int, mode: str = "float") -> FiniteSection:
     """Exact N-by-N section of the inverse of (averaging operator - lam I).
 
     The diagonal is 1/(1/n - lam); strictly below it the entries are
@@ -376,8 +379,9 @@ def resolvent_section(lam, N: int, mode: str = "float",
     accumulated as log-magnitude plus unit phase in float mode, so deep rows
     neither overflow nor underflow.  Rational mode forms them in integers,
     a Gaussian-integer numerator over one integer denominator per entry, and
-    returns rows of QC with reduced parts.  Values of lam within ``eps`` of
-    the excluded set {0} union {1/m} are rejected.
+    returns rows of QC with reduced parts.  Values of lam within
+    ``SIGMA_PROXIMITY_EPS`` of the excluded set {0} union {1/m} are
+    rejected.
     """
     _check_mode(mode)
     if N < 1:
@@ -386,11 +390,12 @@ def resolvent_section(lam, N: int, mode: str = "float",
         raise SectionError(f"dense resolvent sections are capped at "
                            f"N = {DENSE_DIMENSION_CAP}")
     lam_c = complex(lam)
-    if distance_to_limit_set(lam_c) <= eps:
+    if distance_to_limit_set(lam_c) <= SIGMA_PROXIMITY_EPS:
         dist, m = nearest_limit_point(lam_c.real, lam_c.imag)
         nearest = "0" if abs(lam_c) <= dist else f"1/{m}"
         raise SectionError(
-            f"lam = {lam_c} is within {eps} of the excluded point {nearest}")
+            f"lam = {lam_c} is within {SIGMA_PROXIMITY_EPS} of the excluded "
+            f"point {nearest}")
     if mode == "rational":
         _check_rational_dim(N, mode)
         lq = QC.from_number(lam if isinstance(lam, (QC, Fraction)) else lam_c)

@@ -1036,20 +1036,19 @@ def load_weight_table(path: str) -> WeightSpec:
 # constructed weights: failing block minorant
 
 
-def build_failing_minorant(v: WeightSpec,
-                           horizon: int = 10 ** 6) -> WeightSpec:
+def build_failing_minorant(v: WeightSpec) -> WeightSpec:
     """Greedy block minorant on which the averaging operator cannot act.
 
     Walks phi(n) = min_{k<=n} v(k) and closes block j at the smallest index
     making the block harmonic sum exceed j.  Block j spans (bp[j-1], bp[j]]
     and carries the constant value phi(bp[j]); w(1) = v(1), and the last
     value continues past the last block.  The completed block harmonic
-    sums are the weight's certified continuity lower envelope.  Raises
-    WeightError when fewer than two blocks complete inside the horizon or
-    when v shows no decay (running min never falls below 0.001).
+    sums are the weight's certified continuity lower envelope.  The walk
+    reads v up to index 10^6.  Raises WeightError when fewer than two
+    blocks complete inside it or when v shows no decay (running min never
+    falls below 0.001).
     """
-    if horizon < 8:
-        raise WeightError("horizon too small for block construction")
+    horizon = 10 ** 6
     breakpoints = [1]
     values: list[float] = []
     sums: list[float] = []
@@ -1085,11 +1084,10 @@ def build_failing_minorant(v: WeightSpec,
         n = stop + 1
     if len(values) < 2:
         raise WeightError(
-            f"fewer than two blocks completed by horizon {horizon}; "
-            "increase the horizon")
+            f"fewer than two blocks completed by index {horizon}")
     if last_phi > math.log(1e-3):
         raise WeightError("no decay detected: running min of v stayed above "
-                          "0.001 up to the horizon")
+                          f"0.001 up to index {horizon}")
     bps = np.asarray(breakpoints)
     padded = np.concatenate(([head_log], values, [values[-1]]))
 

@@ -13,10 +13,12 @@ import json
 import math
 import pathlib
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cesaro import cli
 from cesaro.cli import (
     DEFAULT_GRID,
     EXIT_BUDGET,
@@ -28,7 +30,7 @@ from cesaro.cli import (
     _parse_grid,
     main,
 )
-from cesaro.criteria import PROBE_CEILING, Bracket
+from cesaro.criteria import PROBE_CEILING, Bracket, Verdict, Witness
 from cesaro.weights import WeightError, parse_weight
 
 FAST = ["--horizon", "100000"]
@@ -111,6 +113,42 @@ def test_analyze_conflict_diagnostic(capsys, monkeypatch):
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert any(not c["ok"] for c in doc["consistency"])
+    assert "conflicting certificates" in captured.err
+
+
+def test_analyze_compactness_without_continuity_conflicts(capsys,
+                                                          monkeypatch):
+    # force continuity to Fails on a compact weight: compactness Holds, so
+    # the report must flag that compactness implies continuity
+    scan_reports = cli.scan_reports
+
+    def forced(w, horizon, ts):
+        cont, comp, uw, memberships = scan_reports(w, horizon, ts)
+        fails = Verdict.fails(Witness(1, 1.0, "sup-exceeds"), 1.0, horizon)
+        return replace(cont, verdict=fails), comp, uw, memberships
+
+    monkeypatch.setattr(cli, "scan_reports", forced)
+    code = main(["analyze", "-w", "geom:r=0.5", "--m-max", "3", *FAST])
+    assert code == EXIT_CONFLICT
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["results"]["compactness"]["verdict"]["kind"] == "Holds"
+    assert [c["name"] for c in doc["consistency"] if not c["ok"]] == [
+        "compactness implies continuity"]
+    assert "conflicting certificates" in captured.err
+
+
+def test_spectrum_conflict_diagnostic(capsys, monkeypatch):
+    # the boundary bracket of test_analyze_conflict_diagnostic, forced into
+    # the spectrum context of a compact weight: grid nodes conflict
+    fake = Bracket(kind="bracket", lo=1.999, hi=2.001, member_side="hi")
+    monkeypatch.setattr("cesaro.spectral.s1_estimate", lambda w: fake)
+    code = main(["spectrum", "-w", "geom:r=0.5", "--horizon", "10000",
+                 "--grid=-0.2,1.2,-0.7,0.7,5,5"])
+    assert code == EXIT_CONFLICT
+    captured = capsys.readouterr()
+    summary = json.loads("{" + captured.out.split("{", 1)[1])
+    assert summary["conflicts"] > 0
     assert "conflicting certificates" in captured.err
 
 
@@ -337,6 +375,47 @@ def test_tables_too_short_fail_at_parse(capsys, tmp_path):
     assert capsys.readouterr().err == (
         "error: analyze reads w up to index horizon + 1, so it needs a "
         "table of at least 3 rows; this one has 2\n")
+
+
+def test_table_comments_and_blank_lines_are_skipped(capsys, tmp_path):
+    """Comments, inline or on their own line, and blank lines are not rows:
+    a two-row table with them fails as the plain two-row table does."""
+    errors = []
+    for name, text in (("plain.txt", "1 0.0\n2 -1.0\n"),
+                       ("commented.txt", "# n ln_w\n\n1 0.0  # head\n"
+                        "   \n# between\n2 -1.0\n\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["analyze", "-w", f"custom:path={path}"]) == EXIT_PARSE
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: analyze reads w up to index horizon + 1, so it needs a "
+        "table of at least 3 rows; this one has 2\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1 0.0 5\n2 -1.0\n3 -2.0\n", "{path}:1: expected two columns 'n ln_w'"),
+    ("1 0.0\n2.5 -1.0\n3 -2.0\n",
+     "{path}:2: invalid literal for int() with base 10: '2.5'"),
+    ("# n ln_w\n\n# no rows\n", "{path}: empty weight table"),
+], ids=["three-columns", "non-integer-index", "comments-only"])
+def test_malformed_table_fails_at_parse(capsys, tmp_path, text, message):
+    path = tmp_path / "w.txt"
+    path.write_text(text)
+    assert main(["analyze", "-w", f"custom:path={path}"]) == EXIT_PARSE
+    assert capsys.readouterr().err == \
+        "error: " + message.format(path=path) + "\n"
+
+
+@pytest.mark.parametrize("spec", ["custom:path={path},x=1",
+                                  "custom:file={path}"],
+                         ids=["extra-key", "no-path-key"])
+def test_custom_grammar_takes_exactly_one_path(capsys, tmp_path, spec):
+    path = tmp_path / "w.txt"
+    path.write_text("1 0.0\n2 -1.0\n3 -2.0\n")
+    assert main(["analyze", "-w", spec.format(path=path)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: custom weights take exactly custom:path=FILE\n")
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])

@@ -27,7 +27,6 @@ from cesaro.criteria import (
     rw_memberships,
     s1_estimate,
     scan_reports,
-    suffix_log_sums,
     sw1_membership,
     t0_estimate,
     uw_quantity,
@@ -440,7 +439,7 @@ def test_suffix_log_sums_matches_direct(poly2):
     def log_term(ns):
         return poly2.log_eval(ns) - np.log(ns.astype(float))
 
-    got = suffix_log_sums(poly2, 0.0, 10 ** 4, targets)
+    got = criteria._power_log_sums(poly2, [(0.0, targets)], 10 ** 4)[0]
     for t, g in zip(targets, got):
         ns = np.arange(t, 10 ** 4 + 1, dtype=np.int64)
         direct = float(np.sum(np.exp(log_term(ns))))
@@ -478,21 +477,11 @@ def test_suffix_log_sums_oracle_block313(block313):
     # a running log-domain accumulation drifts by ~1e-7 over this range
     horizon = 10 ** 6
     targets = np.array([1, 2, 1000, 65536, 806529, 999999], dtype=np.int64)
-    got = suffix_log_sums(block313, 1.0, horizon, targets)
+    got = criteria._power_log_sums(block313, [(1.0, targets)], horizon)[0]
     lt = np.asarray(block313.log_eval(
         np.arange(1, horizon + 1, dtype=np.int64)), dtype=float)
     for t, g in zip(targets, got):
         assert abs(g - _fsum_log(lt[t - 1:])) <= 1e-8, int(t)
-
-
-def test_suffix_log_sums_targets_any_order(poly2):
-    ordered = suffix_log_sums(poly2, 0.0, 5000,
-                              np.array([3, 3, 40, 4000, 6000]))
-    shuffled = suffix_log_sums(poly2, 0.0, 5000,
-                               np.array([4000, 3, 6000, 40, 3]))
-    assert list(shuffled) == [ordered[3], ordered[0], ordered[4], ordered[2],
-                              ordered[1]]
-    assert ordered[4] == -math.inf
 
 
 def test_rw_memberships_match_one_at_a_time(spike, poly2):
@@ -733,13 +722,13 @@ def test_callers_scan_continuity_once(continuity_scans, monkeypatch, capsys,
     # analyze streams its continuity, uw and m_max moment rows in one pass;
     # t0 and s1 stream at ESTIMATE_HORIZON, below this horizon
     streams = []
-    stream = criteria._stream_suffix_sums
+    kernel = criteria._power_log_sums
 
-    def counted(evaluate, row_terms, horizon, targets, *args, **kwargs):
-        streams.append((horizon, len(targets)))
-        return stream(evaluate, row_terms, horizon, targets, *args, **kwargs)
+    def counted(w, rows, horizon, *args, **kwargs):
+        streams.append((horizon, len(rows)))
+        return kernel(w, rows, horizon, *args, **kwargs)
 
-    monkeypatch.setattr(criteria, "_stream_suffix_sums", counted)
+    monkeypatch.setattr(criteria, "_power_log_sums", counted)
     assert main(["analyze", "-w", "poly:alpha=2", "--m-max", "3",
                  "--horizon", "200000"]) == 0
     capsys.readouterr()
@@ -845,16 +834,19 @@ def test_stream_helper_keeps_the_caller_error_state(monkeypatch):
     """numpy's error state is per thread: rows on the helper obey the
     caller's, so a silenced invalid operation stays silent there too."""
     monkeypatch.setattr(criteria, "_worker_count", lambda rows: 2)
+    row_log_sums = criteria._row_log_sums
     threads = set()
 
-    def row_terms(r, ns, buf):
+    def invalid(c, shared, buf, starts):
         threads.add(threading.current_thread())
         time.sleep(0.02)  # lets the other thread take a row
         np.subtract(np.full_like(buf, np.inf), np.inf, out=buf)
+        return row_log_sums(c, shared, buf, starts)
 
+    monkeypatch.setattr(criteria, "_row_log_sums", invalid)
     with warnings.catch_warnings(), np.errstate(invalid="ignore"):
         warnings.simplefilter("error")
-        _stream(row_terms)
+        _stream()
     assert len(threads) == 2
 
 
@@ -866,26 +858,30 @@ def test_exp_is_zero_below_the_dead_bound():
     assert np.exp(np.array([-745.13, -740.0])).all()
 
 
-def _stream(row_terms, rows=6):
-    return np.array(criteria._stream_suffix_sums(
-        lambda ns: ns.astype(float), row_terms, 64,
-        [np.array([1], dtype=np.int64)] * rows))
+def _stream(rows=6):
+    """Rows of distinct exponents c = -0.5 - r/rows over w(n) = n^-2, each
+    at target 1 of horizon 64: one chunk, one segment per row."""
+    return np.array(criteria._power_log_sums(
+        parse_weight("poly:alpha=2"),
+        [(0.5 - r / rows, [1]) for r in range(rows)], 64))
 
 
 @pytest.mark.parametrize("failing", ["helper", "caller"])
 def test_stream_errors_reraise_after_the_helper_joins(monkeypatch, failing):
     monkeypatch.setattr(criteria, "_worker_count", lambda rows: 2)
+    row_log_sums = criteria._row_log_sums
     before = threading.active_count()
 
-    def row_terms(r, ns, buf):
+    def failing_on_one_thread(c, shared, buf, starts):
         on_caller = threading.current_thread() is threading.main_thread()
         if on_caller == (failing == "caller"):
-            raise ValueError(f"row {r} failed on the {failing}")
+            raise ValueError(f"row {c} failed on the {failing}")
         time.sleep(0.02)  # lets the other thread take a row
-        buf[:] = -ns
+        return row_log_sums(c, shared, buf, starts)
 
+    monkeypatch.setattr(criteria, "_row_log_sums", failing_on_one_thread)
     with pytest.raises(ValueError, match=failing):
-        _stream(row_terms)
+        _stream()
     assert threading.active_count() == before
 
 
@@ -893,23 +889,27 @@ def test_stream_rows_each_taken_once_under_thread_churn(monkeypatch):
     """More workers than cores and a tiny switch interval: every row is
     reduced exactly once and the sums match the one-worker run."""
     rows = 300
+    row_log_sums = criteria._row_log_sums
 
-    def row_terms(r, ns, buf):
-        taken.append(r)
-        np.multiply(np.log(ns), -0.5 - r / rows, out=buf)
+    def taking(c, shared, buf, starts):
+        taken.append(c)
+        return row_log_sums(c, shared, buf, starts)
 
+    monkeypatch.setattr(criteria, "_row_log_sums", taking)
     monkeypatch.setattr(criteria, "_worker_count", lambda rows: 1)
     taken = []
-    want = _stream(row_terms, rows)
+    want = _stream(rows)
+    assert len(set(taken)) == len(taken) == rows
+    exponents = sorted(taken)
     monkeypatch.setattr(criteria, "_worker_count", lambda rows: 4)
     taken = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _stream(row_terms, rows)
+        got = _stream(rows)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(taken) == list(range(rows))
+    assert sorted(taken) == exponents
     assert got.tobytes() == want.tobytes()
 
 

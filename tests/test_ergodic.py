@@ -259,12 +259,10 @@ def test_support_trace_pinned_bytes(request, fixture, mode, tracer, M, N,
 # the float support: references that iterate every coordinate 1..N
 
 
-def full_length_trace(w, x, steps, N, probe_id, limit_scalar, auto_limit,
-                      mode, averages):
+def full_length_trace(w, x, steps, N, probe_id, mode, averages):
     """``ergodic._trace`` as it was before the support cut: the orbit runs
     on all N coordinates and each norm sums the full product."""
-    if limit_scalar is None and auto_limit:
-        limit_scalar = ergodic._pick_candidate(w, x)
+    limit_scalar = ergodic._pick_candidate(w, x)
     arr = ergodic._start_vector(x, N, mode)
     sup_abs = float(np.max(np.abs(ergodic._as_float(arr)))) if N else 0.0
     wvals = ergodic._weight_values(w, N)
@@ -328,17 +326,15 @@ def support_probes(draw, w, N: int):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), spec=SUPPORT_SPECS,
-       mode=st.sampled_from(["float", "rational"]), averages=st.booleans(),
-       limit=st.sampled_from(["none", "auto", "zero", "x1"]))
-def test_trace_matches_full_length_loop(data, spec, mode, averages, limit):
+       mode=st.sampled_from(["float", "rational"]), averages=st.booleans())
+def test_trace_matches_full_length_loop(data, spec, mode, averages):
+    """The limit candidate is 0.0 for the e_r probes, x1 on summable
+    weights such as geom and None on poly:alpha=0.5 and spike."""
     w = parse_weight(spec)
     N = data.draw(st.integers(1, 300 if mode == "rational" else 2000))
     M = data.draw(st.integers(1, 6))
     probe_id, x = data.draw(support_probes(w, N))
-    limit_scalar = {"none": None, "auto": None, "zero": 0.0,
-                    "x1": x[0]}[limit]
-    args = (w, x, M, N, probe_id, limit_scalar, limit == "auto", mode,
-            averages)
+    args = (w, x, M, N, probe_id, mode, averages)
     assert repr(ergodic._trace(*args)) == repr(full_length_trace(*args))
 
 
@@ -350,7 +346,7 @@ def test_support_norms_sum_the_full_length(geom05):
     N, x = 5000, [2.0 ** n for n in range(1, 1001)]
     K, wvals = float_support(geom05, N), ergodic._weight_values(geom05, N)
     for averages in (False, True):
-        args = (geom05, x, 20, N, "pow2", None, True, "float", averages)
+        args = (geom05, x, 20, N, "pow2", "float", averages)
         assert repr(ergodic._trace(*args)) == repr(full_length_trace(*args))
         terms = [wvals * np.abs(v) for v in ergodic._orbit(
             ergodic._start_vector(x, N, "float"), "float", 20, averages)]
@@ -366,8 +362,7 @@ def test_support_guard_keeps_non_finite_norms(factorial1):
     assert float_support(factorial1, N) < 200
     with np.errstate(over="ignore", invalid="ignore"):
         for averages in (False, True):
-            args = (factorial1, x, 5, N, "big", None, True, "float",
-                    averages)
+            args = (factorial1, x, 5, N, "big", "float", averages)
             trace = ergodic._trace(*args)
             assert repr(trace) == repr(full_length_trace(*args))
             assert any(math.isnan(norm) for _, norm, _ in trace.records)

@@ -354,8 +354,10 @@ def test_weighted_norm_hand_value(poly2):
 
 def test_weighted_norm_skips_zeros_and_survives_huge_entries(poly2, superfact):
     assert weighted_norm((0, 0, 0), poly2) == 0.0
-    big = weighted_norm((Fraction(10) ** 400,), poly2)
-    assert math.isfinite(big) and big > 0
+    assert weighted_norm((Fraction(10) ** 400,), poly2) == math.inf
+    # w(2) = 1/4, so the sum is 2e305, near the top of the float range
+    assert weighted_norm((1e305, 4e305), poly2) == pytest.approx(2e305,
+                                                                 rel=1e-12)
     tiny = weighted_norm([0] * 299 + [Fraction(10) ** 400], superfact)
     assert math.isfinite(tiny)
 

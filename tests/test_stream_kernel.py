@@ -1,12 +1,13 @@
 """The suffix kernel skips only work that cannot change a bit.
 
-``criteria._stream_suffix_sums`` leaves out dead tails and upper chunks
+``criteria._power_log_sums`` leaves out dead tails and upper chunks
 that a row's bounds prove negligible.  The reference below is the
 top-down, one-thread kernel that computes every term; every row of the
 skipping kernel must equal it bit for bit.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,24 +157,38 @@ def test_catalog_rows_match_the_reference_at_the_default_horizon(spec):
     _assert_rows_equal(parse_weight(spec), _analyze_rows(horizon), horizon)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "pos-inf"])
+def test_special_values_raise_no_warning(monkeypatch, workers, value):
+    """NaN and +inf in log w reach the segment sums, their reversed
+    accumulation and the carry fold; none of them may warn."""
+    chunk = 3 * _TAIL_BLOCK
+    monkeypatch.setattr(criteria, "_CHUNK", chunk)
+    horizon = 4 * chunk - 5
+    w = _special_values(value, [5, 2 * chunk + 3, 3 * chunk + 11])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        criteria._power_log_sums(w, _analyze_rows(horizon), horizon)
+
+
 @pytest.fixture
 def chunk_jobs(monkeypatch):
-    """Per chunk, in the order they run: the rows reduced and the number of
-    terms computed for each."""
+    """Per chunk, in the order they run: the rows reduced and, for each
+    one-segment row, the number of terms it left live."""
     run_rows = criteria._run_rows
+    segment_log_sums = criteria._segment_log_sums
     chunks = []
 
-    def recording(row_terms, row_bounds, jobs, shared, scratch):
-        terms = {}
+    def recording(jobs, shared, scratch):
+        chunks.append(([job[0] for job in jobs], []))
+        return run_rows(jobs, shared, scratch)
 
-        def counted(r, shared, buf):
-            terms[r] = terms.get(r, 0) + buf.size
-            row_terms(r, shared, buf)
-
-        chunks.append(([job[0] for job in jobs], terms))
-        return run_rows(counted, row_bounds, jobs, shared, scratch)
+    def counted(buf, starts, live=None):
+        if starts.size == 1:
+            chunks[-1][1].append(buf.size if live is None else live)
+        return segment_log_sums(buf, starts, live)
 
     monkeypatch.setattr(criteria, "_run_rows", recording)
+    monkeypatch.setattr(criteria, "_segment_log_sums", counted)
     return chunks
 
 
@@ -205,13 +220,13 @@ def test_a_late_bump_sums_the_row_again(monkeypatch, chunk_jobs, workers):
     horizon = 4 * chunk - 5
     w = _late_bump(horizon - chunk - 100)  # inside the third chunk
     streams = []
-    stream = criteria._stream_suffix_sums
+    kernel = criteria._power_log_sums
 
-    def counted(evaluate, row_terms, horizon, targets, *args, **kwargs):
-        streams.append([r for r, t in enumerate(targets) if t.size])
-        return stream(evaluate, row_terms, horizon, targets, *args, **kwargs)
+    def counted(w, rows, horizon, *args, **kwargs):
+        streams.append([r for r, (_, t) in enumerate(rows) if len(t)])
+        return kernel(w, rows, horizon, *args, **kwargs)
 
-    monkeypatch.setattr(criteria, "_stream_suffix_sums", counted)
+    monkeypatch.setattr(criteria, "_power_log_sums", counted)
     rows = _analyze_rows(horizon)
     _assert_rows_equal(w, rows, horizon)
     moments = list(range(2, 22))
@@ -226,14 +241,15 @@ def test_a_late_bump_sums_the_row_again(monkeypatch, chunk_jobs, workers):
 
 def test_scan_reports_work_shape(chunk_jobs):
     """At the default horizon, geom's 20 moment rows sit out the upper
-    chunk and compute at most two blocks of terms in the lowest one; poly
-    decays too slowly for either rule."""
+    chunk and, in the lowest one, leave no term live past their first
+    block; poly decays too slowly for either rule."""
     horizon = criteria.DEFAULT_HORIZON
     ts = [float(t) for t in range(20)]
     scan_reports(parse_weight("geom:r=0.5"), horizon, ts)
     assert [len(rows) for rows, _ in chunk_jobs] == [22, 2]
-    lowest_terms = chunk_jobs[0][1]
-    assert all(lowest_terms[r] <= 2 * _TAIL_BLOCK for r in range(2, 22))
+    lowest_live = chunk_jobs[0][1]
+    assert len(lowest_live) == 20
+    assert all(live <= _TAIL_BLOCK for live in lowest_live)
     chunk_jobs.clear()
     scan_reports(parse_weight("poly:alpha=2"), horizon, ts)
     assert [len(rows) for rows, _ in chunk_jobs] == [22, 22]

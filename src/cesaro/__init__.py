@@ -37,11 +37,9 @@ from .criteria import (
     continuity_and_compactness,
     continuity_criterion,
     ratio_limsup_test,
-    rw_membership,
     rw_memberships,
     s1_estimate,
     scan_reports,
-    sw1_membership,
     t0_estimate,
     uw_quantity,
 )
@@ -74,6 +72,7 @@ from .spectral import (
 )
 from .ergodic import (
     BudgetError,
+    BudgetParseError,
     ErgodicError,
     IterateTrace,
     cesaro_averages_trace,
@@ -95,9 +94,8 @@ __all__ = [
     # criteria
     "Bracket", "CriterionReport", "Verdict", "Witness",
     "compactness_criterion", "continuity_and_compactness",
-    "continuity_criterion", "ratio_limsup_test", "rw_membership",
-    "rw_memberships", "s1_estimate", "scan_reports", "sw1_membership",
-    "t0_estimate", "uw_quantity",
+    "continuity_criterion", "ratio_limsup_test", "rw_memberships",
+    "s1_estimate", "scan_reports", "t0_estimate", "uw_quantity",
     # sections
     "FiniteSection", "SectionError", "apply_power", "cesaro_section",
     "distance_to_limit_set", "dual_apply", "dual_eigenvector", "eigenvector",
@@ -108,7 +106,8 @@ __all__ = [
     "SpectralError", "build_context", "classify_point", "point_spectrum",
     "region_scan", "resolvent_condition", "scan_to_csv",
     # ergodic
-    "BudgetError", "ErgodicError", "IterateTrace", "cesaro_averages_trace",
+    "BudgetError", "BudgetParseError", "ErgodicError", "IterateTrace",
+    "cesaro_averages_trace",
     "ergodic_identity_check", "iterate_trace", "kernel_bound_am",
     "range_identity_check", "trace_to_csv",
 ]

@@ -7,7 +7,8 @@ and ``catalog`` lists the built-in weight families.  Outputs carry a
 schema version and are byte-identical across runs for a fixed config.
 
 Exit codes: 0 success, 2 parse error, 3 budget exceeded, 4 internal
-consistency diagnostic (conflicting certificates).
+consistency diagnostic (conflicting certificates).  Any other error after
+parsing propagates, so the interpreter exits 1 with its traceback.
 """
 
 from __future__ import annotations
@@ -42,11 +43,6 @@ __all__ = [
     "EXIT_PARSE",
     "EXIT_BUDGET",
     "EXIT_CONFLICT",
-    "RunConfig",
-    "cmd_analyze",
-    "cmd_spectrum",
-    "cmd_iterate",
-    "cmd_catalog",
     "main",
 ]
 
@@ -65,7 +61,7 @@ DEFAULT_POINT_M_MAX = 20
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully resolved invocation; round-trips through its JSON form."""
+    """One fully resolved invocation, validated when it is built."""
 
     command: str
     weight: Optional[str] = None
@@ -95,6 +91,8 @@ class RunConfig:
         if self.grid is not None:
             if len(self.grid) != 6:
                 raise WeightError("grid needs re0,re1,im0,im1,nx,ny")
+            if not all(map(math.isfinite, self.grid[:4])):
+                raise WeightError("grid bounds must be finite")
             nx, ny = int(self.grid[4]), int(self.grid[5])
             if nx < 1 or ny < 1:
                 raise WeightError("grid resolution must be positive")
@@ -103,13 +101,6 @@ class RunConfig:
         data = asdict(self)
         data["grid"] = list(self.grid) if self.grid is not None else None
         return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RunConfig":
-        grid = data.get("grid")
-        kwargs = dict(data)
-        kwargs["grid"] = tuple(grid) if grid is not None else None
-        return cls(**kwargs)
 
 
 def _dump_json(payload: dict) -> str:
@@ -386,6 +377,8 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command.  Exit 2 covers the parse errors only: a WeightError
+    (arguments, weight grammar, tables) or an unreadable CESARO_BUDGET."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -394,7 +387,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ergodic.BudgetError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
-    except (WeightError, ValueError) as exc:
+    except (WeightError, ergodic.BudgetParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

@@ -94,19 +94,14 @@ __all__ = [
     "Verdict",
     "CriterionReport",
     "Bracket",
-    "SupProfile",
-    "scan_indices",
-    "evaluate_sup_profile",
     "continuity_criterion",
     "compactness_criterion",
     "continuity_and_compactness",
     "ratio_limsup_test",
     "uw_quantity",
-    "rw_membership",
     "rw_memberships",
     "scan_reports",
     "t0_estimate",
-    "sw1_membership",
     "s1_estimate",
     "table_horizon",
 ]
@@ -799,13 +794,6 @@ def _thin_samples(scan: np.ndarray, log_vals: np.ndarray, cap: int = 400):
                  for i in sorted(keep))
 
 
-def evaluate_sup_profile(profile: SupProfile, horizon: int,
-                         params: Optional[dict] = None) -> CriterionReport:
-    """Scan, certify, and package one sup-type criterion."""
-    return _reports(profile.inner, horizon,
-                    [(profile, params, (profile.name,))])[0][0]
-
-
 def _reports(w: WeightSpec, horizon: int, jobs, ts=()) -> tuple[list, list]:
     """Sup reports and rw memberships of weight ``w`` from one pass.
 
@@ -859,11 +847,12 @@ def _continuity_profile(w: WeightSpec) -> SupProfile:
     )
 
 
-def _uw_profile(w: WeightSpec) -> SupProfile:
+def _uw_job(w: WeightSpec, horizon: int) -> tuple:
+    """The ``_reports`` job of the ``tail_mass_ratio`` report."""
     def den(ms: np.ndarray) -> np.ndarray:
         return np.log(ms.astype(float)) + w.log_eval(ms + 1)
 
-    return SupProfile(
+    return (SupProfile(
         name="tail_mass_ratio",
         inner=w,
         beta=1.0,
@@ -873,7 +862,7 @@ def _uw_profile(w: WeightSpec) -> SupProfile:
         lower=w.uw_lower,
         diverges=w.diverges_beta(1.0),
         diverges_note="the weight itself is not summable",
-    )
+    ), {"w": w.id, "horizon": int(horizon)}, ("tail_mass_ratio",))
 
 
 def _continuity_job(w: WeightSpec, horizon: int, names) -> tuple:
@@ -967,8 +956,7 @@ def uw_quantity(w: WeightSpec,
     A finite certified value bounds the normalized tail mass of the weight
     and feeds the averaging/ergodic layer.
     """
-    return evaluate_sup_profile(_uw_profile(w), horizon,
-                                {"w": w.id, "horizon": int(horizon)})
+    return _reports(w, horizon, [_uw_job(w, horizon)])[0][0]
 
 
 def scan_reports(w: WeightSpec, horizon: int, ts) -> tuple:
@@ -978,8 +966,7 @@ def scan_reports(w: WeightSpec, horizon: int, ts) -> tuple:
     w(n) n^(beta-1), so their rows share log w and the chunks."""
     reports, memberships = _reports(w, horizon, [
         _continuity_job(w, horizon, ("continuity", "compactness")),
-        (_uw_profile(w), {"w": w.id, "horizon": int(horizon)},
-         ("tail_mass_ratio",))], ts)
+        _uw_job(w, horizon)], ts)
     return (*reports, memberships)
 
 
@@ -987,22 +974,16 @@ def scan_reports(w: WeightSpec, horizon: int, ts) -> tuple:
 # exponent-set memberships and their boundary brackets
 
 
-def rw_membership(w: WeightSpec, t: float,
-                  horizon: int = DEFAULT_HORIZON) -> Verdict:
-    """Decide whether sum over n of n^t * w(n) is finite.
+def rw_memberships(w: WeightSpec, ts,
+                   horizon: int = DEFAULT_HORIZON) -> list:
+    """Decide, for every exponent t in ``ts``, whether sum over n of
+    n^t * w(n) is finite, from one streamed pass over the weight.
 
     Holds closes the series with a certified tail bound (or, for t < -1,
     with the certified sup of the weight); Fails uses the certified
     divergence metadata (minorants and family rules).  Without either the
     verdict is Inconclusive, however large the partial sum has grown.
     """
-    return rw_memberships(w, (t,), horizon)[0]
-
-
-def rw_memberships(w: WeightSpec, ts,
-                   horizon: int = DEFAULT_HORIZON) -> list:
-    """``rw_membership`` for every exponent in ``ts``, from one streamed
-    pass over the weight."""
     return _rw_verdicts(w, ts, horizon)
 
 
@@ -1045,18 +1026,6 @@ def _rw_verdict(w: WeightSpec, t: float, horizon: int,
         emp, horizon, ("no certificate in either direction at this horizon",))
 
 
-def sw1_membership(w: WeightSpec, s: float,
-                   horizon: int = DEFAULT_HORIZON) -> Verdict:
-    """Decide whether sup over n of 1/(n^s * w(n)) is finite.
-
-    Holds comes from a certified minorant constant c(s) with
-    w(n) >= c(s) n^-s (bound 1/c(s)); Fails from a certified diverging lower
-    envelope or, for certified rapidly decreasing weights, from the decay
-    class itself.
-    """
-    return _sw1_verdict(w, s, horizon, *_sw1_scan(w, horizon))
-
-
 def _sw1_scan(w: WeightSpec, horizon: int) -> tuple:
     """(scan grid, log n, log w(n)) at the scan indices of ``horizon``: what
     every sw1 verdict at this horizon reads of the weight."""
@@ -1068,7 +1037,14 @@ def _sw1_scan(w: WeightSpec, horizon: int) -> tuple:
 
 def _sw1_verdict(w: WeightSpec, s: float, horizon: int, scan: np.ndarray,
                  log_n: np.ndarray, log_w: np.ndarray) -> Verdict:
-    """The ``sw1_membership`` verdict at exponent s from ``_sw1_scan``."""
+    """Decide whether sup over n of 1/(n^s * w(n)) is finite, from
+    ``_sw1_scan``.
+
+    Holds comes from a certified minorant constant c(s) with
+    w(n) >= c(s) n^-s (bound 1/c(s)); Fails from a certified diverging lower
+    envelope or, for certified rapidly decreasing weights, from the decay
+    class itself.
+    """
     log_g = -s * log_n - log_w
     emp = float(np.max(_exp_clamped(log_g)))
 

@@ -33,9 +33,8 @@ from .sections import apply_power, cumulative_means
 __all__ = [
     "ErgodicError",
     "BudgetError",
+    "BudgetParseError",
     "IterateTrace",
-    "DEFAULT_WORK_BUDGET",
-    "work_budget",
     "kernel_bound_am",
     "iterate_trace",
     "cesaro_averages_trace",
@@ -45,8 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_WORK_BUDGET = 2_000_000_000
-#: burn-in before residual monotonicity is asserted by tests
-MONOTONE_BURN_IN = 10
 
 
 class ErgodicError(ValueError):
@@ -55,6 +52,10 @@ class ErgodicError(ValueError):
 
 class BudgetError(ErgodicError):
     """The requested work exceeds the configured budget."""
+
+
+class BudgetParseError(ErgodicError):
+    """CESARO_BUDGET is set to something other than a finite number."""
 
 
 def work_budget() -> int:
@@ -69,7 +70,7 @@ def work_budget() -> int:
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
-            raise ErgodicError(f"CESARO_BUDGET is not a number: {raw!r}")
+            raise BudgetParseError(f"CESARO_BUDGET is not a number: {raw!r}")
         return max(1, int(value))
     return DEFAULT_WORK_BUDGET
 
@@ -86,7 +87,9 @@ def kernel_bound_am(m: int) -> float:
     """The decreasing kernel majorant ((m-1)/e)^(m-1) / (m-1)!.
 
     Dominates every coordinate of the m-th iterate of any basis vector e_r
-    with r >= 2, after scaling by 1/(r-1).
+    with r >= 2, after scaling by 1/(r-1).  No command reads it yet: it is
+    the bound ``test_kernel_bound_dominates_entries`` checks against exact
+    kernel entries, kept for a power-bounded verdict.
     """
     if m < 1:
         raise ErgodicError("power must be >= 1")

@@ -37,8 +37,6 @@ __all__ = [
     "QC",
     "SectionError",
     "FiniteSection",
-    "DENSE_DIMENSION_CAP",
-    "RATIONAL_DIMENSION_CAP",
     "SIGMA_PROXIMITY_EPS",
     "distance_to_limit_set",
     "nearest_limit_point",
@@ -72,7 +70,11 @@ class SectionError(ValueError):
 
 @dataclass(frozen=True)
 class QC:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
+
+    The rational resolvent section returns its entries as QC, and the
+    benchmark's exact-iterate check recomputes R (C - lam I) = I with it.
+    """
 
     re: Fraction
     im: Fraction = Fraction(0)
@@ -95,9 +97,6 @@ class QC:
     def __sub__(self, other: "QC") -> "QC":
         return QC(self.re - other.re, self.im - other.im)
 
-    def __neg__(self) -> "QC":
-        return QC(-self.re, -self.im)
-
     def __mul__(self, other: "QC") -> "QC":
         return QC(self.re * other.re - self.im * other.im,
                   self.re * other.im + self.im * other.re)
@@ -108,9 +107,6 @@ class QC:
             raise ZeroDivisionError("division by exact complex zero")
         return QC((self.re * other.re + self.im * other.im) / d,
                   (self.im * other.re - self.re * other.im) / d)
-
-    def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -171,20 +167,13 @@ class FiniteSection:
 
     ``rows[n-1]`` holds the n entries of row n (columns 1..n).  Float-mode
     rows are numpy complex arrays; rational-mode rows are tuples of Fractions
-    or exact complex rationals.
+    or exact complex rationals; entries above the diagonal are zero and
+    not stored.  The benchmark reads ``N``, ``mode`` and ``rows``.
     """
 
     N: int
     mode: str
     rows: tuple
-
-    def entry(self, n: int, m: int):
-        """1-based entry accessor; zero above the diagonal."""
-        if not (1 <= n <= self.N and 1 <= m <= self.N):
-            raise IndexError("section index out of range")
-        if m > n:
-            return 0
-        return self.rows[n - 1][m - 1]
 
 
 def weighted_norm(coords: Sequence, w: WeightSpec) -> float:
@@ -193,6 +182,8 @@ def weighted_norm(coords: Sequence, w: WeightSpec) -> float:
     Each term is exp(log w(n) + log |x_n|), so weights far below float range
     cannot poison the sum, and huge exact coordinates are read without
     overflow.  A term or sum beyond the float range gives ``inf``.
+    An oracle: ``test_averages_rational_mode_exact`` holds the traced
+    average norms against it.
     """
     logs = {i: la for i, la in enumerate(map(_log_abs, coords), 1)
             if la != NEG_INF}
@@ -223,7 +214,11 @@ def _check_rational_dim(N: int, mode: str) -> None:
 
 
 def cesaro_section(N: int, mode: str = "rational") -> FiniteSection:
-    """The N-by-N averaging section: row n is n copies of 1/n."""
+    """The N-by-N averaging section: row n is n copies of 1/n.
+
+    An oracle: ``test_exact_algebra_suite`` multiplies it by the rational
+    resolvent section and must get the identity exactly.
+    """
     _check_mode(mode)
     if N < 1:
         raise SectionError("dimension must be >= 1")

@@ -39,7 +39,7 @@ from .criteria import (
     SupProfile,
     Verdict,
     Witness,
-    evaluate_sup_profile,
+    _reports,
     continuity_and_compactness,
     rw_memberships,
     s1_estimate,
@@ -51,25 +51,17 @@ from .sections import (
 )
 
 __all__ = [
-    "LABEL_POINT",
-    "LABEL_SPECTRUM",
-    "LABEL_RESOLVENT",
-    "LABEL_UNKNOWN",
-    "RULES",
-    "LABELS",
     "SpectralError",
     "SpectralClassification",
     "GridScan",
     "SpectralContext",
     "GridSpec",
     "build_context",
-    "reciprocal_real_part",
     "resolvent_condition",
     "point_spectrum",
     "classify_point",
     "region_scan",
     "scan_to_csv",
-    "distance_to_limit_set",
 ]
 
 LABEL_POINT = "PointSpectrum"
@@ -117,17 +109,6 @@ _RESCALE = 2.0 ** 600
 
 class SpectralError(ValueError):
     """Raised when an operation is evaluated at an excluded point."""
-
-
-def reciprocal_real_part(lam: complex) -> float:
-    """Re(1/lam), computed as Re(lam)/|lam|^2; lam must be nonzero.
-
-    The one-point case of ``_alphas``, the cascade's own computation.
-    """
-    z = complex(lam)
-    if z == 0:
-        raise SpectralError("the exponent Re(1/lam) is undefined at lam = 0")
-    return float(_alphas(np.array([z.real]), np.array([z.imag]))[0])
 
 
 def _alphas(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -269,18 +250,22 @@ def resolvent_condition(w: WeightSpec, lam: complex,
     The quantity scanned is sum_{n>m} w(n) n^(alpha-1) / (m^alpha w(m))
     with alpha = Re(1/lam); finiteness of its sup characterizes membership
     in the resolvent set for points off the candidate set.
+
+    The cascade never calls it: it is the full-scan oracle that
+    ``test_cascade_agrees_with_full_scan_reference`` holds the cascade's
+    resolvent verdicts against.
     """
     z = complex(lam)
     if distance_to_limit_set(z) <= eps:
         raise SpectralError(
             f"lam = {z} lies within {eps} of the excluded candidate set")
-    alpha = reciprocal_real_part(z)
+    alpha = float(_alphas(np.array([z.real]), np.array([z.imag]))[0])
     if not math.isfinite(alpha):
         raise SpectralError(
             f"the exponent Re(1/lam) = {alpha} at lam = {z} is not finite")
-    profile = _resolvent_profile(w, alpha)
     params = {"lambda_re": z.real, "lambda_im": z.imag, "alpha": alpha}
-    return evaluate_sup_profile(profile, horizon, params)
+    return _reports(w, horizon, [(_resolvent_profile(w, alpha), params,
+                                  ("resolvent_sup",))])[0][0]
 
 
 def _witness_log_ratios(w: WeightSpec, alphas: Sequence[float]) -> list:
@@ -636,15 +621,6 @@ class GridSpec:
         """The grid's real parts (nx of them) and imaginary parts (ny)."""
         return (np.linspace(self.re0, self.re1, self.nx),
                 np.linspace(self.im0, self.im1, self.ny))
-
-    def node_arrays(self) -> tuple:
-        """Real and imaginary parts of the nodes, row-major over im then re."""
-        res, ims = self.axes()
-        return np.tile(res, self.ny), np.repeat(ims, self.nx)
-
-    def nodes(self) -> list:
-        re, im = self.node_arrays()
-        return [complex(r, i) for r, i in zip(re.tolist(), im.tolist())]
 
 
 def region_scan(w: WeightSpec, grid: GridSpec,

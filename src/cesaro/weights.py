@@ -191,6 +191,7 @@ class WeightSpec:
         An array is evaluated ``_EVAL_BLOCK`` indices at a time into one
         float output.  Evaluators are elementwise and keep no history, so
         the blocks give the same bits as one call on the whole array.
+        The benchmark's tracer wraps this method by name.
         """
         if isinstance(n, np.ndarray):
             if n.size and n.min() < 1:
@@ -212,7 +213,8 @@ class WeightSpec:
         """Certified log upper bound for sum_{n>=m} w(n) n^(beta-1), or None.
 
         The one place a tail is composed: ``_closed_tail`` covers n >= start
-        and the terms over [m, start) are summed exactly.
+        and the terms over [m, start) are summed exactly.  The benchmark's
+        tracer wraps this method by name.
         """
         if m < 1:
             raise ValueError("tail start must be >= 1")
@@ -234,7 +236,8 @@ class WeightSpec:
         return None
 
     def _bridge(self, m: int, stop: int, beta: float) -> float:
-        """Exact log sum of terms for n in [m, stop)."""
+        """Exact log sum of terms for n in [m, stop): the sound path of
+        ``log_tail`` when a tail supplier starts after m."""
         ns = np.arange(m, stop, dtype=np.int64)
         logs = self.log_eval(ns) + (beta - 1.0) * np.log(ns.astype(float))
         return _logsumexp(logs.tolist())
@@ -254,18 +257,6 @@ class WeightSpec:
             return None
         start = max(m, self.decreasing_from, 2)
         return start, self.log_eval(start) + _log_pseries_tail(start, -beta)
-
-    def tail_majorant(self, m: int, beta: float) -> Optional[float]:
-        """Linear-domain certified tail bound (rounded up; never unsound)."""
-        lv = self.log_tail(m, beta)
-        if lv is None:
-            return None
-        if lv == float("inf"):
-            return float("inf")
-        out = math.exp(lv) * (1.0 + 1e-12)
-        if out == 0.0:
-            out = 5e-324
-        return out
 
     # -- divergence / minorants ---------------------------------------------
 

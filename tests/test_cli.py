@@ -13,6 +13,7 @@ import json
 import math
 import pathlib
 import tempfile
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -747,13 +748,6 @@ def test_iterate_budget_counts_requested_work(capsys, monkeypatch, averages):
 # run configuration plumbing
 
 
-def test_run_config_round_trip():
-    config = RunConfig(command="spectrum", weight="poly:alpha=2",
-                       horizon=10 ** 5, grid=(0.0, 1.0, -0.5, 0.5, 10, 20),
-                       m_max=6)
-    assert RunConfig.from_json_dict(config.to_json_dict()) == config
-
-
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(command="analyze", weight="poly:alpha=2", horizon=0)
@@ -780,6 +774,35 @@ def test_spectrum_rejects_non_finite_grid(capsys):
                  *FAST])
     assert code == EXIT_PARSE
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0,inf,0,1,2,2", "0,1,-inf,1,2,2",
+                                  "0,1,0,nan,2,2"])
+def test_spectrum_bad_grid_fails_before_any_scan(capsys, monkeypatch, grid):
+    # the grid bounds are checked while parsing: no context is built, no
+    # numpy warning is printed, and the exit code is the parse error's
+    built = []
+    monkeypatch.setattr(cli.spectral, "build_context",
+                        lambda *args, **kwargs: built.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["spectrum", "-w", "poly:alpha=2", f"--grid={grid}",
+                     *FAST])
+    assert code == EXIT_PARSE
+    assert built == []
+    assert "grid bounds must be finite" in capsys.readouterr().err
+
+
+def test_error_after_parsing_is_not_a_parse_error(monkeypatch):
+    # exit 2 means the input did not parse; an error raised while the
+    # command runs propagates, so the interpreter exits 1 with a traceback
+    def broken(*args, **kwargs):
+        raise cli.spectral.SpectralError("defect in the cascade")
+
+    monkeypatch.setattr(cli.spectral, "region_scan", broken)
+    with pytest.raises(cli.spectral.SpectralError, match="defect"):
+        main(["spectrum", "-w", "poly:alpha=2", "--grid=0,1,0,0,2,1",
+              *FAST])
 
 
 def test_parse_grid_accepts_default_shape():

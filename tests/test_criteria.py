@@ -23,16 +23,20 @@ from cesaro.criteria import (
     continuity_and_compactness,
     continuity_criterion,
     ratio_limsup_test,
-    rw_membership,
     rw_memberships,
     s1_estimate,
     scan_reports,
-    sw1_membership,
     t0_estimate,
     uw_quantity,
 )
 
 HORIZONS = (10 ** 4, 10 ** 5, 10 ** 6)
+
+
+def sw1_verdict(w, s, horizon=criteria.DEFAULT_HORIZON):
+    """The verdict of one s1 probe at exponent s, as s1_estimate runs it."""
+    return criteria._sw1_verdict(w, s, horizon,
+                                 *criteria._sw1_scan(w, horizon))
 
 
 def empirical_continuity(w, n, horizon=10 ** 6):
@@ -91,7 +95,7 @@ def test_continuity_samples_recomputable(poly2):
     sandwiched between a bare partial recomputation and partial + tail."""
     horizon = 10 ** 5
     report = continuity_criterion(poly2, horizon=horizon)
-    closure = poly2.tail_majorant(horizon + 1, 0.0)
+    closure = math.exp(poly2.log_tail(horizon + 1, 0.0) + 1e-12)
     for n, value in report.samples[:12]:
         partial = empirical_continuity(poly2, n, horizon)
         ceiling = partial + closure / math.exp(poly2.log_eval(n))
@@ -226,14 +230,14 @@ def test_uw_poly2_bound(poly2):
 
 
 def test_rw_membership_poly2(poly2):
-    assert rw_membership(poly2, 0.5).is_holds
-    assert rw_membership(poly2, 1.0).is_fails
-    assert rw_membership(poly2, -3.0).is_holds
+    assert rw_memberships(poly2, [0.5])[0].is_holds
+    assert rw_memberships(poly2, [1.0])[0].is_fails
+    assert rw_memberships(poly2, [-3.0])[0].is_holds
 
 
 def test_rw_membership_block413(block413a2):
-    assert rw_membership(block413a2, 1.0).is_fails
-    assert rw_membership(block413a2, -0.5).is_holds
+    assert rw_memberships(block413a2, [1.0])[0].is_fails
+    assert rw_memberships(block413a2, [-0.5])[0].is_holds
 
 
 def test_t0_poly2(poly2):
@@ -267,7 +271,7 @@ def test_nan_sup_bound_is_not_certified():
     # a NaN sup must be refused, not reported as a NaN certified bound
     w = custom_weight("n^-2", lambda n: -2.0 * math.log(n),
                       log_sup_bound=float("nan"))
-    v = rw_membership(w, -2.0)
+    v = rw_memberships(w, [-2.0])[0]
     assert not v.is_holds
     assert v.notes[-1] == ("scan contradicts the declared weight sup; "
                            "refusing to certify")
@@ -280,7 +284,7 @@ def test_table_certifies_no_sup_past_its_last_row(tmp_path):
     path.write_text("".join(f"{n} {2.0 * math.log(n)!r}\n"
                             for n in range(1, 101)))
     w = load_weight_table(str(path))
-    assert rw_membership(w, -2.0, horizon=99).is_inconclusive
+    assert rw_memberships(w, [-2.0], horizon=99)[0].is_inconclusive
     assert t0_estimate(w, horizon=99).kind == "inconclusive"
 
 
@@ -306,7 +310,7 @@ def test_sup_envelope_refusals(monkeypatch, valid_from, bridge_cap, note):
 
 def test_sw1_rapid_decay_forces_divergence():
     w = build_compact_minorant(parse_weight("poly:alpha=2"))
-    v = sw1_membership(w, 1.0, horizon=1000)
+    v = sw1_verdict(w, 1.0, horizon=1000)
     assert v.is_fails
     assert (v.witness.kind, v.witness.index) == ("sup-exceeds", 11)
     assert v.notes == ("certified rapid decay forces divergence",)
@@ -324,8 +328,8 @@ def test_t0_loggamma2(loggamma2):
 
 
 def test_sw1_poly2(poly2):
-    assert sw1_membership(poly2, 2.5).is_holds
-    assert sw1_membership(poly2, 1.5).is_fails
+    assert sw1_verdict(poly2, 2.5).is_holds
+    assert sw1_verdict(poly2, 1.5).is_fails
     b = s1_estimate(poly2)
     assert b.kind == "bracket"
     assert b.member_side == "hi"
@@ -346,7 +350,7 @@ def test_s1_block413_open(block413a2):
     assert b.lo <= 1.0 + 1e-9
     assert b.hi >= 1.0 - 2e-3
     # membership is open at the boundary: s = 1 itself is not certified
-    assert not sw1_membership(block413a2, 1.0).is_holds
+    assert not sw1_verdict(block413a2, 1.0).is_holds
 
 
 def test_s1_superfact_empty(superfact):
@@ -489,12 +493,38 @@ def test_rw_memberships_match_one_at_a_time(spike, poly2):
     for w in (spike, poly2):
         ts = [-3.0, -0.5, 0.0, 0.5, 1.0, 2.0]
         batch = rw_memberships(w, ts, horizon)
-        assert batch == [rw_membership(w, t, horizon) for t in ts]
+        assert batch == [rw_memberships(w, [t], horizon)[0] for t in ts]
         ns = np.arange(1, horizon + 1, dtype=np.int64)
         for t, v in zip(ts, batch):
             lt = w.log_eval(ns) + t * np.log(ns.astype(float))
             assert math.log(v.empirical_sup) == pytest.approx(
                 _fsum_log(lt), abs=1e-12)
+
+
+#: one weight per catalog family, at the catalog's default parameters
+DEFAULT_WEIGHTS = ("poly:alpha=2", "loggamma:gamma=2", "geom:r=0.5",
+                   "superfact", "factorial:a=1", "expbeta:beta=0.5",
+                   "explog:gamma=2", "spike", "block313", "block413:alpha=2")
+
+
+def test_certified_kinds_agree_across_horizons():
+    """A certified verdict is a fact about the weight, not about the scan:
+    continuity, compactness, uw and 20 moment rows may go Inconclusive at
+    one horizon, but never flip between Holds and Fails."""
+    certified = 0
+    for spec in DEFAULT_WEIGHTS:
+        w = parse_weight(spec)
+        kinds = []
+        for horizon in (10 ** 3, 10 ** 4, 10 ** 5):
+            *reports, rows = scan_reports(w, horizon, range(20))
+            kinds.append([r.verdict.kind for r in reports]
+                         + [v.kind for v in rows])
+        for index, row in enumerate(zip(*kinds)):
+            decided = set(row) - {"Inconclusive"}
+            assert len(decided) <= 1, (spec, index, row)
+            certified += bool(decided)
+    # 188 of the 230 rows are certified at one horizon or more
+    assert certified >= 188
 
 
 @pytest.mark.parametrize("horizon", [10 ** 5, 2 ** 19 + 1])
@@ -591,7 +621,7 @@ def test_t0_estimate_matches_probing_one_at_a_time(spec):
     ceiling = criteria.PROBE_CEILING
 
     def member(t):
-        return rw_membership(w, t, criteria.ESTIMATE_HORIZON)
+        return rw_memberships(w, [t], criteria.ESTIMATE_HORIZON)[0]
 
     b = t0_estimate(w)
     if w.rapidly_decreasing:
@@ -609,7 +639,7 @@ def test_s1_estimate_matches_probing_one_at_a_time(spec):
     ceiling = criteria.PROBE_CEILING
 
     def member(s):
-        return sw1_membership(w, s, criteria.ESTIMATE_HORIZON)
+        return sw1_verdict(w, s, criteria.ESTIMATE_HORIZON)
 
     b = s1_estimate(w)
     if w.rapidly_decreasing:
@@ -700,7 +730,7 @@ def test_t0_estimate_over_several_chunks(monkeypatch, log_eval_terms, spec):
     ladder = tuple(x for x in criteria._T_LADDER
                    if x < criteria.PROBE_CEILING) + (criteria.PROBE_CEILING,)
     _assert_probed_one_at_a_time(
-        b, lambda t: rw_membership(w, t, horizon), ladder, "lo")
+        b, lambda t: rw_memberships(w, [t], horizon)[0], ladder, "lo")
 
 
 @pytest.mark.parametrize("estimate", [t0_estimate, s1_estimate])

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from cesaro import ergodic
 from cesaro.ergodic import (
-    MONOTONE_BURN_IN,
     BudgetError,
     ErgodicError,
     IterateTrace,
@@ -34,6 +33,9 @@ from cesaro.ergodic import (
 )
 from cesaro.sections import apply_power, kernel_power_entry, weighted_norm
 from cesaro.weights import catalog_weight, custom_weight, parse_weight
+
+#: burn-in before the residuals of a trace must be monotone
+MONOTONE_BURN_IN = 10
 
 
 def basis(k: int, N: int) -> list:

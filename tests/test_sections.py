@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesaro import ergodic
-from cesaro.criteria import continuity_criterion
+from cesaro.criteria import continuity_criterion, rw_memberships
 from cesaro.ergodic import cesaro_averages_trace, iterate_trace, trace_to_csv
 from cesaro.sections import (
     QC,
@@ -44,14 +44,12 @@ from cesaro.weights import parse_weight
 
 
 def section_matrix(section: FiniteSection) -> np.ndarray:
-    """Dense complex matrix of a section, via the public entry accessor."""
+    """Dense complex matrix of a section, from its stored rows."""
     N = section.N
     out = np.zeros((N, N), dtype=complex)
-    for n in range(1, N + 1):
-        for m in range(1, n + 1):
-            z = section.entry(n, m)
-            out[n - 1, m - 1] = z.to_complex() if isinstance(z, QC) \
-                else complex(z)
+    for n, row in enumerate(section.rows):
+        for m, z in enumerate(row):
+            out[n, m] = z.to_complex() if isinstance(z, QC) else complex(z)
     return out
 
 
@@ -62,36 +60,25 @@ def section_matrix(section: FiniteSection) -> np.ndarray:
 def test_cesaro_section_smallest():
     sec = cesaro_section(1)
     assert sec.N == 1
-    assert sec.entry(1, 1) == Fraction(1)
+    assert sec.rows == ((Fraction(1),),)
 
 
 def test_cesaro_section_row_three():
     sec = cesaro_section(3)
-    assert [sec.entry(3, k) for k in (1, 2, 3)] == [Fraction(1, 3)] * 3
-    assert sec.entry(1, 2) == 0
-    assert sec.entry(2, 3) == 0
+    assert list(sec.rows[2]) == [Fraction(1, 3)] * 3
+    assert [len(row) for row in sec.rows] == [1, 2, 3]
 
 
 def test_cesaro_section_fixes_constant_vector():
     sec = cesaro_section(12)
     for n in range(1, 13):
-        assert sum(sec.entry(n, k) for k in range(1, n + 1)) == Fraction(1)
+        assert sum(sec.rows[n - 1]) == Fraction(1)
 
 
 def test_cesaro_section_float_mode():
     sec = cesaro_section(5, mode="float")
-    assert sec.entry(4, 2) == pytest.approx(0.25)
+    assert sec.rows[3][1] == pytest.approx(0.25)
     assert isinstance(sec.rows[3], np.ndarray)
-
-
-def test_entry_bounds_checked():
-    sec = cesaro_section(4)
-    with pytest.raises(IndexError):
-        sec.entry(0, 1)
-    with pytest.raises(IndexError):
-        sec.entry(1, 5)
-    with pytest.raises(IndexError):
-        sec.entry(5, 1)
 
 
 def test_section_rejects_bad_dimension_and_mode():
@@ -363,7 +350,7 @@ def test_weighted_norm_skips_zeros_and_survives_huge_entries(poly2, superfact):
 
 
 # ---------------------------------------------------------------------------
-# exact column sums: a lower bound on the operator norm
+# exact column and moment sums against the float engine
 
 
 #: rational weights, each given exactly as a function of n
@@ -399,21 +386,43 @@ def test_exact_column_sums_stay_below_continuity_bounds(spec):
     assert truncated > 1
 
 
+#: the kinds of the moment rows t = 0, 1, 2 (eigenvalues 1, 1/2, 1/3)
+EXACT_MOMENT_KINDS = {
+    "poly:alpha=2": ("Holds", "Fails", "Fails"),
+    "poly:alpha=3": ("Holds", "Holds", "Fails"),
+    "geom:r=0.5": ("Holds", "Holds", "Holds"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(EXACT_MOMENT_KINDS))
+def test_exact_moment_sums_against_membership_rows(spec):
+    # each membership verdict reads the float partial sum of n^t w(n)
+    # through the horizon, and a Holds closes it with a certified tail: the
+    # exact partial sum must match the one and stay below the other
+    w, horizon, ts = EXACT_WEIGHTS[spec], 300, (0, 1, 2)
+    verdicts = rw_memberships(parse_weight(spec), ts, horizon)
+    assert tuple(v.kind for v in verdicts) == EXACT_MOMENT_KINDS[spec]
+    for t, verdict in zip(ts, verdicts):
+        exact = sum(n ** t * w(n) for n in range(1, horizon + 1))
+        error = abs(Fraction(verdict.empirical_sup) - exact)
+        assert error <= exact * Fraction(1e-12)
+        if verdict.is_holds:
+            assert exact <= Fraction(verdict.certified_bound)
+
+
 # ---------------------------------------------------------------------------
 # resolvent sections
 
 
 def test_resolvent_two_by_two_hand_inverse():
     sec = resolvent_section(Fraction(2), 2, mode="rational")
-    assert sec.entry(1, 1) == QC(Fraction(-1))
-    assert sec.entry(1, 2) == 0
-    assert sec.entry(2, 1) == QC(Fraction(-1, 3))
-    assert sec.entry(2, 2) == QC(Fraction(-2, 3))
+    assert sec.rows == ((QC(Fraction(-1)),),
+                        (QC(Fraction(-1, 3)), QC(Fraction(-2, 3))))
 
 
 def test_resolvent_one_by_one():
     sec = resolvent_section(Fraction(-1), 1, mode="rational")
-    assert sec.entry(1, 1) == QC(Fraction(1, 2))
+    assert sec.rows == ((QC(Fraction(1, 2)),),)
 
 
 def test_resolvent_rejects_excluded_points():
@@ -437,9 +446,9 @@ def test_resolvent_rational_identity_exact():
             for k in range(1, N + 1):
                 acc = QC(Fraction(0))
                 for j in range(k, n + 1):
-                    centry = QC.from_number(ces.entry(n, j)) \
+                    centry = QC.from_number(ces.rows[n - 1][j - 1]) \
                         - lam_q * QC.from_number(1 if n == j else 0)
-                    acc = acc + centry * QC.from_number(res.entry(j, k))
+                    acc = acc + centry * QC.from_number(res.rows[j - 1][k - 1])
                 target = QC(Fraction(1 if n == k else 0))
                 assert (acc - target).is_zero
 
@@ -568,16 +577,13 @@ def test_dual_eigenvector_complex_and_float_agree():
 
 def test_shifted_inverse_hand_matrices():
     A, B = shifted_inverse_section(2)
-    assert [[A.entry(n, k) for k in (1, 2)] for n in (1, 2)] == \
-        [[Fraction(1, 2), 0], [Fraction(-1, 3), Fraction(2, 3)]]
-    assert [[B.entry(n, k) for k in (1, 2)] for n in (1, 2)] == \
-        [[Fraction(2), 0], [Fraction(1), Fraction(3, 2)]]
+    assert A.rows == ((Fraction(1, 2),), (Fraction(-1, 3), Fraction(2, 3)))
+    assert B.rows == ((Fraction(2),), (Fraction(1), Fraction(3, 2)))
 
 
 def test_shifted_inverse_third_row():
     _, B = shifted_inverse_section(3)
-    assert [B.entry(3, k) for k in (1, 2, 3)] == \
-        [Fraction(1), Fraction(1, 2), Fraction(4, 3)]
+    assert list(B.rows[2]) == [Fraction(1), Fraction(1, 2), Fraction(4, 3)]
 
 
 def test_shifted_inverse_product_is_identity():
@@ -585,8 +591,10 @@ def test_shifted_inverse_product_is_identity():
     A, B = shifted_inverse_section(N)
     for n in range(1, N + 1):
         for k in range(1, n + 1):
-            ab = sum(A.entry(n, j) * B.entry(j, k) for j in range(k, n + 1))
-            ba = sum(B.entry(n, j) * A.entry(j, k) for j in range(k, n + 1))
+            ab = sum(A.rows[n - 1][j - 1] * B.rows[j - 1][k - 1]
+                     for j in range(k, n + 1))
+            ba = sum(B.rows[n - 1][j - 1] * A.rows[j - 1][k - 1]
+                     for j in range(k, n + 1))
             target = Fraction(1 if n == k else 0)
             assert ab == target and ba == target
 
@@ -595,7 +603,7 @@ def test_shifted_operator_on_constant_vector():
     N = 25
     A, _ = shifted_inverse_section(N)
     for n in range(1, N + 1):
-        image = sum(A.entry(n, k) for k in range(1, n + 1))
+        image = sum(A.rows[n - 1])
         assert image == Fraction(1, n + 1)
 
 
@@ -627,10 +635,10 @@ def test_leading_blocks_match_smaller_sections():
 def test_triangularity_of_all_tags():
     sections = [cesaro_section(8), resolvent_section(2.0, 8),
                 *shifted_inverse_section(8)]
+    # row n stores columns 1..n only: every entry above the diagonal is 0
     for sec in sections:
-        for n in range(1, 9):
-            for k in range(n + 1, 9):
-                assert sec.entry(n, k) == 0
+        assert sec.N == 8
+        assert [len(row) for row in sec.rows] == list(range(1, 9))
 
 
 NORMALIZED_PRODUCT_RATIOS = {

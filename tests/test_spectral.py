@@ -45,13 +45,26 @@ from cesaro.spectral import (
     build_context,
     classify_point,
     point_spectrum,
-    reciprocal_real_part,
     region_scan,
     resolvent_condition,
     scan_to_csv,
 )
 
 HORIZON = 10 ** 5
+
+
+def grid_nodes(grid):
+    """The grid's nodes in the documented order: row-major over im, then
+    re, each axis evenly spaced from its first bound to its last."""
+    res = np.linspace(grid.re0, grid.re1, grid.nx).tolist()
+    ims = np.linspace(grid.im0, grid.im1, grid.ny).tolist()
+    return [complex(x, y) for y in ims for x in res]
+
+
+def alpha_of(lam):
+    """Re(1/lam) as the cascade computes it; NaN at lam = 0."""
+    z = complex(lam)
+    return float(spectral._alphas(np.array([z.real]), np.array([z.imag]))[0])
 
 
 @pytest.fixture(scope="module")
@@ -420,7 +433,7 @@ def test_region_scan_pinned_bytes(spec, grid, digest):
     rows = region_scan(w, grid, ctx)
     assert hashlib.sha256(scan_to_csv(rows).encode()).hexdigest() == digest
     # the one-point call runs the same cascade
-    assert rows == [classify_point(w, z, ctx) for z in grid.nodes()]
+    assert rows == [classify_point(w, z, ctx) for z in grid_nodes(grid)]
 
 
 def test_full_resolvent_rule_once_per_distinct_alpha(monkeypatch, poly2,
@@ -441,7 +454,7 @@ def test_full_resolvent_rule_once_per_distinct_alpha(monkeypatch, poly2,
                                                      RULE_NONE)}
     assert full_scans == []
     assert alphas and sorted(handed) == sorted(alphas)
-    assert rows == [classify_point(poly2, z, ctx_poly2) for z in grid.nodes()]
+    assert rows == [classify_point(poly2, z, ctx_poly2) for z in grid_nodes(grid)]
 
 
 def test_heuristic_growth_is_not_a_spectrum_certificate():
@@ -624,7 +637,7 @@ def small_grids(draw):
          grid=GridSpec(-1.1125369292536007e-308, 0.0, -0.5, 0.5, 1, 3))
 def test_scan_to_csv_matches_per_row_rendering(spec, grid):
     w, ctx = reference_context(spec)
-    rows = [classify_point(w, z, ctx) for z in grid.nodes()]
+    rows = [classify_point(w, z, ctx) for z in grid_nodes(grid)]
     assert scan_to_csv(region_scan(w, grid, ctx)) == reference_csv(rows)
 
 
@@ -649,7 +662,7 @@ def test_reciprocal_real_part_below_normal_squares(re, im):
     assume((re != 0.0 or im != 0.0) and re * re + im * im < sys.float_info.min)
     x, y = Fraction(re), Fraction(im)
     exact = x / (x * x + y * y)
-    got, want = reciprocal_real_part(complex(re, im)), correctly_rounded(exact)
+    got, want = alpha_of(complex(re, im)), correctly_rounded(exact)
     if math.isinf(got) or math.isinf(want):
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
         assert abs(exact) >= Fraction(sys.float_info.max) * (
@@ -659,11 +672,13 @@ def test_reciprocal_real_part_below_normal_squares(re, im):
 
 
 def test_resolvent_condition_rejects_infinite_exponent(poly2):
-    assert reciprocal_real_part(5e-324) == math.inf
+    assert alpha_of(5e-324) == math.inf
     with pytest.raises(SpectralError, match="not finite"):
         resolvent_condition(poly2, 5e-324, eps=0.0)
-    with pytest.raises(SpectralError, match="undefined at lam = 0"):
-        reciprocal_real_part(0j)
+    # at lam = 0 the exponent is undefined, and 0 is in the candidate set
+    assert math.isnan(alpha_of(0j))
+    with pytest.raises(SpectralError, match="excluded candidate set"):
+        resolvent_condition(poly2, 0j, eps=0.0)
 
 
 @pytest.mark.parametrize("spec", REFERENCE_FAMILIES)
@@ -678,14 +693,14 @@ def test_subnormal_grid_scan_is_quiet(spec):
         warnings.simplefilter("error")
         scan = region_scan(w, grid, ctx)
         text = scan_to_csv(scan)
-        rows = [classify_point(w, z, ctx) for z in grid.nodes()]
+        rows = [classify_point(w, z, ctx) for z in grid_nodes(grid)]
     assert text == reference_csv(rows)
-    for z, row in zip(grid.nodes(), scan):
+    for z, row in zip(grid_nodes(grid), scan):
         if z == 0:
             assert row.rule_id == (RULE_SIGMA0 if ctx.continuity.verdict
                                    .is_holds else RULE_NONE)
             continue
-        assert row.alpha == reciprocal_real_part(z)
+        assert row.alpha == alpha_of(z)
         assert math.isinf(row.alpha) or z.real == 0.0
         if math.isinf(row.alpha):
             assert row.rule_id != RULE_RESOLVENT
@@ -710,7 +725,7 @@ def test_grid_scan_sequence_contract(poly2, ctx_poly2):
     assert list(empty) == [] and scan_to_csv(empty) == reference_csv([])
     grid = GridSpec(0.0, 1.0, -0.2, 0.2, 5, 3)  # 0, 1/4, 1/2, 1, disk
     scan = region_scan(poly2, grid, ctx_poly2)
-    rows = [classify_point(poly2, z, ctx_poly2) for z in grid.nodes()]
+    rows = [classify_point(poly2, z, ctx_poly2) for z in grid_nodes(grid)]
     assert isinstance(scan, GridScan)
     assert isinstance(scan, collections.abc.Sequence)
     assert len(scan) == len(rows) == 15

@@ -454,7 +454,8 @@ def test_full_resolvent_rule_once_per_distinct_alpha(monkeypatch, poly2,
                                                      RULE_NONE)}
     assert full_scans == []
     assert alphas and sorted(handed) == sorted(alphas)
-    assert rows == [classify_point(poly2, z, ctx_poly2) for z in grid_nodes(grid)]
+    assert rows == [classify_point(poly2, z, ctx_poly2)
+                    for z in grid_nodes(grid)]
 
 
 def test_heuristic_growth_is_not_a_spectrum_certificate():

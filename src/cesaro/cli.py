@@ -271,11 +271,13 @@ def cmd_spectrum(config: RunConfig) -> int:
 def cmd_iterate(config: RunConfig) -> int:
     """Trace norms and residuals of iterates (or running averages)."""
     w = parse_weight(config.weight)
-    probe_id, vec = _build_probe(config.probe, config.N, config.seed)
+    N, clamp = table_horizon(w, config.N, "iterate")
+    probe_id, vec = _build_probe(config.probe, N, config.seed)
     tracer = ergodic.cesaro_averages_trace if config.averages \
         else ergodic.iterate_trace
-    trace = tracer(w, vec, config.M, config.N, probe_id=probe_id,
-                   mode=config.mode)
+    trace = tracer(w, vec, config.M, N, probe_id=probe_id, mode=config.mode)
+    if clamp:
+        trace = replace(trace, notes=clamp + trace.notes)
     _emit(ergodic.trace_to_csv(trace), config.out)
     if config.out is not None:
         Path(config.out).with_suffix(".json").write_text(
@@ -317,11 +319,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "the averaging operator on weighted summable sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, weight=True):
-        if weight:
-            p.add_argument("-w", "--weight", required=True,
-                           help="weight grammar, e.g. poly:alpha=2 or "
-                                "custom:path=FILE")
+    def add_common(p):
+        p.add_argument("-w", "--weight", required=True,
+                       help="weight grammar, e.g. poly:alpha=2 or "
+                            "custom:path=FILE")
         p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
                        help="criteria scan horizon (default 10^6)")
         p.add_argument("--out", default=None, help="output path")

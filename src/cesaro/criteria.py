@@ -119,6 +119,8 @@ _TAIL_BLOCK = 1 << 12
 #: exp(x) is exactly 0.0 for every x below -745.1332...; below this bound the
 #: suffix kernel writes the 0.0 itself
 _EXP_DEAD = -746.0
+#: a report keeps about this many evenly spaced scan samples
+_SAMPLE_CAP = 400
 #: when rapid decay certifies that 1/(n^s w(n)) is unbounded, the witness is
 #: the first scanned value this many times the value at index 1
 DIVERGENCE_FACTOR = 1.0e6
@@ -313,7 +315,7 @@ def scan_indices(horizon: int) -> np.ndarray:
 
 
 def _segment_log_sums(buf: np.ndarray, starts: np.ndarray,
-                      live: Optional[int] = None) -> np.ndarray:
+                      live: int) -> np.ndarray:
     """log of sum(exp(buf[a:b])) for each segment [starts[i], starts[i+1]).
 
     Each segment is shifted by its own maximum before exponentiating, so no
@@ -330,10 +332,11 @@ def _segment_log_sums(buf: np.ndarray, starts: np.ndarray,
     ``live`` says that ``buf[:live]`` holds the terms and, for one segment,
     that every term past it is known to be dead after the shift: only the
     head is shifted and exponentiated, and the rest is written as 0.0.
+    With ``live`` = ``buf.size`` every term is live.
     """
     if starts.size == buf.size:  # one term per segment: nothing to reduce
         return buf
-    head = buf if live is None else buf[:live]
+    head = buf[:live]
     with np.errstate(invalid="ignore", divide="ignore"):
         shift = np.maximum.reduceat(head, starts)
         shift[~np.isfinite(shift)] = 0.0
@@ -571,14 +574,14 @@ def _run_rows(jobs: list, shared: tuple, scratch: list) -> list:
 class SupProfile:
     """One sup-type criterion: quantity(m) = inner-series(m) / denominator(m).
 
-    The inner series sums ``inner(n) * n**(beta-1)`` for n from
-    ``m + start_offset`` to infinity; ``log_denominator`` maps an index array
-    to log-denominators.  ``envelope``/``lower``/``diverges`` carry the
-    weight's certified metadata for this quantity.
+    The inner series sums ``w(n) * n**(beta-1)`` for n from
+    ``m + start_offset`` to infinity, w the weight the profile is scanned
+    with; ``log_denominator`` maps an index array to log-denominators.
+    ``envelope``/``lower``/``diverges`` carry the weight's certified
+    metadata for this quantity.
     """
 
     name: str
-    inner: WeightSpec
     beta: float
     start_offset: int
     log_denominator: Callable[[np.ndarray], np.ndarray]
@@ -625,7 +628,7 @@ def _scan_sup_quantities(w: WeightSpec, profiles, betas,
         den_log = np.asarray(p.log_denominator(scan), dtype=float)
         partial_log = suffix_log - den_log
         partial_log = np.where(np.isnan(partial_log), NEG_INF, partial_log)
-        tail_log = p.inner.log_tail(horizon + 1, p.beta)
+        tail_log = w.log_tail(horizon + 1, p.beta)
         if tail_log is not None and tail_log < float("inf"):
             closed_log = np.logaddexp(suffix_log, tail_log) - den_log
             closed_log = np.where(np.isnan(closed_log), NEG_INF, closed_log)
@@ -738,7 +741,7 @@ def _certify(bound: float, emp: float, horizon: int, notes,
 
 
 def _sup_verdict(profile: SupProfile, data: _ScanData, horizon: int,
-                 vanishing: bool = False) -> tuple[Verdict, np.ndarray]:
+                 vanishing: bool) -> tuple[Verdict, np.ndarray]:
     """Classify the supremum of one scanned quantity, or with ``vanishing``
     whether it tends to zero.
 
@@ -785,10 +788,10 @@ def _sup_verdict(profile: SupProfile, data: _ScanData, horizon: int,
     return verdict, used
 
 
-def _thin_samples(scan: np.ndarray, log_vals: np.ndarray, cap: int = 400):
+def _thin_samples(scan: np.ndarray, log_vals: np.ndarray):
     n = len(scan)
     keep = {0, n - 1, int(np.argmax(log_vals))}
-    step = max(1, n // cap)
+    step = max(1, n // _SAMPLE_CAP)
     keep.update(range(0, n, step))
     return tuple((int(scan[i]), float(_exp_clamped_scalar(float(log_vals[i]))))
                  for i in sorted(keep))
@@ -806,24 +809,22 @@ def _reports(w: WeightSpec, horizon: int, jobs, ts=()) -> tuple[list, list]:
     ts = [float(t) for t in ts]
     data, totals = _scan_sup_quantities(w, [job[0] for job in jobs],
                                         [t + 1.0 for t in ts], horizon)
-    return ([_sup_report(profile, d, horizon, params, name,
-                         name == "compactness")
+    return ([_sup_report(w, profile, d, horizon, params, name)
              for (profile, params, names), d in zip(jobs, data)
              for name in names],
             [_rw_verdict(w, t, horizon, total)
              for t, total in zip(ts, totals)])
 
 
-def _sup_report(profile: SupProfile, data: _ScanData, horizon: int,
-                params: Optional[dict], name: Optional[str] = None,
-                vanishing: bool = False) -> CriterionReport:
-    verdict, used_log = _sup_verdict(profile, data, horizon, vanishing)
+def _sup_report(w: WeightSpec, profile: SupProfile, data: _ScanData,
+                horizon: int, params: dict, name: str) -> CriterionReport:
+    verdict, used_log = _sup_verdict(profile, data, horizon,
+                                     name == "compactness")
     samples = _thin_samples(data.scan, used_log)
-    p = dict(params or {})
-    p.setdefault("weight", profile.inner.id)
+    p = dict(params)
+    p.setdefault("weight", w.id)
     p.setdefault("horizon", int(horizon))
-    return CriterionReport(name or profile.name, p, verdict, samples,
-                           int(horizon))
+    return CriterionReport(name, p, verdict, samples, int(horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +837,6 @@ def _continuity_profile(w: WeightSpec) -> SupProfile:
 
     return SupProfile(
         name="continuity",
-        inner=w,
         beta=0.0,
         start_offset=0,
         log_denominator=den,
@@ -854,7 +854,6 @@ def _uw_job(w: WeightSpec, horizon: int) -> tuple:
 
     return (SupProfile(
         name="tail_mass_ratio",
-        inner=w,
         beta=1.0,
         start_offset=1,
         log_denominator=den,

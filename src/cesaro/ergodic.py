@@ -366,7 +366,7 @@ def range_identity_check(r: int, N: int) -> float:
     y[r] = Fraction(1)
     for k in range(r):
         y[k] -= Fraction(1, r)
-    cy = apply_power(y, 1, N, "rational")
+    cy = apply_power(y, 1, N)
     worst = Fraction(0)
     for n in range(N):
         got = y[n] - cy[n]
@@ -375,34 +375,29 @@ def range_identity_check(r: int, N: int) -> float:
     return float(worst)
 
 
-def ergodic_identity_check(w: WeightSpec, x: Sequence, n: int, N: int,
-                           mode: str = "float") -> tuple:
+def ergodic_identity_check(w: WeightSpec, x: Sequence, n: int,
+                           N: int) -> tuple:
     """Residual pair for the two averaging identities.
 
     First: (I - T) applied to the n-th running average equals
     (T - T^{n+1}) / n.  Second: T^n / n equals the n-th running average
-    minus (n-1)/n times the (n-1)-st.  Exact zero in rational mode.
+    minus (n-1)/n times the (n-1)-st.  Both are computed in exact
+    rationals, so the residuals are exactly zero.
     """
     if n < 1 or N < 1:
         raise ErgodicError("n and N must be >= 1")
     _check_budget((n + 1) * N)
-    if mode == "rational":
-        cur = tuple(_as_fractions(list(x[:N]) + [0] * max(0, N - len(x))))
-        zero = Fraction(0)
-    else:
-        cur = tuple(_start_vector(x, N, "float").tolist())
-        zero = 0.0
-    powers = [cur]  # T^0 x
+    powers = [_start_vector(x, N, "rational")]  # T^0 x
     for _ in range(n + 1):
-        powers.append(apply_power(powers[-1], 1, N, mode))
-    own = [zero] * N
+        powers.append(apply_power(powers[-1], 1, N))
+    own = [Fraction(0)] * N
     prev_avg = None
     for k in range(1, n + 1):
         own = [a + b for a, b in zip(own, powers[k])]
         if k == n - 1:
             prev_avg = [v / k for v in own]
     avg_n = [v / n for v in own]
-    t_avg = apply_power(avg_n, 1, N, mode)
+    t_avg = apply_power(avg_n, 1, N)
     lhs1 = [a - b for a, b in zip(avg_n, t_avg)]
     rhs1 = [(a - b) / n for a, b in zip(powers[1], powers[n + 1])]
     res1 = _residual_norm(w, [a - b for a, b in zip(lhs1, rhs1)])
@@ -411,9 +406,7 @@ def ergodic_identity_check(w: WeightSpec, x: Sequence, n: int, N: int,
         diff2 = [a - b for a, b in zip(avg_n, powers[1])]
     else:
         lhs2 = [v / n for v in powers[n]]
-        rhs2 = [a - Fraction(n - 1, n) * b if mode == "rational"
-                else a - (n - 1) / n * b
-                for a, b in zip(avg_n, prev_avg)]
+        rhs2 = [a - Fraction(n - 1, n) * b for a, b in zip(avg_n, prev_avg)]
         diff2 = [a - b for a, b in zip(lhs2, rhs2)]
     res2 = _residual_norm(w, diff2)
     return res1, res2

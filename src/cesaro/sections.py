@@ -5,19 +5,16 @@ these operators applied to a vector depend only on the first N coordinates of
 the vector.  Finite sections therefore carry no truncation error: the N-by-N
 block *is* the operator on those coordinates.
 
-Two arithmetic modes are supported throughout:
+The arithmetic is exact: rationals, and complex rationals where needed.
+Only the resolvent section also has a float mode, which the README tour
+runs.  The exact loops hold their values as integer numerators over one
+common denominator and take no gcd; a Fraction or QC is built, reduced,
+only when a value is returned.  Floats read from the exact values
+(int-by-int true division) are correctly rounded, so they do not depend
+on how the values are reduced.
 
-``rational``
-    Exact arithmetic over rationals (complex rationals where needed).  Used
-    for oracle checks at small dimensions.  The loops hold their values as
-    integer numerators over one common denominator and take no gcd; a
-    Fraction or QC is built, reduced, only when a value is returned.  Floats
-    read from the exact values (int-by-int true division) are correctly
-    rounded, so they do not depend on how the values are reduced.
-
-``float``
-    complex128 with log-magnitude/unit-phase product accumulation where naive
-    products would overflow or underflow.
+The float resolvent section is complex128 with log-magnitude/unit-phase
+product accumulation, so deep rows neither overflow nor underflow.
 """
 
 from __future__ import annotations
@@ -165,10 +162,11 @@ def _log_abs(x) -> float:
 class FiniteSection:
     """An N-by-N lower-triangular operator block.
 
-    ``rows[n-1]`` holds the n entries of row n (columns 1..n).  Float-mode
-    rows are numpy complex arrays; rational-mode rows are tuples of Fractions
-    or exact complex rationals; entries above the diagonal are zero and
-    not stored.  The benchmark reads ``N``, ``mode`` and ``rows``.
+    ``rows[n-1]`` holds the n entries of row n (columns 1..n).  Rational
+    rows are tuples of Fractions or exact complex rationals; the float
+    resolvent section's rows are numpy complex arrays; entries above the
+    diagonal are zero and not stored.  The benchmark reads ``N``, ``mode``
+    and ``rows``.
     """
 
     N: int
@@ -206,36 +204,28 @@ def _check_mode(mode: str) -> None:
         raise SectionError(f"unknown arithmetic mode {mode!r}")
 
 
-def _check_rational_dim(N: int, mode: str) -> None:
-    if mode == "rational" and N > RATIONAL_DIMENSION_CAP:
+def _check_rational_dim(N: int) -> None:
+    if N > RATIONAL_DIMENSION_CAP:
         raise SectionError(
-            f"rational mode is capped at N = {RATIONAL_DIMENSION_CAP}; "
-            f"use float mode for larger sections")
+            f"exact sections are capped at N = {RATIONAL_DIMENSION_CAP}")
 
 
-def cesaro_section(N: int, mode: str = "rational") -> FiniteSection:
+def cesaro_section(N: int) -> FiniteSection:
     """The N-by-N averaging section: row n is n copies of 1/n.
 
     An oracle: ``test_exact_algebra_suite`` multiplies it by the rational
     resolvent section and must get the identity exactly.
     """
-    _check_mode(mode)
     if N < 1:
         raise SectionError("dimension must be >= 1")
-    if N > DENSE_DIMENSION_CAP:
-        raise SectionError(f"dense averaging sections are capped at "
-                           f"N = {DENSE_DIMENSION_CAP}")
-    _check_rational_dim(N, mode)
-    if mode == "rational":
-        rows = tuple(tuple(Fraction(1, n + 1) for _ in range(n + 1))
-                     for n in range(N))
-    else:
-        rows = tuple(np.full(n + 1, 1.0 / (n + 1)) for n in range(N))
-    return FiniteSection(N, mode, rows)
+    _check_rational_dim(N)
+    rows = tuple(tuple(Fraction(1, n + 1) for _ in range(n + 1))
+                 for n in range(N))
+    return FiniteSection(N, "rational", rows)
 
 
 def _exact_parts(x) -> tuple:
-    """(re, im) Fractions of one rational-mode coordinate; im is None when
+    """(re, im) Fractions of one exact coordinate; im is None when
     the coordinate is real.  A QC counts as complex even when its imaginary
     part is zero, a Python complex only when it is not."""
     if isinstance(x, QC):
@@ -244,7 +234,7 @@ def _exact_parts(x) -> tuple:
         return Fraction(x.real), (Fraction(x.imag) if x.imag else None)
     if isinstance(x, (Rational, float)):
         return Fraction(x), None
-    raise TypeError(f"cannot use {type(x).__name__} in rational mode")
+    raise TypeError(f"cannot read {type(x).__name__} exactly")
 
 
 def cumulative_means(x: Sequence, steps: int):
@@ -276,38 +266,28 @@ def cumulative_means(x: Sequence, steps: int):
         yield re, im, den
 
 
-def apply_power(x: Sequence, m: int, N: int,
-                mode: str = "float") -> tuple:
+def apply_power(x: Sequence, m: int, N: int) -> tuple:
     """First N coordinates of the m-th power of the averaging operator at x.
 
-    Rational mode runs the exact kernel ``cumulative_means`` on
-    common-denominator integers and reduces once, at the end: the result
-    is a tuple of Fractions, or of QC when any input coordinate is complex
-    (a QC, or a complex with nonzero imaginary part).  Float mode runs
-    vectorized cumulative means.  Triangularity makes the result
-    independent of coordinates beyond N.
+    Runs the exact kernel ``cumulative_means`` on common-denominator
+    integers and reduces once, at the end: the result is a tuple of
+    Fractions, or of QC when any input coordinate is complex (a QC, or a
+    complex with nonzero imaginary part).  Float coordinates are read
+    exactly.  Triangularity makes the result independent of coordinates
+    beyond N.
     """
-    _check_mode(mode)
     if m < 1:
         raise SectionError("power must be >= 1")
     if N < 1:
         raise SectionError("dimension must be >= 1")
     if len(x) < N:
         raise SectionError("need at least N input coordinates")
-    if mode == "rational":
-        for re, im, den in cumulative_means(x[:N], m):
-            pass
-        if im is None:
-            return tuple(Fraction(a, den) for a in re)
-        return tuple(QC(Fraction(a, den), Fraction(b, den))
-                     for a, b in zip(re, im))
-    arr = np.asarray([complex(v) for v in x[:N]], dtype=complex)
-    ns = np.arange(1, N + 1, dtype=float)
-    for _ in range(m):
-        arr = np.cumsum(arr) / ns
-    if np.all(arr.imag == 0.0):
-        return tuple(float(v) for v in arr.real)
-    return tuple(complex(v) for v in arr)
+    for re, im, den in cumulative_means(x[:N], m):
+        pass
+    if im is None:
+        return tuple(Fraction(a, den) for a in re)
+    return tuple(QC(Fraction(a, den), Fraction(b, den))
+                 for a, b in zip(re, im))
 
 
 def kernel_power_entry(n: int, k: int, m: int) -> Fraction:
@@ -392,7 +372,7 @@ def resolvent_section(lam, N: int, mode: str = "float") -> FiniteSection:
             f"lam = {lam_c} is within {SIGMA_PROXIMITY_EPS} of the excluded "
             f"point {nearest}")
     if mode == "rational":
-        _check_rational_dim(N, mode)
+        _check_rational_dim(N)
         lq = QC.from_number(lam if isinstance(lam, (QC, Fraction)) else lam_c)
         return FiniteSection(N, "rational", _rational_resolvent_rows(lq, N))
     ks = np.arange(1, N + 1, dtype=float)
@@ -462,7 +442,7 @@ def _rational_resolvent_rows(lq: QC, N: int) -> tuple:
 # eigenvectors, dual vectors, shifted inverses
 
 
-def eigenvector(m: int, N: int, mode: str = "rational") -> tuple:
+def eigenvector(m: int, N: int) -> tuple:
     """First N coordinates of the eigenvector with eigenvalue 1/m.
 
     Coordinate n is binom(n-1, m-1): row n of the averaging section maps it
@@ -472,44 +452,28 @@ def eigenvector(m: int, N: int, mode: str = "rational") -> tuple:
         raise SectionError("eigenvalue index must be >= 1")
     if N < 1:
         raise SectionError("dimension must be >= 1")
-    _check_mode(mode)
-    coords = [math.comb(n - 1, m - 1) for n in range(1, N + 1)]
-    if mode == "rational":
-        return tuple(Fraction(c) for c in coords)
-    return tuple(float(c) for c in coords)
+    return tuple(Fraction(math.comb(n - 1, m - 1)) for n in range(1, N + 1))
 
 
-def dual_eigenvector(lam, N: int, mode: str = "rational") -> tuple:
+def dual_eigenvector(lam, N: int) -> tuple:
     """First N coordinates of the dual eigenvector at lam (nonzero).
 
     Starts at 1 and multiplies by (1 - 1/(lam k)); for lam = 1/m the factor
-    at k = m vanishes and the vector terminates after m coordinates.
+    at k = m vanishes and the vector terminates after m coordinates.  A
+    float lam is read exactly.
     """
     if N < 1:
         raise SectionError("dimension must be >= 1")
-    _check_mode(mode)
-    if mode == "rational":
-        lq = QC.from_number(lam)
-        if lq.is_zero:
-            raise SectionError("lam must be nonzero")
-        out = [_QC_ONE]
-        cur = _QC_ONE
-        for k in range(1, N):
-            cur = cur * (_QC_ONE - _QC_ONE / (lq * QC(Fraction(k))))
-            out.append(cur)
-        if all(q.is_real for q in out):
-            return tuple(q.re for q in out)
-        return tuple(out)
-    lam_c = complex(lam)
-    if lam_c == 0:
+    lq = QC.from_number(lam)
+    if lq.is_zero:
         raise SectionError("lam must be nonzero")
-    out = [1.0 + 0.0j]
-    cur = 1.0 + 0.0j
+    out = [_QC_ONE]
+    cur = _QC_ONE
     for k in range(1, N):
-        cur = cur * (1.0 - 1.0 / (lam_c * k))
+        cur = cur * (_QC_ONE - _QC_ONE / (lq * QC(Fraction(k))))
         out.append(cur)
-    if all(z.imag == 0.0 for z in out):
-        return tuple(z.real for z in out)
+    if all(q.is_real for q in out):
+        return tuple(q.re for q in out)
     return tuple(out)
 
 
@@ -517,65 +481,38 @@ def dual_apply(y: Sequence) -> tuple:
     """Apply the dual operator to a finitely supported vector.
 
     Coordinate n of the image is sum_{k>=n} y_k / k; with finite support the
-    sums are finite and exact for rational input.
+    sums are finite and exact.  Every coordinate is read exactly, as
+    ``_exact_parts`` reads it: the image is a tuple of Fractions, or of QC
+    when any coordinate is complex.
     """
-    n = len(y)
-    exact = all(isinstance(v, (int, Fraction, QC)) for v in y)
-    if exact:
-        complex_in = any(isinstance(v, QC) for v in y)
-        acc: Union[Fraction, QC] = QC(Fraction(0)) if complex_in else Fraction(0)
-        res = [acc] * n
-        for k in range(n, 0, -1):
-            v = y[k - 1]
-            if complex_in:
-                term = (v if isinstance(v, QC) else QC(Fraction(v))) \
-                    / QC(Fraction(k))
-            else:
-                term = Fraction(v) / k
-            acc = acc + term
-            res[k - 1] = acc
-        return tuple(res)
-    acc_c = 0.0 + 0.0j
-    res_c = [0.0 + 0.0j] * n
-    for k in range(n, 0, -1):
-        acc_c += complex(y[k - 1]) / k
-        res_c[k - 1] = acc_c
-    if all(z.imag == 0.0 for z in res_c):
-        return tuple(z.real for z in res_c)
-    return tuple(res_c)
+    parts = [_exact_parts(v) for v in y]
+    complex_in = any(im is not None for _, im in parts)
+    acc: Union[Fraction, QC] = QC(Fraction(0)) if complex_in else Fraction(0)
+    res = [acc] * len(parts)
+    for k in range(len(parts), 0, -1):
+        re, im = parts[k - 1]
+        acc = acc + (QC(re / k, (im or Fraction(0)) / k) if complex_in
+                     else re / k)
+        res[k - 1] = acc
+    return tuple(res)
 
 
-def shifted_inverse_section(N: int, mode: str = "rational"
-                            ) -> tuple[FiniteSection, FiniteSection]:
+def shifted_inverse_section(N: int) -> tuple[FiniteSection, FiniteSection]:
     """The forward-difference operator section and its exact inverse.
 
     The first section has diagonal n/(n+1) and constant off-diagonal
     -1/(n+1) in row n; the second has diagonal (n+1)/n and entry 1/m in
-    column m below the diagonal.  Their product is the identity, exactly in
-    rational mode.
+    column m below the diagonal.  Their product is the identity, exactly.
     """
     if N < 1:
         raise SectionError("dimension must be >= 1")
-    _check_mode(mode)
-    _check_rational_dim(N, mode)
-    if mode == "rational":
-        a_rows = []
-        b_rows = []
-        for n in range(1, N + 1):
-            a_row = [Fraction(-1, n + 1)] * (n - 1) + [Fraction(n, n + 1)]
-            b_row = [Fraction(1, m) for m in range(1, n)] + [Fraction(n + 1, n)]
-            a_rows.append(tuple(a_row))
-            b_rows.append(tuple(b_row))
-        return (FiniteSection(N, "rational", tuple(a_rows)),
-                FiniteSection(N, "rational", tuple(b_rows)))
+    _check_rational_dim(N)
     a_rows = []
     b_rows = []
     for n in range(1, N + 1):
-        a_row = np.full(n, -1.0 / (n + 1))
-        a_row[n - 1] = n / (n + 1.0)
-        b_row = 1.0 / np.arange(1, n + 1, dtype=float)
-        b_row[n - 1] = (n + 1.0) / n
-        a_rows.append(a_row)
-        b_rows.append(b_row)
-    return (FiniteSection(N, "float", tuple(a_rows)),
-            FiniteSection(N, "float", tuple(b_rows)))
+        a_row = [Fraction(-1, n + 1)] * (n - 1) + [Fraction(n, n + 1)]
+        b_row = [Fraction(1, m) for m in range(1, n)] + [Fraction(n + 1, n)]
+        a_rows.append(tuple(a_row))
+        b_rows.append(tuple(b_row))
+    return (FiniteSection(N, "rational", tuple(a_rows)),
+            FiniteSection(N, "rational", tuple(b_rows)))

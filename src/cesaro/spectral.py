@@ -231,7 +231,6 @@ def _resolvent_profile(w: WeightSpec, alpha: float) -> SupProfile:
 
     return SupProfile(
         name="resolvent_sup",
-        inner=w,
         beta=alpha,
         start_offset=1,
         log_denominator=den,

@@ -901,25 +901,20 @@ _FAMILY_DEFAULTS: dict[str, dict[str, float]] = {
 def catalog_families() -> list[dict]:
     """Metadata listing for every built-in family."""
     out = []
+    defaults = {"alpha": 2.0, "gamma": 2.0, "r": 0.5, "beta": 0.5, "a": 1.0}
     for name, (_, params, doc) in sorted(_FAMILY_BUILDERS.items()):
-        probe = None
-        try:
-            defaults = {"alpha": 2.0, "gamma": 2.0, "r": 0.5, "beta": 0.5, "a": 1.0}
-            probe = catalog_weight(name, {p: defaults[p] for p in params})
-        except WeightError:
-            pass
+        probe = catalog_weight(name, {p: defaults[p] for p in params})
         hooks = []
-        if probe is not None:
-            for label, have in [
-                ("tail", probe._closed_tail(2, 0.0) is not None
-                 or probe._closed_tail(2, -1.0) is not None),
-                ("sup-envelope", probe.cont_env() is not None),
-                ("lower-envelope", probe.cont_lower is not None),
-                ("minorant", probe.minorant_log_c(4.0) is not None),
-                ("ratio", probe.ratio_bound is not None),
-            ]:
-                if have:
-                    hooks.append(label)
+        for label, have in [
+            ("tail", probe._closed_tail(2, 0.0) is not None
+             or probe._closed_tail(2, -1.0) is not None),
+            ("sup-envelope", probe.cont_env() is not None),
+            ("lower-envelope", probe.cont_lower is not None),
+            ("minorant", probe.minorant_log_c(4.0) is not None),
+            ("ratio", probe.ratio_bound is not None),
+        ]:
+            if have:
+                hooks.append(label)
         out.append({"family": name, "params": list(params), "doc": doc,
                     "metadata": hooks})
     return out

@@ -202,8 +202,7 @@ def test_exact_algebra_suite(geom05):
     # closed-form kernel vs repeated application, all orders up to 6
     for m in range(1, 7):
         powers = {k: apply_power([Fraction(1 if i == k else 0)
-                                  for i in range(1, 26)], m, 25,
-                                 mode="rational")
+                                  for i in range(1, 26)], m, 25)
                   for k in range(1, 26)}
         for n in range(1, 26):
             for k in range(1, n + 1):
@@ -228,7 +227,7 @@ def test_exact_algebra_suite(geom05):
     # eigen identities
     for m in range(1, 11):
         vec = eigenvector(m, N)
-        assert apply_power(vec, 1, N, mode="rational") == \
+        assert apply_power(vec, 1, N) == \
             tuple(Fraction(1, m) * v for v in vec)
 
     # rank-one range identity
@@ -246,8 +245,7 @@ def test_exact_algebra_suite(geom05):
     # both averaging identities, exactly zero
     x = [Fraction(1), Fraction(-1, 2), Fraction(2)] + [Fraction(0)] * 37
     for n in (1, 2, 5, 8):
-        res1, res2 = ergodic_identity_check(geom05, x, n, 40,
-                                            mode="rational")
+        res1, res2 = ergodic_identity_check(geom05, x, n, 40)
         assert res1 == 0.0 and res2 == 0.0
 
     assert time.monotonic() - start < 30.0

@@ -206,7 +206,8 @@ def _verdicts(node):
             yield from _verdicts(value)
 
 
-@pytest.mark.parametrize("spec,digest", PINNED_ANALYZE)
+@pytest.mark.parametrize("spec,digest", PINNED_ANALYZE,
+                         ids=[spec for spec, _ in PINNED_ANALYZE])
 def test_analyze_pinned_bytes(capsys, spec, digest):
     assert main(["analyze", "-w", spec, "--horizon", "10000"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -355,6 +356,23 @@ def test_spectrum_table_horizon_clamped_to_the_last_row(capsys, table_2000,
         assert verdict["scan_horizon"] == 2000
         assert [n for n in verdict["notes"] if "clamped" in n] == clamp
     assert "Holds" not in out
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_iterate_table_size_clamped_to_the_last_row(tmp_path, mode):
+    # a trace reads w(n) for n <= N, so N is cut to the table's last row,
+    # and the trace says so first
+    path = tmp_path / "w.txt"
+    path.write_text("".join(f"{n} {-2.0 * math.log(n)!r}\n"
+                            for n in range(1, 6)))
+    out = tmp_path / "trace.csv"
+    assert main(["iterate", "-w", f"custom:path={path}", "--N", "40",
+                 "--M", "5", "--mode", mode, "--out", str(out)]) == EXIT_OK
+    trace = json.loads((tmp_path / "trace.json").read_text())["trace"]
+    assert trace["N"] == 5
+    assert trace["notes"][0] == ("iterate horizon 40 clamped to the table's "
+                                 "last row 5")
+    assert len(trace["records"]) == 5
 
 
 def test_horizon_below_two_fails_at_parse(capsys):

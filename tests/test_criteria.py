@@ -29,6 +29,7 @@ from cesaro.criteria import (
     t0_estimate,
     uw_quantity,
 )
+from test_stream_kernel import _reference_segment_log_sums
 
 HORIZONS = (10 ** 4, 10 ** 5, 10 ** 6)
 
@@ -785,20 +786,6 @@ def test_moment_log_sums_table(spec, workers):
         assert [v.hex() for v in got] == row, (spec, horizon)
 
 
-def _one_thread_segment_log_sums(lt, starts):
-    """The segment kernel as it was before the rows were split between
-    threads: a repeated shift and an exp over every term."""
-    if starts.size == lt.size:  # one term per segment: nothing to reduce
-        return lt
-    with np.errstate(invalid="ignore", divide="ignore"):
-        shift = np.maximum.reduceat(lt, starts)
-        shift[~np.isfinite(shift)] = 0.0
-        buf = np.repeat(shift, np.diff(starts, append=lt.size))
-        np.subtract(lt, buf, out=buf)
-        np.exp(buf, out=buf)
-        return np.log(np.add.reduceat(buf, starts)) + shift
-
-
 _EXP_ZERO_EDGE = -745.1332191019412
 
 
@@ -833,8 +820,8 @@ def _segment_cases():
                          ids=[case[0] for case in _segment_cases()])
 def test_segment_log_sums_matches_one_thread_kernel(name, lt, starts):
     starts = np.asarray(starts, dtype=np.int64)
-    want = _one_thread_segment_log_sums(lt.copy(), starts)
-    got = criteria._segment_log_sums(lt.copy(), starts)
+    want = _reference_segment_log_sums(lt.copy(), starts)
+    got = criteria._segment_log_sums(lt.copy(), starts, lt.size)
     assert got.tobytes() == want.tobytes(), name
 
 

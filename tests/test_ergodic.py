@@ -185,8 +185,8 @@ def test_averages_rational_mode_exact(geom05):
                                 mode="rational")
     # average after 2 steps of coordinate 2 is (1/2 + 3/8) / 2 = 7/16;
     # check through the recomputed weighted norm of the known averages
-    powers = [apply_power([Fraction(1)] + [Fraction(0)] * 29, m, 30,
-                          mode="rational") for m in (1, 2, 3, 4)]
+    powers = [apply_power([Fraction(1)] + [Fraction(0)] * 29, m, 30)
+              for m in (1, 2, 3, 4)]
     acc = [Fraction(0)] * 30
     for n, p in enumerate(powers, 1):
         acc = [a + v for a, v in zip(acc, p)]
@@ -390,8 +390,7 @@ _BEYOND_FLOAT = [Fraction(10 ** 400)]
 @pytest.mark.parametrize("call", [
     lambda w: iterate_trace(w, _BEYOND_FLOAT, 2, 10, mode="rational"),
     lambda w: cesaro_averages_trace(w, _BEYOND_FLOAT, 2, 10, mode="rational"),
-    lambda w: ergodic_identity_check(w, _BEYOND_FLOAT, 2, 10),
-], ids=["iterate", "averages", "identity-float"])
+], ids=["iterate", "averages"])
 def test_exact_input_beyond_float_range_is_rejected(geom05, call):
     """A start coordinate too large for a float is an ErgodicError that
     names it, not an OverflowError from deep inside a trace."""
@@ -399,15 +398,14 @@ def test_exact_input_beyond_float_range_is_rejected(geom05, call):
                        "for a float"):
         call(geom05)
     # the exact identities never leave the rationals, so they still run
-    assert ergodic_identity_check(geom05, _BEYOND_FLOAT, 2, 10,
-                                  mode="rational") == (0.0, 0.0)
+    assert ergodic_identity_check(geom05, _BEYOND_FLOAT, 2, 10) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
                          ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("call", [
     lambda w, x: iterate_trace(w, x, 2, 10, mode="rational"),
-    lambda w, x: ergodic_identity_check(w, x, 2, 10, mode="rational"),
+    lambda w, x: ergodic_identity_check(w, x, 2, 10),
 ], ids=["iterate", "identity"])
 def test_non_finite_exact_start_is_rejected(geom05, call, value):
     """Exact arithmetic has no infinity or NaN: such a start coordinate is
@@ -434,16 +432,16 @@ def test_range_identity_small_ranks():
 def test_ergodic_identities_exact_rational(geom05):
     x = [Fraction(1), Fraction(1, 2), Fraction(-2)] + [Fraction(0)] * 22
     for n in (1, 2, 3, 7):
-        res1, res2 = ergodic_identity_check(geom05, x, n, 25,
-                                            mode="rational")
+        res1, res2 = ergodic_identity_check(geom05, x, n, 25)
         assert res1 == 0.0 and res2 == 0.0
 
 
 def test_ergodic_identities_float(geom05):
-    x = [1.0, 0.5, -2.0] + [0.0] * 47
+    # float coordinates are read exactly, so the residuals are exactly zero
+    x = [1.0, 0.5, -2.0, 0.1] + [0.0] * 46
     for n in (1, 4, 9):
-        res1, res2 = ergodic_identity_check(geom05, x, n, 50, mode="float")
-        assert res1 <= 1e-12 and res2 <= 1e-12
+        res1, res2 = ergodic_identity_check(geom05, x, n, 50)
+        assert res1 == 0.0 and res2 == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Oracles are independent recomputations: hand-inverted small matrices, closed
 binomial forms evaluated with Fractions, and dense numpy products for the
-float-mode residual checks.  Regression constants were frozen from one-time
-brute-force runs and guard the normalized product and falling-factorial
-windows used by the resolvent and eigenvector formulas.
+float resolvent's residual checks.  Regression constants were frozen from
+one-time brute-force runs and guard the normalized product and
+falling-factorial windows used by the resolvent and eigenvector formulas.
 """
 
 from __future__ import annotations
@@ -75,25 +75,18 @@ def test_cesaro_section_fixes_constant_vector():
         assert sum(sec.rows[n - 1]) == Fraction(1)
 
 
-def test_cesaro_section_float_mode():
-    sec = cesaro_section(5, mode="float")
-    assert sec.rows[3][1] == pytest.approx(0.25)
-    assert isinstance(sec.rows[3], np.ndarray)
-
-
 def test_section_rejects_bad_dimension_and_mode():
     with pytest.raises(SectionError):
         cesaro_section(0)
     with pytest.raises(SectionError):
-        cesaro_section(3, mode="symbolic")
-    with pytest.raises(SectionError):
-        cesaro_section(RATIONAL_DIMENSION_CAP + 1, mode="rational")
+        cesaro_section(RATIONAL_DIMENSION_CAP + 1)
+    with pytest.raises(SectionError, match="unknown arithmetic mode"):
+        resolvent_section(2.0, 3, mode="symbolic")
 
 
 def test_large_averaging_section_is_refused():
-    with pytest.raises(SectionError, match="dense averaging sections are "
-                       "capped"):
-        cesaro_section(DENSE_DIMENSION_CAP + 1, mode="float")
+    with pytest.raises(SectionError, match="exact sections are capped"):
+        cesaro_section(DENSE_DIMENSION_CAP + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +95,18 @@ def test_large_averaging_section_is_refused():
 
 def test_apply_power_first_column():
     e1 = [1] + [0] * 9
-    out = apply_power(e1, 1, 10, mode="rational")
+    out = apply_power(e1, 1, 10)
     assert out == tuple(Fraction(1, n) for n in range(1, 11))
 
 
 def test_apply_power_fixed_point():
-    out = apply_power([1] * 10, 7, 10, mode="rational")
+    out = apply_power([1] * 10, 7, 10)
     assert out == tuple(Fraction(1) for _ in range(10))
 
 
 def test_apply_power_second_basis_vector():
     e2 = [0, 1] + [0] * 8
-    out = apply_power(e2, 2, 10, mode="rational")
+    out = apply_power(e2, 2, 10)
     assert out[2] == Fraction(5, 18)
 
 
@@ -127,16 +120,15 @@ def test_apply_power_validates_input():
 
 
 def test_apply_power_float_matches_rational():
-    x = [1.0, -0.5, 2.0, 0.25, -1.0]
-    exact = apply_power([Fraction(v) for v in x], 3, 5, mode="rational")
-    approx = apply_power(x, 3, 5, mode="float")
-    for a, b in zip(approx, exact):
-        assert a == pytest.approx(float(b), rel=1e-14)
+    # float coordinates are read exactly, so the images agree exactly
+    x = [1.0, -0.5, 2.0, 0.25, -1.0, 0.1]
+    assert apply_power(x, 3, 6) == \
+        apply_power([Fraction(v) for v in x], 3, 6)
 
 
 def test_apply_power_complex_input():
-    out = apply_power([1 + 1j, 0, 0], 1, 3, mode="float")
-    assert out[1] == pytest.approx((1 + 1j) / 2)
+    out = apply_power([1 + 1j, 0, 0], 1, 3)
+    assert out[1] == QC(Fraction(1, 2), Fraction(1, 2))
 
 
 def test_kernel_power_entry_reproduces_averaging():
@@ -155,7 +147,7 @@ def test_kernel_power_entry_alternating_sum():
                    for j in range(5))
     assert kernel_power_entry(5, 1, 3) == expected
     assert kernel_power_entry(5, 1, 3) == \
-        apply_power([1, 0, 0, 0, 0], 3, 5, mode="rational")[4]
+        apply_power([1, 0, 0, 0, 0], 3, 5)[4]
 
 
 def test_kernel_power_entry_rejections():
@@ -172,7 +164,7 @@ def test_kernel_matches_apply_power_grid():
         for n in range(1, 11):
             for k in range(1, n + 1):
                 e_k = [Fraction(1 if i == k else 0) for i in range(1, n + 1)]
-                expected = apply_power(e_k, m, n, mode="rational")[n - 1]
+                expected = apply_power(e_k, m, n)[n - 1]
                 assert kernel_power_entry(n, k, m) == expected
 
 
@@ -183,38 +175,34 @@ def test_kernel_matches_apply_power_grid():
        st.integers(min_value=1, max_value=3))
 def test_apply_power_semigroup(x, a, b):
     N = len(x)
-    combined = apply_power(x, a + b, N, mode="rational")
-    staged = apply_power(apply_power(x, a, N, mode="rational"), b, N,
-                         mode="rational")
+    combined = apply_power(x, a + b, N)
+    staged = apply_power(apply_power(x, a, N), b, N)
     assert combined == staged
 
 
 def test_apply_power_mixed_real_and_complex_input():
     # real and complex coordinates share one exact vector; the result is QC
-    # throughout and agrees with float mode
-    assert apply_power([1, 1j], 1, 2, mode="rational") == \
+    # throughout and equals the all-QC reference loop
+    assert apply_power([1, 1j], 1, 2) == \
         (QC(Fraction(1)), QC(Fraction(1, 2), Fraction(1, 2)))
     for x in ([1, 1j], [1j, 1], [Fraction(1, 3), 2 - 1j, 0.5, 3]):
         for m in (1, 2, 5):
-            exact = apply_power(x, m, len(x), mode="rational")
-            approx = apply_power(x, m, len(x), mode="float")
+            exact = apply_power(x, m, len(x))
             assert all(isinstance(z, QC) for z in exact)
-            for z, want in zip(exact, approx):
-                assert z.to_complex() == pytest.approx(want, rel=1e-14)
+            assert exact == fraction_power(map(QC.from_number, x), m)
 
 
 def test_float_mode_accepts_exact_complex_input():
-    # complex(QC) is the same value as to_complex, so float mode takes the
-    # exact inputs rational mode takes
+    # complex(QC) is the same value as to_complex, so the float resolvent
+    # section takes the exact points the rational one takes
     q = QC(Fraction(1, 3), Fraction(-2, 9))
     assert complex(q) == q.to_complex() == complex(1 / 3, -2 / 9)
-    assert apply_power([QC(Fraction(1))], 1, 1, mode="float") == (1 + 0j,)
-    x = [QC(Fraction(1)), q, Fraction(1, 2), 3]
-    for z, want in zip(apply_power(x, 2, 4, mode="float"),
-                       apply_power(x, 2, 4, mode="rational")):
-        assert z == pytest.approx(complex(want), rel=1e-14)
-    assert dual_eigenvector(QC(Fraction(1, 2)), 5, mode="float") == \
-        dual_eigenvector(0.5, 5, mode="float")
+    lam = QC(Fraction(3, 4), Fraction(1, 2))
+    exact_point = resolvent_section(lam, 6)
+    assert exact_point.mode == "float"
+    for got, want in zip(exact_point.rows,
+                         resolvent_section(0.75 + 0.5j, 6).rows):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +243,7 @@ RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=40)
 @given(st.lists(RATIONALS, min_size=1, max_size=40),
        st.integers(min_value=1, max_value=6))
 def test_apply_power_equals_fraction_loop(x, m):
-    got = apply_power(x, m, len(x), mode="rational")
+    got = apply_power(x, m, len(x))
     want = fraction_power(x, m)
     assert got == want
     assert all(type(v) is Fraction for v in got)
@@ -266,7 +254,7 @@ def test_apply_power_equals_fraction_loop(x, m):
                 max_size=40),
        st.integers(min_value=1, max_value=6))
 def test_apply_power_equals_qc_loop(x, m):
-    got = apply_power(x, m, len(x), mode="rational")
+    got = apply_power(x, m, len(x))
     assert got == fraction_power(x, m)
     assert all(type(v) is QC and type(v.re) is Fraction
                and type(v.im) is Fraction for v in got)
@@ -312,10 +300,10 @@ PINNED_EXACT = [
               for n in range(1, 41) for k in range(1, n + 1)],
      "d1e12c0ef6cd58415015bdcbb9de28f625463675968bbc286dcbc931df02ef4f"),
     ("apply-power-mixed-fraction",
-     lambda: apply_power(MIXED_VECTOR, 5, 28, mode="rational"),
+     lambda: apply_power(MIXED_VECTOR, 5, 28),
      "060b7994ee9698faf6bc7faac21b93eba8940d98719d55a6d60cdd9f0b5ef5e0"),
     ("apply-power-complex",
-     lambda: apply_power(COMPLEX_VECTOR, 3, 20, mode="rational"),
+     lambda: apply_power(COMPLEX_VECTOR, 3, 20),
      "78ff3a5dcf5dff192c9fed15596dd01e310bea8d17c795ed70a9ed1c9341ad10"),
 ]
 
@@ -456,7 +444,7 @@ def test_resolvent_rational_identity_exact():
 def test_resolvent_float_identity_residual():
     N = 200
     rng = np.random.default_rng(20260815)
-    ces = section_matrix(cesaro_section(N, mode="float"))
+    ces = section_matrix(cesaro_section(N))
     eye = np.eye(N, dtype=complex)
     accepted = 0
     worst = 0.0
@@ -525,7 +513,6 @@ def test_eigenvector_closed_forms():
     assert eigenvector(1, 5) == tuple(Fraction(1) for _ in range(5))
     assert eigenvector(2, 6) == tuple(Fraction(n - 1) for n in range(1, 7))
     assert eigenvector(3, 5)[4] == Fraction(6)
-    assert eigenvector(2, 4, mode="float") == (0.0, 1.0, 2.0, 3.0)
     with pytest.raises(SectionError):
         eigenvector(0, 5)
 
@@ -534,7 +521,7 @@ def test_eigenvector_identity_exact():
     N = 30
     for m in range(1, 7):
         vec = eigenvector(m, N)
-        image = apply_power(vec, 1, N, mode="rational")
+        image = apply_power(vec, 1, N)
         assert image == tuple(Fraction(1, m) * v for v in vec)
 
 
@@ -564,11 +551,14 @@ def test_dual_apply_hand_example():
 
 
 def test_dual_eigenvector_complex_and_float_agree():
+    # a float point is read exactly: its vector is that of the rational
+    # point float(lam) equals, and close to that of lam itself
     lam = 0.4 + 0.3j
     exact = dual_eigenvector(QC(Fraction(2, 5), Fraction(3, 10)), 12)
-    approx = dual_eigenvector(lam, 12, mode="float")
-    for a, b in zip(exact, approx):
-        assert a.to_complex() == pytest.approx(b, rel=1e-12)
+    from_float = dual_eigenvector(lam, 12)
+    assert from_float == dual_eigenvector(QC.from_number(lam), 12)
+    for a, b in zip(exact, from_float):
+        assert a.to_complex() == pytest.approx(b.to_complex(), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +595,6 @@ def test_shifted_operator_on_constant_vector():
     for n in range(1, N + 1):
         image = sum(A.rows[n - 1])
         assert image == Fraction(1, n + 1)
-
-
-def test_shifted_inverse_float_mode():
-    A, B = shifted_inverse_section(20, mode="float")
-    prod = section_matrix(A) @ section_matrix(B)
-    assert np.abs(prod - np.eye(20)).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -182,9 +182,9 @@ def chunk_jobs(monkeypatch):
         chunks.append(([job[0] for job in jobs], []))
         return run_rows(jobs, shared, scratch)
 
-    def counted(buf, starts, live=None):
+    def counted(buf, starts, live):
         if starts.size == 1:
-            chunks[-1][1].append(buf.size if live is None else live)
+            chunks[-1][1].append(live)
         return segment_log_sums(buf, starts, live)
 
     monkeypatch.setattr(criteria, "_run_rows", recording)

@@ -550,6 +550,17 @@ def test_dual_apply_hand_example():
     assert image == (Fraction(1, 2), Fraction(-1, 2))
 
 
+def test_dual_apply_reads_every_coordinate_exactly():
+    # floats are read as the Fractions they equal; one complex coordinate
+    # makes every coordinate of the image a QC
+    assert dual_apply((0.1, 2)) == (Fraction(0.1) + 1, Fraction(1))
+    image = dual_apply((0.5, 1j, 2))
+    assert all(type(v) is QC for v in image)
+    assert image == (QC(Fraction(7, 6), Fraction(1, 2)),
+                     QC(Fraction(2, 3), Fraction(1, 2)),
+                     QC(Fraction(2, 3)))
+
+
 def test_dual_eigenvector_complex_and_float_agree():
     # a float point is read exactly: its vector is that of the rational
     # point float(lam) equals, and close to that of lam itself
